@@ -9,6 +9,7 @@ as key/value lines.  Exit codes: 0 success, 1 a verified property failed,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -34,7 +35,8 @@ def _load(files, default_field) -> Workspace:
 def _parse_set(poset, text):
     if text is None:
         return poset.whole()
-    ids = [t for t in text.split(",") if t]
+    # grid ids such as "(1,1)" carry commas, so split only outside parentheses
+    ids = [t for t in re.split(r",(?![^(]*\))", text) if t]
     return poset.subset(ids)
 
 

@@ -74,10 +74,6 @@ class NotUnital(GpmodError):
     pass
 
 
-class InvalidModule(GpmodError):
-    pass
-
-
 class ArityMismatch(GpmodError):
     pass
 

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .linalg import FieldSpec
 from .modules import PersModule
-from .posets import Poset, build_poset
+from .posets import build_poset
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +241,7 @@ def ker_phi(act: GAct) -> frozenset:
 
 def witness_map(order, a, b) -> dict:
     """The inflationary endofunction sending a to b and fixing the rest."""
-    if isinstance(order, Poset):
-        elements, leq = order.elements, order.leq
-    else:
-        elements, leq = order.elements, order.leq
+    elements, leq = order.elements, order.leq
     if not leq(a, b):
         raise NotComparable(f"{a!r} is not below {b!r}")
     g = {x: (b if x == a else x) for x in elements}
@@ -940,17 +937,6 @@ def fm_direct_sum(f1: FunctorModule, f2: FunctorModule) -> FunctorModule:
 
 def fm_zero(alg: GradedAlgebra, act: GAct) -> FunctorModule:
     return FunctorModule(alg, act, [0] * len(act), {}, validate=False)
-
-
-def free_generator_vector(alg: GradedAlgebra, act: GAct, a0: int, mult: int,
-                          copy: int) -> np.ndarray:
-    """Coordinates of the unit generator of the given copy inside the space
-    of ``free_functor_module(alg, act, a0, mult)`` at the point a0."""
-    basis = [i for i in range(alg.dim) if act.act(alg.degs[i], a0) == a0]
-    v = np.zeros(mult * len(basis), dtype=np.int64)
-    for r, i in enumerate(basis):
-        v[copy * len(basis) + r] = int(alg.unit[i])
-    return v
 
 
 def free_morphism_components(free: FunctorModule, a0: int, mult: int,

@@ -208,20 +208,21 @@ def finitely_presented_witness(m: PersModule) -> WitnessReport:
 
 def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
     """The minimal epimorphism onto m from a sum of free modules placed at
-    the birth elements, one summand per splitting dimension.
+    the birth elements, one summand per splitting dimension.  Births are
+    exactly where the splitting dimension is non-zero, since rank(lambda)
+    is the rank of the stacked structure maps.
 
     Sections of the splitting projections are the deterministic
     pivot-variable lifts, so the cover is byte-reproducible.
     """
     s = m.poset.subset(s)
-    if not is_generated(m, s):
+    born = births(m, s)
+    if born.mask & ~s.mask:
         raise NotGenerated(f"module is not generated by {sorted(s.ids())}")
     p = m.field.p
     pieces = []  # (element, multiplicity, section)
-    for e in s:
+    for e in born:
         res = splitting(m, s, e)
-        if res.dim == 0:
-            continue
         section = linalg.solve(res.projection, linalg.identity(res.dim), p)
         pieces.append((e, res.dim, section))
     cover = zero_module(m.poset, m.field)
@@ -261,17 +262,17 @@ def minimal_presentation(m: PersModule, s) -> Presentation:
     and of the kernel of the cover (for rels).
     """
     s = m.poset.subset(s)
-    bad = presentation_offenders(m, s)
+    born, death_set = births(m, s), deaths(m, s)
+    bad = m.poset.subset_from_mask((born.mask | death_set.mask) & ~s.mask)
     if bad.mask:
         raise NotPresented(f"births/deaths outside S at {sorted(bad.ids())}")
     cover, h = projective_cover(m, s)
     ker, incl = kernel_module(h)
-    gens = Counter({e: splitting(m, s, e).dim for e in births(m, s)})
+    gens = Counter({e: splitting(m, s, e).dim for e in born})
     ker_births = births(ker, s)
     rels = Counter({e: splitting(ker, s, e).dim for e in ker_births})
     rel_cover, rel_h = projective_cover(ker, s)
     relation_map = incl.compose(rel_h)
-    death_set = deaths(m, s)
     verho_equal = ker_births.mask == death_set.mask
     exact = is_epi(h) and is_epi(rel_h)
     return Presentation(gens=gens, rels=rels, cover_map=h, kernel=ker,

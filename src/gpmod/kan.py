@@ -57,9 +57,9 @@ def _window_elements(m: PersModule, mask: int) -> list[str]:
     return [m.poset.elements[i] for i in _bits(mask)]
 
 
-def colim_over_mask(m: PersModule, mask: int) -> ColimitResult:
-    """Colimit of m restricted to the subset given as a bitmask."""
-    poset = m.poset
+def _relations(m: PersModule, mask: int):
+    """The window on mask, its summand offsets and the relation matrix on
+    the direct sum: one block x - m(d <= d2) x per cover d < d2 inside."""
     p = m.field.p
     window = _window_elements(m, mask)
     offsets = {}
@@ -68,14 +68,24 @@ def colim_over_mask(m: PersModule, mask: int) -> ColimitResult:
         offsets[d] = total
         total += m.dims[d]
     blocks = []
-    for d, d2 in poset.cover_pairs_within(mask):
+    for d, d2 in m.poset.cover_pairs_within(mask):
         block = linalg.zeros(total, m.dims[d])
         block[offsets[d]:offsets[d] + m.dims[d]] = linalg.identity(m.dims[d])
         ev = m.eval_map(d, d2)
         block[offsets[d2]:offsets[d2] + m.dims[d2]] = (-ev) % p
         blocks.append(block)
-    presentation = linalg.hstack(blocks, total)
-    dim, projection = linalg.cokernel(presentation, p)
+    return window, offsets, linalg.hstack(blocks, total)
+
+
+def _cocone(m: PersModule, window, c: str) -> np.ndarray:
+    """The structure maps m(d <= c) for d in the window, side by side."""
+    return linalg.hstack([m.eval_map(d, c) for d in window], m.dims[c])
+
+
+def colim_over_mask(m: PersModule, mask: int) -> ColimitResult:
+    """Colimit of m restricted to the subset given as a bitmask."""
+    window, offsets, presentation = _relations(m, mask)
+    dim, projection = linalg.cokernel(presentation, m.field.p)
     injections = {d: projection[:, offsets[d]:offsets[d] + m.dims[d]].copy()
                   for d in window}
     return ColimitResult(dim=dim, window=tuple(window), offsets=offsets,
@@ -162,6 +172,20 @@ def induce(n: PersModule, ambient: Poset) -> PersModule:
     return induce_with_data(n, ambient)[0]
 
 
+def _factor_cocone(m: PersModule, cr: ColimitResult, c: str, what: str):
+    """The map out of the colimit cr through which the cocone into m(c)
+    factors; raises InternalError if the cocone does not kill the
+    relations."""
+    p = m.field.p
+    cocone = _cocone(m, cr.window, c)
+    if np.any(linalg.matmul(cocone, cr.presentation, p)):
+        raise InternalError(f"{what} at {c!r} does not kill relations")
+    try:
+        return linalg.solve_left(cr.projection, cocone, p)
+    except linalg.NoSolution as exc:  # pragma: no cover - cocone property
+        raise InternalError(f"{what} at {c!r}") from exc
+
+
 def canonical_mu(m: PersModule, s, *, validate=True) -> ModuleMorphism:
     """The counit ind(res(m)) -> m of the restriction/induction adjunction.
 
@@ -170,23 +194,9 @@ def canonical_mu(m: PersModule, s, *, validate=True) -> ModuleMorphism:
     by checking that the component annihilates the colimit relations.
     """
     s = m.poset.subset(s)
-    res = restrict(m, s)
-    ind, data = induce_with_data(res, m.poset)
-    p = m.field.p
-    comps = {}
-    for c in m.poset.elements:
-        cr = data[c]
-        total = sum(m.dims[d] for d in cr.window)
-        cocone = linalg.hstack([m.eval_map(d, c) for d in cr.window], m.dims[c]) \
-            if cr.window else linalg.zeros(m.dims[c], 0)
-        if cr.presentation.shape[1] and cocone.shape[1]:
-            killed = linalg.matmul(cocone, cr.presentation, p)
-            if np.any(killed):
-                raise InternalError(f"mu component at {c!r} does not kill relations")
-        try:
-            comps[c] = linalg.solve_left(cr.projection, cocone, p)
-        except linalg.NoSolution as exc:  # pragma: no cover
-            raise InternalError(f"mu component at {c!r}") from exc
+    ind, data = induce_with_data(restrict(m, s), m.poset)
+    comps = {c: _factor_cocone(m, data[c], c, "mu component")
+             for c in m.poset.elements}
     return ModuleMorphism(ind, m, comps, validate=validate)
 
 
@@ -197,18 +207,7 @@ def lambda_with_window(m: PersModule, s, c: str):
     """
     s = m.poset.subset(s)
     cr = colim_window(m, IndexWindow(s, c, strict=True))
-    p = m.field.p
-    cocone = linalg.hstack([m.eval_map(d, c) for d in cr.window], m.dims[c]) \
-        if cr.window else linalg.zeros(m.dims[c], 0)
-    if cr.presentation.shape[1] and cocone.shape[1]:
-        killed = linalg.matmul(cocone, cr.presentation, p)
-        if np.any(killed):
-            raise InternalError(f"lambda at {c!r} does not kill relations")
-    try:
-        lam = linalg.solve_left(cr.projection, cocone, p)
-    except linalg.NoSolution as exc:  # pragma: no cover
-        raise InternalError(f"lambda at {c!r}") from exc
-    return lam, cr
+    return _factor_cocone(m, cr, c, "lambda"), cr
 
 
 def lambda_map(m: PersModule, s, c: str) -> np.ndarray:
@@ -223,24 +222,7 @@ def window_ranks(m: PersModule, s, c: str) -> tuple[int, int, int]:
     only epi/mono tests are needed.
     """
     s = m.poset.subset(s)
-    mask = IndexWindow(s, c, strict=True).mask()
-    poset = m.poset
     p = m.field.p
-    window = _window_elements(m, mask)
-    total = sum(m.dims[d] for d in window)
-    offsets = {}
-    off = 0
-    for d in window:
-        offsets[d] = off
-        off += m.dims[d]
-    blocks = []
-    for d, d2 in poset.cover_pairs_within(mask):
-        block = linalg.zeros(total, m.dims[d])
-        block[offsets[d]:offsets[d] + m.dims[d]] = linalg.identity(m.dims[d])
-        block[offsets[d2]:offsets[d2] + m.dims[d2]] = (-m.eval_map(d, d2)) % p
-        blocks.append(block)
-    presentation = linalg.hstack(blocks, total)
-    colim_dim = total - linalg.rank(presentation, p)
-    cocone = linalg.hstack([m.eval_map(d, c) for d in window], m.dims[c]) \
-        if window else linalg.zeros(m.dims[c], 0)
-    return linalg.rank(cocone, p), colim_dim, m.dims[c]
+    window, _, presentation = _relations(m, IndexWindow(s, c, strict=True).mask())
+    colim_dim = presentation.shape[0] - linalg.rank(presentation, p)
+    return linalg.rank(_cocone(m, window, c), p), colim_dim, m.dims[c]

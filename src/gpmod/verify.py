@@ -27,7 +27,7 @@ from .modules import (
     random_module,
     random_morphism,
 )
-from .posets import Poset, build_poset, grid_poset, hat, up_set, _bits
+from .posets import Poset, build_poset, grid_poset, hat, is_connected, up_set
 
 
 def random_poset(rng, n_min: int = 2, n_max: int = 6) -> Poset:
@@ -228,26 +228,11 @@ def _case_interval_ex(rng, field, caps):
     for c in i_set:
         ci = p.index(c)
         below = (p.down_mask(c) & i_set.mask) & ~(1 << ci)
-        if below and not _connected_mask(p, below):
+        if below and not is_connected(p, p.subset_from_mask(below)):
             s2 |= 1 << ci
     got_d = inv.deaths(m, p.whole())
     assert got_d.mask == s1_min | s2, \
         f"deaths {got_d.ids()} != closed form"
-
-
-def _connected_mask(p: Poset, mask: int) -> bool:
-    members = list(_bits(mask))
-    if not members:
-        return False
-    seen = 1 << members[0]
-    frontier = [members[0]]
-    while frontier:
-        x = frontier.pop()
-        reach = (p._up[x] | p._down[x]) & mask & ~seen
-        for y in _bits(reach):
-            seen |= 1 << y
-            frontier.append(y)
-    return seen == mask
 
 
 def _case_induktio_apu(rng, field, caps):

@@ -7,7 +7,8 @@ import pytest
 
 from gpmod.errors import ParseError, ValidationError
 from gpmod.graded import regular_act, cyclic_monoid, monoid_algebra
-from gpmod.modules import random_module
+from gpmod.modules import direct_sum, free_module, random_module
+from gpmod.posets import grid_poset
 from gpmod.textio import (
     parse_text,
     serialize_act,
@@ -232,6 +233,24 @@ def test_cli_analyze_unknown_set_element(ws_file):
     proc = run_cli(["analyze", ws_file, "--set", "zz"])
     assert proc.returncode == 2
     assert "zz" in proc.stderr
+
+
+def test_cli_set_takes_grid_ids(tmp_path, field):
+    g = grid_poset((3, 3))
+    m = direct_sum(free_module(g, "(1,1)", 1, field),
+                   free_module(g, "(2,2)", 1, field))
+    f = tmp_path / "g.gpm"
+    f.write_text(serialize_poset(g, name="G") +
+                 serialize_module(m, name="F", poset_name="G"))
+    proc = run_cli(["analyze", str(f), "--set", "(1,1),(2,2)"])
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["S"] == ["(1,1)", "(2,2)"] and data["presented"]
+    assert data["births"] == ["(1,1)", "(2,2)"]
+    proc = run_cli(["present", str(f), "--set", "(1,1),(2,2)"])
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["xi0"] == {"(1,1)": 1, "(2,2)": 1} and data["xi1"] == {}
 
 
 def test_cli_present_and_not_presented(ws_file):
