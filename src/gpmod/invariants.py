@@ -72,6 +72,13 @@ class SplittingResult:
     projection: np.ndarray
 
 
+def _split_dim(m: PersModule, s, c: str) -> int:
+    """The splitting dimension at c, dims(c) - rank(lambda), from ranks
+    alone; ``splitting`` solves for a projection as well."""
+    rk, _, dim_c = window_ranks(m, s, c)
+    return dim_c - rk
+
+
 def splitting(m: PersModule, s, c: str) -> SplittingResult:
     """The splitting quotient at c: M(c) modulo the window image."""
     lam, _ = lambda_with_window(m, s, c)
@@ -114,13 +121,6 @@ def is_presented(m: PersModule, s, *, via: str = "births") -> bool:
     return (births(m, s).mask | deaths(m, s).mask) & ~s.mask == 0
 
 
-def presentation_offenders(m: PersModule, s) -> ElementSet:
-    """Births and deaths outside s (empty iff m is s-presented)."""
-    s = m.poset.subset(s)
-    bad = (births(m, s).mask | deaths(m, s).mask) & ~s.mask
-    return m.poset.subset_from_mask(bad)
-
-
 def is_determined(m: PersModule, s) -> bool:
     """Support inside the upset of s, and equal s-downsets force isos."""
     s = m.poset.subset(s)
@@ -150,10 +150,11 @@ def minimal_generating_degrees(m: PersModule, s) -> ElementSet:
 def minimal_presentation_support(m: PersModule, s) -> ElementSet:
     """Births and deaths together: the least T inside s presenting m."""
     s = m.poset.subset(s)
-    bad = presentation_offenders(m, s)
+    support = births(m, s).union(deaths(m, s))
+    bad = support.difference(s)
     if bad.mask:
         raise NotPresented(f"births/deaths outside S at {sorted(bad.ids())}")
-    return births(m, s).union(deaths(m, s))
+    return support
 
 
 @dataclass(frozen=True)
@@ -268,9 +269,9 @@ def minimal_presentation(m: PersModule, s) -> Presentation:
         raise NotPresented(f"births/deaths outside S at {sorted(bad.ids())}")
     cover, h = projective_cover(m, s)
     ker, incl = kernel_module(h)
-    gens = Counter({e: splitting(m, s, e).dim for e in born})
+    gens = Counter({e: _split_dim(m, s, e) for e in born})
     ker_births = births(ker, s)
-    rels = Counter({e: splitting(ker, s, e).dim for e in ker_births})
+    rels = Counter({e: _split_dim(ker, s, e) for e in ker_births})
     rel_cover, rel_h = projective_cover(ker, s)
     relation_map = incl.compose(rel_h)
     verho_equal = ker_births.mask == death_set.mask
@@ -292,7 +293,8 @@ def verify_split_esim(m: PersModule, s) -> SplitSumReport:
 
     The left side builds the submodule generated by the spaces at s and
     quotients by one application of the grid shifts; the right side sums
-    splitting dimensions.  Both are computed independently.
+    splitting dimensions from the window ranks.  Both are computed
+    independently.
     """
     if as_grid_shape(m.poset) is None:
         raise NotAGrid(f"poset {m.poset.name!r} is not a grid")
@@ -310,7 +312,7 @@ def verify_split_esim(m: PersModule, s) -> SplitSumReport:
                    for b in poset.covers_below(c)]
         stacked = linalg.hstack(shifted, m.dims[c])
         lhs += m.dims[c] - linalg.rank(stacked, p)
-    rhs = sum(splitting(m, s, c).dim for c in poset.elements)
+    rhs = sum(_split_dim(m, s, c) for c in poset.elements)
     return SplitSumReport(quotient_dim=lhs, splitting_sum=rhs, equal=lhs == rhs)
 
 
@@ -324,7 +326,7 @@ def birth_death_report(m: PersModule, s=None, *, module_id=None) -> dict:
     presented = generated and d.mask & ~s.mask == 0
     determined = is_determined(m, s)
     interest = b.union(d).union(s)
-    split_dims = {e: splitting(m, s, e).dim for e in interest}
+    split_dims = {e: _split_dim(m, s, e) for e in interest}
     fsp = None
     if determined and len(s) <= 20:
         try:

@@ -170,6 +170,19 @@ class Poset:
                 out |= 1 << i
         return out
 
+    def maximal_of_mask(self, mask: int) -> int:
+        """Bitmask of the maximal elements of the given subset mask.
+
+        The canonical order extends the partial order, so the highest
+        index left is maximal; dropping its downset leaves the rest.
+        """
+        out = 0
+        while mask:
+            i = mask.bit_length() - 1
+            out |= 1 << i
+            mask &= ~self._down[i]
+        return out
+
     def cover_pairs_within(self, mask: int) -> list[tuple[str, str]]:
         """Transitive reduction of the order induced on the subset mask."""
         out = []

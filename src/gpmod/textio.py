@@ -190,7 +190,14 @@ def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
         if tokens[0] == "space" and len(tokens) == 3:
             if tokens[1] not in poset._index:
                 raise ParseError(line_no, f"unknown element {tokens[1]!r}")
-            dims[tokens[1]] = int(tokens[2])
+            try:
+                dim = int(tokens[2])
+            except ValueError:
+                dim = -1
+            if dim < 0:
+                raise ParseError(line_no, f"dimension at {tokens[1]!r} must be a "
+                                          f"non-negative integer, got {tokens[2]!r}")
+            dims[tokens[1]] = dim
         elif tokens[0] == "map" and len(tokens) >= 4:
             raw_maps.append((line_no, tokens[1], tokens[2], tokens[3:]))
         else:

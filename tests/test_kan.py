@@ -1,6 +1,7 @@
 import numpy as np
 
 from gpmod import linalg
+from gpmod.invariants import splitting
 from gpmod.kan import (
     IndexWindow,
     canonical_mu,
@@ -19,9 +20,11 @@ from gpmod.modules import (
     interval_module,
     is_epi,
     is_iso,
+    new_module,
     random_module,
     random_morphism,
 )
+from gpmod.posets import build_poset, grid_poset
 from gpmod.verify import random_poset
 
 P = 101
@@ -161,18 +164,66 @@ def test_lambda_examples(chain3, field):
     assert lam.shape == (1, 0)
 
 
-def test_window_ranks_match_lambda(field):
+def _two_meet_module(field):
+    """a and b lie below both t1 and t2, which lie below top.  The window
+    at top has maximal elements t1, t2, whose common lower set {a, b} has
+    two maximal elements; m(a) and m(b) land on different basis vectors, so
+    both relations count."""
+    p = build_poset(["a", "b", "t1", "t2", "top"],
+                    [("a", "t1"), ("a", "t2"), ("b", "t1"), ("b", "t2"),
+                     ("t1", "top"), ("t2", "top")])
+    dims = {"a": 1, "b": 1, "t1": 2, "t2": 2, "top": 2}
+    e1, e2 = [[1], [0]], [[0], [1]]
+    maps = {("a", "t1"): e1, ("a", "t2"): e1, ("b", "t1"): e2, ("b", "t2"): e2,
+            ("t1", "top"): [[1, 0], [0, 1]], ("t2", "top"): [[1, 0], [0, 1]]}
+    return new_module(p, field, dims, maps)
+
+
+def _window_ranks_cases(field):
     rng = np.random.default_rng(34)
     for _ in range(60):
         p = random_poset(rng, 2, 6)
         m = random_module(p, 3, field, seed=int(rng.integers(2**32)))
-        s = p.subset_from_mask(int(rng.integers(0, p.full_mask + 1)))
+        yield m, p.subset_from_mask(int(rng.integers(0, p.full_mask + 1)))
+    for _ in range(25):
+        p = random_poset(rng, 6, 8)
+        m = random_module(p, 2, field, seed=int(rng.integers(2**32)),
+                          generator=("solve", "intervals")[int(rng.integers(0, 2))])
+        yield m, p.subset_from_mask(int(rng.integers(0, p.full_mask + 1)))
+    for n in (3, 4, 5):
+        g = grid_poset((n, n))
+        for generator in ("solve", "intervals"):
+            m = random_module(g, 2, field, seed=int(rng.integers(2**32)),
+                              generator=generator)
+            sparse = int(sum(1 << i for i in range(len(g)) if rng.random() < 0.3))
+            yield m, g.subset_from_mask(sparse)
+    m = _two_meet_module(field)
+    yield m, m.poset.whole()
+    for seed in range(4):
+        yield random_module(m.poset, 2, field, seed=seed), m.poset.whole()
+
+
+def test_window_ranks_match_lambda(field):
+    """The local presentation in window_ranks against the full cover
+    presentation behind lambda_with_window and splitting."""
+    for m, s in _window_ranks_cases(field):
+        p = m.poset
         for c in p.elements:
+            mask = IndexWindow(s, c, strict=True).mask()
+            tops = p.maximal_of_mask(mask)
+            assert tops == sum(1 << i for i in range(len(p)) if mask >> i & 1
+                               and not mask & p._up[i] & ~(1 << i))
             lam, cr = lambda_with_window(m, s, c)
             rank, colim_dim, dim_c = window_ranks(m, s, c)
             assert lam.shape == (dim_c, cr.dim)
             assert cr.dim == colim_dim
             assert linalg.rank(lam, P) == rank
+            assert dim_c - rank == splitting(m, s, c).dim
+    m = _two_meet_module(field)
+    p = m.poset
+    common = p.down_mask("t1") & p.down_mask("t2")
+    assert p.maximal_of_mask(common) == p.subset(["a", "b"]).mask
+    assert window_ranks(m, p.whole(), "top") == (2, 2, 2)
 
 
 def test_right_exactness_of_window_colimit(field):

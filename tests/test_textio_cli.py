@@ -136,6 +136,21 @@ def test_parse_errors_have_line_numbers():
     assert err.value.line_no == 3
 
 
+@pytest.mark.parametrize("dim", ["-2", "x"])
+def test_bad_space_dimension_names_its_line(dim):
+    text = POSET_TEXT + f"""
+module M over D field 7
+space a 1
+space b {dim}
+"""
+    line_no = text.splitlines().index(f"space b {dim}") + 1
+    with pytest.raises(ParseError) as err:
+        parse_text(text, stem="f")
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: ")
+    assert "non-negative integer" in str(err.value)
+
+
 def test_anonymous_blocks_get_stem_names():
     ws = parse_text("poset\nelem a\n\nposet\nelem b", stem="file")
     assert sorted(ws.posets) == ["file", "file.1"]
