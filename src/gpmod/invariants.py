@@ -44,26 +44,29 @@ from .posets import (
 )
 
 
+def _window_table(m: PersModule, s) -> tuple[tuple[int, int, int], ...]:
+    """``window_ranks`` at every element, in canonical order, computed once
+    per (module, S): the module keeps it, keyed by the S mask."""
+    s = m.poset.subset(s)
+    table = m._window_cache.get(s.mask)
+    if table is None:
+        table = tuple(window_ranks(m, s, c) for c in m.poset.elements)
+        m._window_cache[s.mask] = table
+    return table
+
+
 def births(m: PersModule, s) -> ElementSet:
     """Elements where the window comparison map is not surjective."""
-    s = m.poset.subset(s)
-    out = 0
-    for i, c in enumerate(m.poset.elements):
-        rk, _, dim_c = window_ranks(m, s, c)
-        if rk != dim_c:
-            out |= 1 << i
-    return m.poset.subset_from_mask(out)
+    return m.poset.subset_from_mask(sum(
+        1 << i for i, (rk, _, dim_c) in enumerate(_window_table(m, s))
+        if rk != dim_c))
 
 
 def deaths(m: PersModule, s) -> ElementSet:
     """Elements where the window comparison map is not injective."""
-    s = m.poset.subset(s)
-    out = 0
-    for i, c in enumerate(m.poset.elements):
-        rk, colim_dim, _ = window_ranks(m, s, c)
-        if rk != colim_dim:
-            out |= 1 << i
-    return m.poset.subset_from_mask(out)
+    return m.poset.subset_from_mask(sum(
+        1 << i for i, (rk, colim_dim, _) in enumerate(_window_table(m, s))
+        if rk != colim_dim))
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class SplittingResult:
 def _split_dim(m: PersModule, s, c: str) -> int:
     """The splitting dimension at c, dims(c) - rank(lambda), from ranks
     alone; ``splitting`` solves for a projection as well."""
-    rk, _, dim_c = window_ranks(m, s, c)
+    rk, _, dim_c = _window_table(m, s)[m.poset.index(c)]
     return dim_c - rk
 
 
@@ -122,21 +125,23 @@ def is_presented(m: PersModule, s, *, via: str = "births") -> bool:
 
 
 def is_determined(m: PersModule, s) -> bool:
-    """Support inside the upset of s, and equal s-downsets force isos."""
+    """Support inside the upset of s, and m(c <= d) an isomorphism whenever
+    c <= d have equal s-downsets (s & down(c) == s & down(d)).
+
+    Only covers a < b are tested.  That suffices: if c <= e <= d and c, d
+    have equal s-downsets, then s & down(c) <= s & down(e) <= s & down(d)
+    = s & down(c), so e has the same s-downset too.  Every cover in a
+    maximal chain of covers from c to d therefore has equal s-downsets,
+    and m(c <= d), the composite of their maps, is an isomorphism when
+    each of them is.  Conversely a cover is a comparable pair.
+    """
     s = m.poset.subset(s)
     if m.support().mask & ~up_set(m.poset, s).mask:
         return False
     poset = m.poset
-    p = m.field.p
-    for c in poset.elements:
-        down_c = poset.down_mask(c) & s.mask
-        for d in poset.subset_from_mask(poset.up_mask(c)):
-            if d == c:
-                continue
-            if poset.down_mask(d) & s.mask == down_c:
-                if not linalg.is_isomorphism(m.eval_map(c, d), p):
-                    return False
-    return True
+    return all(linalg.is_isomorphism(m.cover_maps[(a, b)], m.field.p)
+               for a, b in poset.covers
+               if poset.down_mask(a) & s.mask == poset.down_mask(b) & s.mask)
 
 
 def minimal_generating_degrees(m: PersModule, s) -> ElementSet:
@@ -176,14 +181,10 @@ def fsp_from_determined(m: PersModule, s) -> FspReport:
     poset = m.poset
     frames = {}
     for c in up_set(poset, m.support()):
-        window = poset.subset_from_mask(poset.down_mask(c) & s.mask)
-        candidates = mub(poset, window)
         down_c = poset.down_mask(c) & s.mask
-        frame = None
-        for cand in candidates:
-            if poset.down_mask(cand) & s.mask == down_c and poset.leq(cand, c):
-                frame = cand
-                break
+        frame = next((cand for cand in mub(poset, poset.subset_from_mask(down_c))
+                      if poset.down_mask(cand) & s.mask == down_c
+                      and poset.leq(cand, c)), None)
         if frame is None:
             raise InternalError(f"no frame found for {c!r}")
         frames[c] = frame
@@ -217,19 +218,17 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
     pivot-variable lifts, so the cover is byte-reproducible.
     """
     s = m.poset.subset(s)
-    born = births(m, s)
-    if born.mask & ~s.mask:
-        raise NotGenerated(f"module is not generated by {sorted(s.ids())}")
+    born = minimal_generating_degrees(m, s)
     p = m.field.p
     pieces = []  # (element, multiplicity, section)
     for e in born:
         res = splitting(m, s, e)
         section = linalg.solve(res.projection, linalg.identity(res.dim), p)
         pieces.append((e, res.dim, section))
-    cover = zero_module(m.poset, m.field)
-    for e, mult, _ in pieces:
-        cover = direct_sum(cover, free_module(m.poset, e, mult, m.field))
-    cover.name = f"cover({m.name})"
+    cover = direct_sum(zero_module(m.poset, m.field),
+                       *(free_module(m.poset, e, mult, m.field)
+                         for e, mult, _ in pieces),
+                       name=f"cover({m.name})")
     comps = {}
     for c in m.poset.elements:
         blocks = [linalg.matmul(m.eval_map(e, c), section, p)
@@ -263,10 +262,8 @@ def minimal_presentation(m: PersModule, s) -> Presentation:
     and of the kernel of the cover (for rels).
     """
     s = m.poset.subset(s)
+    minimal_presentation_support(m, s)
     born, death_set = births(m, s), deaths(m, s)
-    bad = m.poset.subset_from_mask((born.mask | death_set.mask) & ~s.mask)
-    if bad.mask:
-        raise NotPresented(f"births/deaths outside S at {sorted(bad.ids())}")
     cover, h = projective_cover(m, s)
     ker, incl = kernel_module(h)
     gens = Counter({e: _split_dim(m, s, e) for e in born})

@@ -38,9 +38,16 @@ class PersModule:
         name: label used in reports.
         validate: run the functoriality check (skip only for modules that
             are path-independent by construction).
+
+    Instances are immutable after construction, apart from the ``name``
+    label: nothing writes to ``dims`` or ``cover_maps`` outside
+    ``__init__``.  The memos depend on this:
+    ``_eval_cache`` holds composite structure maps and ``_window_cache``
+    holds the window-rank table of each subset S, keyed by its mask.
     """
 
-    __slots__ = ("poset", "field", "dims", "cover_maps", "name", "_eval_cache")
+    __slots__ = ("poset", "field", "dims", "cover_maps", "name", "_eval_cache",
+                 "_window_cache")
 
     def __init__(self, poset: Poset, field: FieldSpec, dims, cover_maps,
                  *, name="M", validate=True):
@@ -75,6 +82,7 @@ class PersModule:
             maps[(a, b)] = m
         self.cover_maps = maps
         self._eval_cache = {}
+        self._window_cache = {}
         if validate:
             self._check_functoriality()
 
@@ -99,9 +107,6 @@ class PersModule:
                         reached[d] = m
 
     # -- basic queries ---------------------------------------------------
-
-    def dim(self, e: str) -> int:
-        return self.dims[e]
 
     @property
     def total_dim(self) -> int:
@@ -177,9 +182,6 @@ class ModuleMorphism:
             right = linalg.matmul(self.components[b], self.source.cover_maps[(a, b)], p)
             if not np.array_equal(left, right):
                 raise ValidationError(f"naturality fails on cover {(a, b)!r}")
-
-    def component(self, e: str) -> np.ndarray:
-        return self.components[e]
 
     def __eq__(self, other):
         if not isinstance(other, ModuleMorphism):
@@ -261,14 +263,17 @@ def free_module(poset: Poset, c: str, multiplicity: int, field: FieldSpec,
                       name=name or f"free({c},{multiplicity})", validate=False)
 
 
-def direct_sum(m: PersModule, n: PersModule, *, name=None) -> PersModule:
-    if m.poset != n.poset or m.field != n.field:
+def direct_sum(first: PersModule, *rest: PersModule, name=None) -> PersModule:
+    """The direct sum of one or more modules, summands in the given order."""
+    summands = (first, *rest)
+    if any(n.poset != first.poset or n.field != first.field for n in rest):
         raise MismatchedBase("direct sum over different bases")
-    dims = {e: m.dims[e] + n.dims[e] for e in m.poset.elements}
-    maps = {c: linalg.block_diag([m.cover_maps[c], n.cover_maps[c]])
-            for c in m.poset.covers}
-    return PersModule(m.poset, m.field, dims, maps,
-                      name=name or f"{m.name}+{n.name}", validate=False)
+    dims = {e: sum(n.dims[e] for n in summands) for e in first.poset.elements}
+    maps = {c: linalg.block_diag([n.cover_maps[c] for n in summands])
+            for c in first.poset.covers}
+    return PersModule(first.poset, first.field, dims, maps,
+                      name=name or "+".join(n.name for n in summands),
+                      validate=False)
 
 
 def summand_inclusions(m: PersModule, n: PersModule, total: PersModule):
@@ -425,17 +430,15 @@ def random_module(poset: Poset, max_dim: int, field: FieldSpec, seed,
 
 
 def _random_interval_sum(poset, max_dim, field, rng) -> PersModule:
-    pieces = max(1, int(rng.integers(1, max(2, max_dim + 1))))
-    total = zero_module(poset, field)
-    for _ in range(pieces):
+    count = max(1, int(rng.integers(1, max(2, max_dim + 1))))
+    pieces = []
+    for _ in range(count):
         if rng.integers(0, 2) == 0:
-            piece = interval_module(poset, _random_interval(poset, rng), field)
+            pieces.append(interval_module(poset, _random_interval(poset, rng), field))
         else:
             c = poset.elements[int(rng.integers(0, len(poset)))]
-            piece = free_module(poset, c, 1, field)
-        total = direct_sum(total, piece)
-    total.name = "random"
-    return total
+            pieces.append(free_module(poset, c, 1, field))
+    return direct_sum(*pieces, name="random")
 
 
 def _random_solved(poset, max_dim, field, rng) -> PersModule | None:

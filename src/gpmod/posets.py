@@ -10,6 +10,7 @@ subsets are bitmasks too, so order queries are integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -50,16 +51,14 @@ class Poset:
         # Internal constructor: ``up_masks[i]`` is the reachability bitmask
         # of elements[i] in the *given* element order.  Use build_poset().
         n = len(elements)
-        # Longest-chain rank, by relaxation over strict comparable pairs.
+        # Longest-chain rank in one pass over a linear extension: a < b
+        # makes up(b) a proper subset of up(a), so sort by up-set size.
         rank = [0] * n
-        strict = [(i, j) for i in range(n) for j in _bits(up_masks[i]) if j != i]
-        changed = True
-        while changed:
-            changed = False
-            for i, j in strict:
-                if rank[j] < rank[i] + 1:
-                    rank[j] = rank[i] + 1
-                    changed = True
+        for i in sorted(range(n), key=lambda i: -up_masks[i].bit_count()):
+            above = rank[i] + 1
+            for j in _bits(up_masks[i] & ~(1 << i)):
+                if rank[j] < above:
+                    rank[j] = above
         order = sorted(range(n), key=lambda i: (rank[i], elements[i]))
         pos = {old: new for new, old in enumerate(order)}
         self.elements = tuple(elements[i] for i in order)
@@ -123,9 +122,6 @@ class Poset:
 
     def comparable(self, a: str, b: str) -> bool:
         return self.leq(a, b) or self.leq(b, a)
-
-    def up_mask(self, e: str) -> int:
-        return self._up[self.index(e)]
 
     def down_mask(self, e: str) -> int:
         return self._down[self.index(e)]
@@ -450,22 +446,23 @@ def grid_poset(dims) -> Poset:
     dims = list(dims)
     if not dims or any(d < 1 for d in dims):
         raise ValidationError("grid dimensions must be positive")
-    total = 1
-    for d in dims:
-        total *= d
+    total = math.prod(dims)
     if total > GRID_SIZE_LIMIT:
         raise TooLargeError(f"grid size {total} exceeds {GRID_SIZE_LIMIT}")
+    # Coordinates in lexicographic order, so the successor of index i along
+    # an axis is i + stride; up-sets are built from the last element back.
     coords = list(itertools.product(*(range(d) for d in dims)))
-    ids = [grid_id(c) for c in coords]
-    rels = []
-    for c in coords:
-        for axis in range(len(dims)):
-            if c[axis] + 1 < dims[axis]:
-                d = list(c)
-                d[axis] += 1
-                rels.append((grid_id(c), grid_id(tuple(d))))
-    p = build_poset(ids, rels, name="grid" + "x".join(str(d) for d in dims))
-    return Poset(list(p.elements), list(p._up), name=p.name, grid_shape=tuple(dims))
+    strides = [total // math.prod(dims[:axis + 1]) for axis in range(len(dims))]
+    up = [0] * total
+    for i in reversed(range(total)):
+        mask = 1 << i
+        for axis, stride in enumerate(strides):
+            if coords[i][axis] + 1 < dims[axis]:
+                mask |= up[i + stride]
+        up[i] = mask
+    return Poset([grid_id(c) for c in coords], up,
+                 name="grid" + "x".join(str(d) for d in dims),
+                 grid_shape=tuple(dims))
 
 
 def chain(n: int) -> Poset:

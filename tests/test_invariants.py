@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from gpmod import linalg
+from gpmod import invariants, linalg
 from gpmod.errors import NotAGrid, NotGenerated, NotPresented, NotDetermined
 from gpmod.invariants import (
     birth_death_report,
@@ -33,7 +35,7 @@ from gpmod.modules import (
     random_morphism,
     zero_module,
 )
-from gpmod.posets import chain, grid_poset, hat
+from gpmod.posets import chain, grid_poset, hat, up_set
 from gpmod.verify import random_poset
 
 P = 101
@@ -140,6 +142,39 @@ def test_determined_examples(chain3, field):
     assert is_determined(m, ["1"])
     m0 = interval_module(chain3, ["0"], field)
     assert not is_determined(m0, ["1"])  # support escapes the upset
+
+
+def _is_determined_all_pairs(m, s):
+    """The definition: support inside the upset of s, and m(c <= d) an
+    isomorphism for every c < d with equal s-downsets."""
+    poset = m.poset
+    s = poset.subset(s)
+    if m.support().mask & ~up_set(poset, s).mask:
+        return False
+    for c in poset.elements:
+        for d in poset.elements:
+            if (c != d and poset.leq(c, d)
+                    and poset.down_mask(c) & s.mask == poset.down_mask(d) & s.mask
+                    and not linalg.is_isomorphism(m.eval_map(c, d), P)):
+                return False
+    return True
+
+
+def test_is_determined_matches_all_pairs_definition(field):
+    rng = np.random.default_rng(46)
+    outcomes = Counter()
+    for _ in range(240):
+        p = random_poset(rng, 2, 7)
+        m = random_module(p, 2, field, seed=int(rng.integers(2**32)),
+                          generator="solve" if rng.integers(0, 2) else "intervals")
+        s = p.subset_from_mask(int(rng.integers(0, p.full_mask + 1)))
+        want = _is_determined_all_pairs(m, s)
+        assert is_determined(m, s) == want
+        supported = m.support().mask & ~up_set(p, s).mask == 0
+        outcomes[want, supported] += 1
+    # True cases, and False cases for each reason: a non-iso map with the
+    # support inside the upset, and the support escaping the upset
+    assert outcomes[True, True] and outcomes[False, True] and outcomes[False, False]
 
 
 def test_presented_implies_determined(field):
@@ -404,3 +439,21 @@ def test_birth_death_report_shape(koszul):
     assert rep["xi0"] == {"(0,1)": 1, "(1,0)": 1}
     assert rep["xi1"] == {"(1,1)": 1}
     assert rep["generated"] and rep["presented"] and rep["determined"]
+
+
+def test_report_takes_one_window_pass_per_module_and_set(monkeypatch, field):
+    # births, deaths, split dimensions and the presentation all read one
+    # window table per (module, S): m and the kernel of its cover
+    keys = []
+    original = invariants.window_ranks
+
+    def counting(m, s, c):
+        keys.append((id(m), s.mask, c))
+        return original(m, s, c)
+
+    monkeypatch.setattr(invariants, "window_ranks", counting)
+    grid = grid_poset((12, 12))
+    m = random_module(grid, 2, field, 5, generator="intervals")
+    rep = birth_death_report(m, grid.whole())
+    assert rep["presented"]
+    assert len(keys) == len(set(keys)) == 2 * len(grid) == 288

@@ -90,6 +90,14 @@ def test_direct_sum(chain3, field):
     assert z == a
     with pytest.raises(MismatchedBase):
         direct_sum(a, interval_module(chain(2), ["0"], field))
+    # any number of summands: the same module as the binary fold
+    c = free_module(chain3, "1", 2, field)
+    three = direct_sum(a, b, c)
+    assert three == direct_sum(direct_sum(a, b), c)
+    assert [three.dims[e] for e in chain3.elements] == [1, 4, 3]
+    assert direct_sum(a) == a
+    with pytest.raises(MismatchedBase):
+        direct_sum(a, b, interval_module(chain(2), ["0"], field))
 
 
 def test_eval_map_composition_property(field):

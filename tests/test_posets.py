@@ -134,7 +134,9 @@ def _closure_by_floyd(n, edges):
 
 def test_closure_reduction_round_trip_random_dags():
     # covers regenerate leq: rebuilding from the reduced covers gives the
-    # same order as an independent Floyd-Warshall closure of the input
+    # same order as an independent Floyd-Warshall closure of the input;
+    # topo_rank is the longest chain below in that closure, and elements
+    # come in (rank, id) order
     rng = np.random.default_rng(7)
     for _ in range(150):
         n = int(rng.integers(1, 8))
@@ -146,6 +148,15 @@ def test_closure_reduction_round_trip_random_dags():
         for i in range(n):
             for j in range(n):
                 assert p.leq(ids[i], ids[j]) == reach[i][j]
+        # edges go from lower to higher index, so index order is a linear
+        # extension of the closure
+        longest = []
+        for j in range(n):
+            longest.append(max((longest[i] + 1 for i in range(j) if reach[i][j]),
+                               default=0))
+        rank = dict(zip(ids, longest))
+        assert p.topo_rank == tuple(rank[e] for e in p.elements)
+        assert list(p.elements) == sorted(ids, key=lambda e: (rank[e], e))
         again = build_poset(list(p.elements), list(p.covers))
         assert set(again.covers) == set(p.covers)
         for a in p.elements:
