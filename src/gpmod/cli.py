@@ -208,16 +208,11 @@ def cmd_graded(args) -> int:
         alg = ws.single("algebra", args.algebra)
         act = ws.single("act", args.act)
         sm = gr.smash_product(alg, act)
-        total = np.zeros(sm.dim, dtype=np.int64)
-        for a in range(len(act)):
-            total = (total + sm.point_idempotent(a)) % field.p
-        unit_ok = all(
-            np.array_equal(sm.product(total, sm.basis_vector(i, a)),
-                           sm.basis_vector(i, a))
-            for i in range(alg.dim) for a in range(len(act)))
+        total = sum(sm.point_idempotent(a) for a in range(len(act))) % field.p
+        left_unit, _ = sm.unit_sides(total)
         payload = {"dim": sm.dim, "associative": True,
                    "basis": [sm.pair_name(t) for t in range(sm.dim)],
-                   "sum_pa_is_left_unit": unit_ok}
+                   "sum_pa_is_left_unit": left_unit}
         _emit(payload, args.text)
         return 0
     if args.action == "local-unit":

@@ -371,9 +371,8 @@ def monoid_algebra(mon: Monoid, field: FieldSpec) -> GradedAlgebra:
     """The monoid algebra with one basis element per monoid element."""
     n = len(mon)
     mult = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            mult[i, j, mon.mul(i, j)] = 1
+    g = np.arange(n)
+    mult[g[:, None], g, mon.table] = 1
     unit = np.zeros(n, dtype=np.int64)
     unit[mon.unit] = 1
     return GradedAlgebra(field, mon, mon.names, list(range(n)), mult, unit,
@@ -625,15 +624,11 @@ class SmashAlgebra:
         self.pairs = tuple((i, a) for i in range(d) for a in range(n_pts))
         self.index = {pair: t for t, pair in enumerate(self.pairs)}
         n = len(self.pairs)
-        table = np.zeros((n, n, n), dtype=np.int64)
-        for u, (i, a) in enumerate(self.pairs):
-            for v, (j, b) in enumerate(self.pairs):
-                if act.act(algebra.degs[j], b) == a:
-                    for k in range(d):
-                        coeff = int(algebra.mult[i, j, k])
-                        if coeff:
-                            table[u, v, self.index[(k, b)]] = coeff
-        self.table = table
+        # e_(i,a) e_(j,b) = sum_k mult[i,j,k] e_(k,b) when deg(j) . b = a
+        meets = (act.table[list(algebra.degs)][None, :, :]
+                 == np.arange(n_pts)[:, None, None]).astype(np.int64)
+        self.table = np.einsum("ijk,ajb,bc->iajbkc", algebra.mult, meets,
+                               linalg.identity(n_pts)).reshape(n, n, n)
         if validate and not self._associative():
             raise InternalError("smash product table is not associative")
 
@@ -662,19 +657,33 @@ class SmashAlgebra:
                 v[self.index[(i, a)]] = int(self.algebra.unit[i])
         return v
 
+    def unit_sides(self, x: np.ndarray) -> tuple[bool, bool]:
+        """Whether x is a left and whether it is a right unit: x e_v = e_v
+        and e_u x = e_u for every basis element."""
+        p = self.algebra.field.p
+        n = self.dim
+        x = np.mod(np.asarray(x, dtype=np.int64), p)
+        # left[v, z] = sum_u x_u T[u,v,z] and right[u, z] = sum_v T[u,v,z] x_v
+        left = linalg.matmul(x.reshape(1, n), self.table.reshape(n, n * n), p)
+        right = linalg.matmul(self.table.transpose(0, 2, 1).reshape(n * n, n),
+                              x.reshape(n, 1), p)
+        ident = linalg.identity(n)
+        return (np.array_equal(left.reshape(n, n), ident),
+                np.array_equal(right.reshape(n, n), ident))
+
     def _associative(self) -> bool:
         p = self.algebra.field.p
         n = self.dim
-        # (e_u e_v) e_w vs e_u (e_v e_w), bilinearly extended
+        # (e_u e_v) e_w vs e_u (e_v e_w) for all v, w at once per u:
+        # left[v, (w, z)] = sum_x T[u,v,x] T[x,w,z] and
+        # right[(v, w), z] = sum_y T[v,w,y] T[u,y,z]; n**3 cells per slice
+        by_first = self.table.reshape(n, n * n)
+        by_last = self.table.reshape(n * n, n)
         for u in range(n):
-            for v in range(n):
-                uv = self.table[u, v].reshape(1, -1)
-                for w in range(n):
-                    left = linalg.matmul(uv, self.table[:, w, :], p)
-                    right = linalg.matmul(self.table[v, w].reshape(1, -1),
-                                          self.table[u], p)
-                    if not np.array_equal(left, right):
-                        return False
+            left = linalg.matmul(self.table[u], by_first, p)
+            right = linalg.matmul(by_last, self.table[u], p)
+            if not np.array_equal(left.reshape(-1), right.reshape(-1)):
+                return False
         return True
 
     def pair_name(self, t: int) -> str:
@@ -847,48 +856,26 @@ def category_algebra_iso(field: FieldSpec, mon: Monoid, act: GAct) -> dict:
     sm = SmashAlgebra(monoid_algebra(mon, field), act, validate=False)
     n_g, n_a = len(mon), len(act)
     dim = n_g * n_a
-
-    def cat_index(a: int, g: int) -> int:
-        return a * n_g + g
-
-    def to_smash(ci: int) -> int:
-        a, g = divmod(ci, n_g)
-        return sm.index[(g, a)]
-
-    ring_hom = True
+    # the category basis element (a, g) is the arrow g: a -> g a, at index
+    # a * n_g + g; swap[ci] is its smash index
+    swap = np.array([sm.index[(g, a)] for a in range(n_a) for g in range(n_g)])
+    bijective = np.array_equal(np.sort(swap), np.arange(dim))
+    # e_(b,h) . e_(a,g) = e_(a,hg) when g a = b, built from the tables alone
+    cat = np.zeros((n_a, n_g, n_a, n_g, n_a, n_g), dtype=np.int64)
+    h, a, g = np.indices((n_g, n_a, n_g), sparse=True)
+    cat[act.table[g, a], h, a, g, a, mon.table[h, g]] = 1
+    smash = sm.table[swap][:, swap][:, :, swap]
+    # rows in (b, h, a, g) order; the witness is the first mismatching row
+    bad = np.any(smash != cat.reshape(dim, dim, dim), axis=2).reshape(-1)
+    ring_hom = not bad.any()
     witness = None
-    for b in range(n_a):
-        for h in range(n_g):
-            for a in range(n_a):
-                for g in range(n_g):
-                    # e_(b,h) . e_(a,g): composable when b = g a
-                    if act.act(g, a) == b:
-                        cat_product = cat_index(a, mon.mul(h, g))
-                    else:
-                        cat_product = None
-                    left = sm.table[to_smash(cat_index(b, h)),
-                                    to_smash(cat_index(a, g))]
-                    if cat_product is None:
-                        ok = not np.any(left)
-                    else:
-                        expected = np.zeros(dim, dtype=np.int64)
-                        expected[to_smash(cat_product)] = 1
-                        ok = np.array_equal(left, expected)
-                    if not ok and witness is None:
-                        ring_hom = False
-                        witness = (act.points[b], mon.names[h],
-                                   act.points[a], mon.names[g])
-    total = np.zeros(dim, dtype=np.int64)
-    for a in range(n_a):
-        total = (total + sm.point_idempotent(a)) % field.p
-    unit_ok = all(
-        np.array_equal(sm.product(total, sm.basis_vector(i, a)),
-                       sm.basis_vector(i, a))
-        and np.array_equal(sm.product(sm.basis_vector(i, a), total),
-                           sm.basis_vector(i, a))
-        for i in range(n_g) for a in range(n_a))
-    return {"dim": dim, "ring_hom": ring_hom, "bijective": True,
-            "sum_pa_is_unit": unit_ok, "witness": witness}
+    if not ring_hom:
+        b, h, a, g = np.unravel_index(int(np.argmax(bad)), (n_a, n_g, n_a, n_g))
+        witness = (act.points[b], mon.names[h], act.points[a], mon.names[g])
+    total = sum(sm.point_idempotent(a) for a in range(n_a)) % field.p
+    return {"dim": dim, "ring_hom": ring_hom, "bijective": bijective,
+            "sum_pa_is_unit": all(sm.unit_sides(total)),
+            "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -1137,14 +1124,7 @@ def enumerate_acts(mon: Monoid, max_size: int = 4) -> tuple[GAct, ...]:
             assign = _extend_assignments(assign, g, mon, comp, n_funcs)
             if assign.shape[0] == 0:
                 break
-        seen = {}
-        for row in assign:
-            table = funcs[row]  # (n, m)
-            canon = _canonical_act_bytes(table, m)
-            if canon not in seen:
-                seen[canon] = table
-        for canon in sorted(seen):
-            table = np.frombuffer(canon, dtype=np.int8).reshape(n, m)
+        for table in _canonical_act_tables(funcs[assign], m):
             points = [f"p{i}" for i in range(m)]
             out.append(GAct(mon, points, table.astype(np.int64),
                             name=f"act{m}", validate=False))
@@ -1182,12 +1162,27 @@ def _extend_assignments(assign: np.ndarray, g: int, mon: Monoid,
     return np.concatenate(survivors, axis=0)
 
 
-def _canonical_act_bytes(table: np.ndarray, m: int) -> bytes:
-    best = None
-    t8 = table.astype(np.int8)
-    for perm in itertools.permutations(range(m)):
-        sigma = np.array(perm, dtype=np.int8)
-        permuted = sigma[t8[:, np.argsort(sigma)]].tobytes()
-        if best is None or permuted < best:
-            best = permuted
-    return best
+def _canonical_act_tables(tables: np.ndarray, m: int) -> np.ndarray:
+    """The distinct canonical forms of a batch of act tables, sorted.
+
+    ``tables`` has shape (rows, |G|, m).  A table's canonical form is its
+    lexicographically least relabelling ``sigma[t[:, sigma^-1]]`` over all
+    point permutations sigma; all rows are relabelled at once.
+    """
+    rows, n = tables.shape[0], tables.shape[1]
+    sigma = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+    n_perms = sigma.shape[0]
+    # cands[r, s, x, y] = sigma_s(t_r[x, sigma_s^-1(y)])
+    cands = sigma[np.arange(n_perms)[:, None],
+                  tables[:, :, np.argsort(sigma, axis=1)]].transpose(0, 2, 1, 3)
+    cands = cands.reshape(rows, n_perms, n * m)
+    # narrow each row's candidates cell by cell to its least relabelling
+    least = np.ones((rows, n_perms), dtype=bool)
+    for cell in range(n * m):
+        vals = np.where(least, cands[:, :, cell], m)
+        least &= vals == vals.min(axis=1, keepdims=True)
+    canon = cands[np.arange(rows), least.argmax(axis=1)]
+    canon = canon[np.lexsort(canon.T[::-1])]
+    fresh = np.ones(rows, dtype=bool)
+    fresh[1:] = np.any(canon[1:] != canon[:-1], axis=1)
+    return canon[fresh].reshape(-1, n, m)

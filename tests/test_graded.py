@@ -1,10 +1,22 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from gpmod.errors import ArityMismatch, NotComparable, NotUnital, ValidationError
+from gpmod import graded
+from gpmod.errors import (
+    ArityMismatch,
+    InternalError,
+    NotComparable,
+    NotUnital,
+    ValidationError,
+)
 from gpmod.graded import (
     GAct,
+    GradedAlgebra,
     Monoid,
+    SmashAlgebra,
     SmashModule,
     act_preorder,
     act_properties,
@@ -41,7 +53,10 @@ from gpmod.graded import (
     witness_map,
 )
 from gpmod.invariants import births, deaths
+from gpmod.linalg import FieldSpec
 from gpmod.posets import chain
+
+PRIMES = (101, 2**31 - 1)
 
 
 def test_validate_monoid():
@@ -307,3 +322,144 @@ def test_trivial_group_transport(field):
     pm = pers_from_functor_module(fm)
     assert len(pm.poset.covers) == 0
     assert pm.total_dim == fm.total_dim
+
+
+# ---------------------------------------------------------------------------
+# oracles for the whole-table smash kernels
+
+
+def _catalog_sample(seed, k):
+    entries = [(mon, act) for mon in enumerate_monoids(4)
+               for act in enumerate_acts(mon, 4)]
+    rng = np.random.default_rng(seed)
+    return [entries[int(i)] for i in rng.choice(len(entries), k, replace=False)]
+
+
+def _brute_smash_table(alg, act):
+    """e_(i,a) e_(j,b) = sum_k mult[i,j,k] e_(k,b) when deg(j) b = a, one
+    basis pair at a time; basis pair (i, a) has index i * |A| + a."""
+    n_pts = len(act)
+    n = alg.dim * n_pts
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(alg.dim):
+        for a in range(n_pts):
+            for j in range(alg.dim):
+                for b in range(n_pts):
+                    if act.act(alg.degs[j], b) == a:
+                        for k in range(alg.dim):
+                            table[i * n_pts + a, j * n_pts + b,
+                                  k * n_pts + b] = alg.mult[i, j, k]
+    return table
+
+
+def _brute_associative(table, p):
+    """(e_u e_v) e_w == e_u (e_v e_w) for all triples, in Python integers."""
+    n = table.shape[0]
+    t = table.astype(object)
+    left = (t.reshape(n * n, n) @ t.reshape(n, n * n)) % p  # [(u,v), (w,z)]
+    right = (t.reshape(n * n, n) @ t.transpose(1, 0, 2).reshape(n, n * n)) % p
+    right = right.reshape(n, n, n, n).transpose(2, 0, 1, 3)  # [v,w,u,z] -> [u,v,w,z]
+    return bool(np.all(left.reshape(n, n, n, n) == right))
+
+
+def _brute_witness(mon, act, table):
+    """The first (b, h, a, g) where the smash table disagrees with the
+    category product e_(b,h) e_(a,g) = e_(a,hg) (when g a = b), or None."""
+    n_g, n_a = len(mon), len(act)
+    for b in range(n_a):
+        for h in range(n_g):
+            for a in range(n_a):
+                for g in range(n_g):
+                    expected = np.zeros(n_g * n_a, dtype=np.int64)
+                    if act.act(g, a) == b:
+                        expected[mon.mul(h, g) * n_a + a] = 1
+                    if not np.array_equal(table[h * n_a + b, g * n_a + a],
+                                          expected):
+                        return (act.points[b], mon.names[h],
+                                act.points[a], mon.names[g])
+    return None
+
+
+def _perturbed(alg, rng):
+    """A copy of ``alg`` with one structure constant shifted by a nonzero
+    amount; not validated, so it may fail any axiom."""
+    p = alg.field.p
+    mult = alg.mult.copy()
+    i, j, k = (int(rng.integers(0, alg.dim)) for _ in range(3))
+    mult[i, j, k] = (mult[i, j, k] + int(rng.integers(1, p))) % p
+    return GradedAlgebra(alg.field, alg.monoid, alg.syms, alg.degs, mult,
+                         alg.unit, validate=False)
+
+
+def _smash_settings(field, seed):
+    settings = [_setting(field, "dual"), _setting(field, "m2")]
+    settings += [(monoid_algebra(mon, field), act)
+                 for mon, act in _catalog_sample(seed, 10)]
+    return settings
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_category_algebra_iso_witness_matches_brute_force(monkeypatch, p):
+    field = FieldSpec(p)
+    rng = np.random.default_rng(91)
+    plain = graded.monoid_algebra
+    for mon, act in _catalog_sample(92, 25):
+        alg = _perturbed(plain(mon, field), rng)
+        monkeypatch.setattr(graded, "monoid_algebra", lambda m, f: alg)
+        rep = category_algebra_iso(field, mon, act)
+        assert not rep["ring_hom"]
+        assert rep["witness"] == _brute_witness(mon, act,
+                                                _brute_smash_table(alg, act))
+        assert rep["witness"] is not None and rep["bijective"]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_smash_table_matches_definition(p):
+    for alg, act in _smash_settings(FieldSpec(p), 93):
+        sm = SmashAlgebra(alg, act, validate=True)
+        assert np.array_equal(sm.table, _brute_smash_table(alg, act))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_smash_validate_rejects_non_associative(p):
+    rng = np.random.default_rng(94)
+    rejected = 0
+    for alg, act in _smash_settings(FieldSpec(p), 95):
+        for _ in range(2):
+            bent = _perturbed(alg, rng)
+            if _brute_associative(_brute_smash_table(bent, act), p):
+                SmashAlgebra(bent, act, validate=True)
+                continue
+            with pytest.raises(InternalError):
+                SmashAlgebra(bent, act, validate=True)
+            rejected += 1
+    assert rejected >= 10
+
+
+def test_unit_sides_tells_left_from_right(field):
+    # e e = e, e f = f, f e = f f = 0: e is a left unit but not a right one
+    mult = np.zeros((2, 2, 2), dtype=np.int64)
+    mult[0, 0, 0] = mult[0, 1, 1] = 1
+    mon = trivial_monoid()
+    alg = GradedAlgebra(field, mon, ("e", "f"), (0, 0), mult, (1, 0),
+                        validate=False)
+    sm = SmashAlgebra(alg, trivial_act(mon, 1))
+    assert sm.unit_sides(np.array([1, 0])) == (True, False)
+    z2 = cyclic_monoid(2)
+    sm = smash_product(monoid_algebra(z2, field), regular_act(z2))
+    assert sm.unit_sides(sm.point_idempotent(0) + sm.point_idempotent(1)) == (True, True)
+    assert sm.unit_sides(sm.point_idempotent(0)) == (False, False)
+
+
+def test_catalog_digest(field):
+    # one sha256 over every (monoid table, act table) pair of the order <= 4
+    # catalog and its category_algebra_iso report, recorded on the per-pair
+    # loop implementation
+    h = hashlib.sha256()
+    for mon in enumerate_monoids(4):
+        for act in enumerate_acts(mon, 4):
+            rep = category_algebra_iso(field, mon, act)
+            h.update(json.dumps([mon.table.tolist(), act.table.tolist(), rep],
+                                sort_keys=True).encode())
+    assert h.hexdigest() == ("9b3155cf21944cfef3aeb58417dad050"
+                             "13542c91ddbe550af0348ed9fd3a6af5")
