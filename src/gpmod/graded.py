@@ -17,6 +17,7 @@ exact identities, which the validators and test suites check exhaustively.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -50,14 +51,12 @@ class Monoid:
         n = len(self.names)
         if self.table.shape != (n, n):
             raise ValidationError(f"monoid table must be {n}x{n}")
-        unit = None
-        for e in range(n):
-            if all(self.table[e, x] == x == self.table[x, e] for x in range(n)):
-                unit = e
-                break
-        if unit is None:
+        ids = np.arange(n)
+        units = np.flatnonzero(np.all(self.table == ids, axis=1)
+                               & np.all(self.table.T == ids, axis=1))
+        if units.size == 0:
             raise ValidationError("monoid table has no two-sided unit")
-        self.unit = unit
+        self.unit = int(units[0])
         if validate:
             bad = validate_monoid(self)
             if bad is not None:
@@ -82,16 +81,14 @@ class Monoid:
 
 def validate_monoid(mon: Monoid):
     """None if associative with the recorded unit, else the first bad tuple."""
-    n = len(mon)
-    t = mon.table
-    for g in range(n):
-        if t[mon.unit, g] != g or t[g, mon.unit] != g:
-            return ("unit", mon.names[g])
-    for g in range(n):
-        for h in range(n):
-            for k in range(n):
-                if t[t[g, h], k] != t[g, t[h, k]]:
-                    return ("associativity", mon.names[g], mon.names[h], mon.names[k])
+    t, ids = mon.table, np.arange(len(mon))
+    bad = _first((t[mon.unit] != ids) | (t[:, mon.unit] != ids))
+    if bad is not None:
+        return ("unit", mon.names[bad[0]])
+    # [g, h, k]: (g h) k against g (h k)
+    bad = _first(t[t] != t[ids[:, None, None], t])
+    if bad is not None:
+        return ("associativity",) + tuple(mon.names[x] for x in bad)
     return None
 
 
@@ -138,17 +135,15 @@ class GAct:
 
 
 def validate_act(act: GAct):
-    g_n = len(act.monoid)
-    for a in range(len(act)):
-        if act.table[act.monoid.unit, a] != a:
-            return ("unit", act.points[a])
-    for g in range(g_n):
-        for h in range(g_n):
-            gh = act.monoid.mul(g, h)
-            for a in range(len(act)):
-                if act.table[gh, a] != act.table[g, act.table[h, a]]:
-                    return ("compatibility", act.monoid.names[g],
-                            act.monoid.names[h], act.points[a])
+    t, mon = act.table, act.monoid
+    bad = _first(t[mon.unit] != np.arange(len(act)))
+    if bad is not None:
+        return ("unit", act.points[bad[0]])
+    # [g, h, a]: (g h) . a against g . (h . a)
+    bad = _first(t[mon.table] != t[np.arange(len(mon))[:, None, None], t])
+    if bad is not None:
+        g, h, a = bad
+        return ("compatibility", mon.names[g], mon.names[h], act.points[a])
     return None
 
 
@@ -277,14 +272,68 @@ def mub_grid(g, h):
 # graded algebras
 
 
+def _first(mask: np.ndarray):
+    """The index tuple of the first True cell in row-major order, or None."""
+    flat = np.flatnonzero(mask)
+    return np.unravel_index(flat[0], mask.shape) if flat.size else None
+
+
+def _stack(mats, n: int) -> np.ndarray:
+    """The n x n matrices as one (count, n, n) array, also when there are none."""
+    mats = list(mats)
+    return np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
+
+
+def _owner(components) -> np.ndarray:
+    """The point index of every total-space coordinate."""
+    return np.repeat(np.arange(len(components)), components)
+
+
+def _combine(coeffs, mats: np.ndarray, p: int) -> np.ndarray:
+    """sum_k coeffs[k] mats[k] mod p, exact for any prime below 2**31."""
+    coeffs = np.mod(np.asarray(coeffs, dtype=np.int64), p).reshape(1, -1)
+    d = len(mats)
+    flat = linalg.matmul(coeffs, mats.reshape(d, math.prod(mats.shape[1:])), p)
+    return flat.reshape(mats.shape[1:])
+
+
+def _first_defect(mats: np.ndarray, table: np.ndarray, p: int):
+    """Whether the n x n matrices ``mats[k]`` represent the structure table:
+    the first (i, j) in row-major order where mats[i] mats[j] differs from
+    sum_k table[i,j,k] mats[k], with the first nonzero column of the
+    difference, as (i, j, column); None when there is none.
+
+    Every algebra and module axiom in this module is this check; a table
+    is associative exactly when its left multiplications
+    L_i[z, x] = table[i, x, z] represent it.  Entries are reduced mod p;
+    one slice per i is live at a time, d * n**2 cells.
+    """
+    d, n = mats.shape[0], mats.shape[1]
+    by_col = mats.transpose(1, 0, 2).reshape(n, d * n)  # [r, (j, c)]
+    flat = mats.reshape(d, n * n)
+    for i in range(d):
+        prods = linalg.matmul(mats[i], by_col, p).reshape(n, d, n)  # [r, j, c]
+        combos = linalg.matmul(table[i], flat, p).reshape(d, n, n)  # [j, r, c]
+        bad = _first((prods != combos.transpose(1, 0, 2)).any(axis=0))
+        if bad is not None:
+            return i, int(bad[0]), int(bad[1])
+    return None
+
+
+def _unit_failures(table: np.ndarray, x, p: int) -> np.ndarray:
+    """[side, v]: whether x e_v != e_v (side 0) and whether e_v x != e_v
+    (side 1).  Row v of the combination of the left (right)
+    multiplications is x e_v (e_v x), compared with the identity."""
+    n = table.shape[0]
+    both = _combine(x, np.concatenate([table, table.transpose(1, 0, 2)], axis=1), p)
+    return (both.reshape(2, n, n) != linalg.identity(n)).any(axis=2)
+
+
 def _trilinear(x: np.ndarray, y: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
     """sum_{i,j} x_i y_j table[i,j,:] mod p, intermediate sums kept exact."""
     outer = np.mod(np.asarray(x, dtype=np.int64)[:, None]
                    * np.asarray(y, dtype=np.int64)[None, :], p)
-    if p < 2**20:
-        return np.mod(np.tensordot(outer, table, axes=([0, 1], [0, 1])), p)
-    flat = outer.reshape(1, -1)
-    return linalg.matmul(flat, table.reshape(flat.shape[1], -1), p)[0]
+    return linalg.matmul(outer.reshape(1, -1), table.reshape(outer.size, -1), p)[0]
 
 
 class GradedAlgebra:
@@ -338,32 +387,23 @@ class GradedAlgebra:
 
 
 def validate_graded_algebra(alg: GradedAlgebra):
-    p = alg.field.p
-    d = alg.dim
-    unit_deg = alg.monoid.unit
-    for i in range(d):
-        if alg.unit[i] and alg.degs[i] != unit_deg:
-            return ("unit_degree", alg.syms[i])
-    for i in range(d):
-        for j in range(d):
-            deg = alg.monoid.mul(alg.degs[i], alg.degs[j])
-            for k in range(d):
-                if alg.mult[i, j, k] and alg.degs[k] != deg:
-                    return ("grading", alg.syms[i], alg.syms[j], alg.syms[k])
-    for j in range(d):
-        e_j = np.zeros(d, dtype=np.int64)
-        e_j[j] = 1
-        if not np.array_equal(alg.product(alg.unit, e_j), e_j):
-            return ("left_unit", alg.syms[j])
-        if not np.array_equal(alg.product(e_j, alg.unit), e_j):
-            return ("right_unit", alg.syms[j])
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                left = np.einsum("x,xy->y", alg.mult[i, j], alg.mult[:, k, :]) % p
-                right = np.einsum("y,yz->z", alg.mult[j, k], alg.mult[i]) % p
-                if not np.array_equal(left, right):
-                    return ("associativity", alg.syms[i], alg.syms[j], alg.syms[k])
+    p, syms = alg.field.p, alg.syms
+    degs = np.array(alg.degs, dtype=np.int64)
+    bad = _first((alg.unit != 0) & (degs != alg.monoid.unit))
+    if bad is not None:
+        return ("unit_degree", syms[bad[0]])
+    # [i, j, k]: e_k occurs in e_i e_j outside the degree deg(i) deg(j)
+    product_deg = alg.monoid.table[degs[:, None], degs]
+    bad = _first((alg.mult != 0) & (degs != product_deg[:, :, None]))
+    if bad is not None:
+        return ("grading",) + tuple(syms[x] for x in bad)
+    left, right = _unit_failures(alg.mult, alg.unit, p)
+    bad = _first(left | right)
+    if bad is not None:
+        return ("left_unit" if left[bad[0]] else "right_unit", syms[bad[0]])
+    bad = _first_defect(alg.mult.transpose(0, 2, 1), alg.mult, p)  # L_i
+    if bad is not None:
+        return ("associativity",) + tuple(syms[x] for x in bad)
     return None
 
 
@@ -468,27 +508,20 @@ class FunctorModule:
 
 
 def validate_functor_module(f: FunctorModule):
-    alg, act = f.algebra, f.act
+    """The axioms on phi(f)'s matrices; the column block of the first
+    failing column names the point."""
+    alg, points = f.algebra, f.act.points
     p = alg.field.p
-    for a in range(len(act)):
-        ident = sum((int(alg.unit[i]) * f.arrows[(i, a)]
-                     for i in range(alg.dim) if alg.unit[i]),
-                    linalg.zeros(f.spaces[a], f.spaces[a])) % p
-        if not np.array_equal(ident, linalg.identity(f.spaces[a])):
-            return ("unit", act.points[a])
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for a in range(len(act)):
-                b = act.act(alg.degs[j], a)
-                composite = linalg.matmul(f.arrows[(i, b)], f.arrows[(j, a)], p)
-                target = act.act(alg.monoid.mul(alg.degs[i], alg.degs[j]), a)
-                combo = linalg.zeros(f.spaces[target], f.spaces[a])
-                for k in range(alg.dim):
-                    coeff = int(alg.mult[i, j, k])
-                    if coeff:
-                        combo = (combo + coeff * f.arrows[(k, a)]) % p
-                if not np.array_equal(composite, combo):
-                    return ("composition", alg.syms[i], alg.syms[j], act.points[a])
+    mats = _stack(phi(f).action, f.total_dim)
+    owner = _owner(f.spaces)
+    unit = _combine(alg.unit, mats, p) != linalg.identity(f.total_dim)
+    bad = _first(unit.any(axis=0))
+    if bad is not None:
+        return ("unit", points[owner[bad[0]]])
+    bad = _first_defect(mats, alg.mult, p)
+    if bad is not None:
+        i, j, col = bad
+        return ("composition", alg.syms[i], alg.syms[j], points[owner[col]])
     return None
 
 
@@ -505,12 +538,8 @@ class GradedModule:
         self.algebra = algebra
         self.act = act
         self.components = tuple(int(c) for c in components)
-        offsets = []
-        total = 0
-        for c in self.components:
-            offsets.append(total)
-            total += c
-        self.offsets = tuple(offsets)
+        self.offsets = tuple(itertools.accumulate(self.components, initial=0))[:-1]
+        total = sum(self.components)
         p = algebra.field.p
         mats = []
         for i in range(algebra.dim):
@@ -547,52 +576,33 @@ class GradedModule:
 def validate_graded_module(q: GradedModule):
     alg, act = q.algebra, q.act
     p = alg.field.p
-    n_pts = len(act)
-    for i in range(alg.dim):
-        g = alg.degs[i]
-        for a in range(n_pts):
-            target = act.act(g, a)
-            for b in range(n_pts):
-                if b != target and np.any(q.block(q.action[i], b, a)):
-                    return ("grading", alg.syms[i], act.points[a])
-    total = q.total_dim
-    unit_total = sum((int(alg.unit[i]) * q.action[i]
-                      for i in range(alg.dim) if alg.unit[i]),
-                     linalg.zeros(total, total)) % p
-    if not np.array_equal(unit_total, linalg.identity(total)):
+    mats = _stack(q.action, q.total_dim)
+    owner = _owner(q.components)
+    # [i, r, c]: the column's point does not move to the row's under deg(i)
+    target = act.table[list(alg.degs)][:, owner]
+    off_block = owner[None, :, None] != target[:, None, :]
+    bad = _first(((mats != 0) & off_block).any(axis=1))
+    if bad is not None:
+        return ("grading", alg.syms[bad[0]], act.points[owner[bad[1]]])
+    if np.any(_combine(alg.unit, mats, p) != linalg.identity(q.total_dim)):
         return ("unit",)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            composite = linalg.matmul(q.action[i], q.action[j], p)
-            combo = linalg.zeros(total, total)
-            for k in range(alg.dim):
-                coeff = int(alg.mult[i, j, k])
-                if coeff:
-                    combo = (combo + coeff * q.action[k]) % p
-            if not np.array_equal(composite, combo):
-                return ("associativity", alg.syms[i], alg.syms[j])
+    bad = _first_defect(mats, alg.mult, p)
+    if bad is not None:
+        return ("associativity", alg.syms[bad[0]], alg.syms[bad[1]])
     return None
 
 
 def phi(f: FunctorModule) -> GradedModule:
     """Assemble per-arrow matrices into total graded action matrices."""
     alg, act = f.algebra, f.act
-    components = f.spaces
-    offsets = []
-    total = 0
-    for c in components:
-        offsets.append(total)
-        total += c
-    action = []
+    n = f.total_dim
+    q = GradedModule(alg, act, f.spaces, np.zeros((alg.dim, n, n), dtype=np.int64),
+                     validate=False)
     for i in range(alg.dim):
-        g = alg.degs[i]
-        m = linalg.zeros(total, total)
         for a in range(len(act)):
-            b = act.act(g, a)
-            m[offsets[b]:offsets[b] + components[b],
-              offsets[a]:offsets[a] + components[a]] = f.arrows[(i, a)]
-        action.append(m)
-    return GradedModule(alg, act, components, action, validate=False)
+            # q.block is a view into q's own action matrix
+            q.block(q.action[i], act.act(alg.degs[i], a), a)[:] = f.arrows[(i, a)]
+    return q
 
 
 def psi(q: GradedModule) -> FunctorModule:
@@ -660,31 +670,12 @@ class SmashAlgebra:
     def unit_sides(self, x: np.ndarray) -> tuple[bool, bool]:
         """Whether x is a left and whether it is a right unit: x e_v = e_v
         and e_u x = e_u for every basis element."""
-        p = self.algebra.field.p
-        n = self.dim
-        x = np.mod(np.asarray(x, dtype=np.int64), p)
-        # left[v, z] = sum_u x_u T[u,v,z] and right[u, z] = sum_v T[u,v,z] x_v
-        left = linalg.matmul(x.reshape(1, n), self.table.reshape(n, n * n), p)
-        right = linalg.matmul(self.table.transpose(0, 2, 1).reshape(n * n, n),
-                              x.reshape(n, 1), p)
-        ident = linalg.identity(n)
-        return (np.array_equal(left.reshape(n, n), ident),
-                np.array_equal(right.reshape(n, n), ident))
+        left, right = ~_unit_failures(self.table, x, self.algebra.field.p).any(axis=1)
+        return bool(left), bool(right)
 
     def _associative(self) -> bool:
-        p = self.algebra.field.p
-        n = self.dim
-        # (e_u e_v) e_w vs e_u (e_v e_w) for all v, w at once per u:
-        # left[v, (w, z)] = sum_x T[u,v,x] T[x,w,z] and
-        # right[(v, w), z] = sum_y T[v,w,y] T[u,y,z]; n**3 cells per slice
-        by_first = self.table.reshape(n, n * n)
-        by_last = self.table.reshape(n * n, n)
-        for u in range(n):
-            left = linalg.matmul(self.table[u], by_first, p)
-            right = linalg.matmul(by_last, self.table[u], p)
-            if not np.array_equal(left.reshape(-1), right.reshape(-1)):
-                return False
-        return True
+        return _first_defect(self.table.transpose(0, 2, 1), self.table,
+                             self.algebra.field.p) is None
 
     def pair_name(self, t: int) -> str:
         i, a = self.pairs[t]
@@ -748,12 +739,8 @@ class SmashModule:
                 raise ValidationError(f"smash module axiom violated at {bad}")
 
     def act_vector(self, x: np.ndarray) -> np.ndarray:
-        p = self.smash.algebra.field.p
-        out = linalg.zeros(self.dim, self.dim)
-        for t in range(self.smash.dim):
-            if x[t]:
-                out = (out + int(x[t]) * self.action[t]) % p
-        return out
+        return _combine(x, _stack(self.action.values(), self.dim),
+                        self.smash.algebra.field.p)
 
     def __eq__(self, other):
         return (isinstance(other, SmashModule) and self.smash == other.smash
@@ -767,15 +754,10 @@ class SmashModule:
 
 def validate_smash_module(q: SmashModule):
     sm = q.smash
-    p = sm.algebra.field.p
-    for u in range(sm.dim):
-        for v in range(sm.dim):
-            composite = linalg.matmul(q.action[u], q.action[v], p)
-            combo = linalg.zeros(q.dim, q.dim)
-            for w in np.nonzero(sm.table[u, v])[0]:
-                combo = (combo + int(sm.table[u, v, w]) * q.action[int(w)]) % p
-            if not np.array_equal(composite, combo):
-                return ("product", sm.pair_name(u), sm.pair_name(v))
+    bad = _first_defect(_stack(q.action.values(), q.dim), sm.table,
+                        sm.algebra.field.p)
+    if bad is not None:
+        return ("product", sm.pair_name(bad[0]), sm.pair_name(bad[1]))
     return None
 
 
@@ -784,24 +766,14 @@ def gamma(f: FunctorModule, sm: SmashAlgebra | None = None) -> SmashModule:
     acts through the arrow at (i, a) on the a-block."""
     if sm is None:
         sm = SmashAlgebra(f.algebra, f.act, validate=False)
-    offsets = []
-    total = 0
-    for c in f.spaces:
-        offsets.append(total)
-        total += c
-    action = {}
-    for t, (i, a) in enumerate(sm.pairs):
-        b = f.act.act(f.algebra.degs[i], a)
-        m = linalg.zeros(total, total)
-        m[offsets[b]:offsets[b] + f.spaces[b],
-          offsets[a]:offsets[a] + f.spaces[a]] = f.arrows[(i, a)]
-        action[t] = m
-    return SmashModule(sm, total, action, validate=False)
+    # phi(f)'s matrix for i with every column outside the a-block zeroed
+    mats, owner = phi(f).action, _owner(f.spaces)
+    action = {t: mats[i] * (owner == a) for t, (i, a) in enumerate(sm.pairs)}
+    return SmashModule(sm, f.total_dim, action, validate=False)
 
 
 def point_projectors(q: SmashModule) -> list[np.ndarray]:
-    p = q.smash.algebra.field.p
-    return [np.mod(q.act_vector(q.smash.point_idempotent(a)), p)
+    return [q.act_vector(q.smash.point_idempotent(a))
             for a in range(len(q.smash.act))]
 
 

@@ -22,15 +22,15 @@ from .errors import (
     NotDetermined,
     NotGenerated,
     NotPresented,
+    TooLargeError,
 )
-from .kan import canonical_mu, lambda_with_window, window_ranks
+from .kan import lambda_with_window, window_ranks
 from .modules import (
     ModuleMorphism,
     PersModule,
     direct_sum,
     free_module,
     is_epi,
-    is_iso,
     kernel_module,
     zero_module,
 )
@@ -103,24 +103,17 @@ def splitting_map(f: ModuleMorphism, s, c: str) -> np.ndarray:
         raise InternalError(f"splitting map at {c!r}") from exc
 
 
-def is_generated(m: PersModule, s, *, via: str = "births") -> bool:
-    """S-generation test; via="births" uses the window rank criterion,
-    via="mu" tests surjectivity of the induction counit directly."""
+def is_generated(m: PersModule, s) -> bool:
+    """S-generation test by the window rank criterion; the counit route is
+    ``is_epi(canonical_mu(m, s))``."""
     s = m.poset.subset(s)
-    if via == "mu":
-        return is_epi(canonical_mu(m, s))
-    if via != "births":
-        raise ValueError(f"unknown route {via!r}")
     return births(m, s).mask & ~s.mask == 0
 
 
-def is_presented(m: PersModule, s, *, via: str = "births") -> bool:
-    """S-presentation test; via="mu" tests that the counit is an iso."""
+def is_presented(m: PersModule, s) -> bool:
+    """S-presentation test by the window rank criterion; the counit route
+    is ``is_iso(canonical_mu(m, s))``."""
     s = m.poset.subset(s)
-    if via == "mu":
-        return is_iso(canonical_mu(m, s))
-    if via != "births":
-        raise ValueError(f"unknown route {via!r}")
     return (births(m, s).mask | deaths(m, s).mask) & ~s.mask == 0
 
 
@@ -329,7 +322,8 @@ def birth_death_report(m: PersModule, s=None, *, module_id=None) -> dict:
         try:
             fsp = sorted(fsp_from_determined(m, s).fsp.ids(),
                          key=poset.index)
-        except InternalError:
+        except (InternalError, TooLargeError):
+            # hat(hat(S)) can pass the 20-element guard that S itself meets
             fsp = None
     xi0 = xi1 = None
     if presented:

@@ -78,15 +78,7 @@ class Poset:
             for j in _bits(up[i]):
                 down[j] |= 1 << i
         self._down = tuple(down)
-        covers = []
-        for a in range(n):
-            stricta = up[a] & ~(1 << a)
-            for b in _bits(stricta):
-                between = stricta & (down[b] & ~(1 << b))
-                if between == 0:
-                    covers.append((self.elements[a], self.elements[b]))
-        covers.sort(key=lambda ab: (self._index[ab[0]], self._index[ab[1]]))
-        self.covers = tuple(covers)
+        self.covers = tuple(self.cover_pairs_within(self.full_mask))
         above = {e: [] for e in self.elements}
         below = {e: [] for e in self.elements}
         for a, b in self.covers:
@@ -236,9 +228,6 @@ class ElementSet:
 
     def union(self, other: "ElementSet") -> "ElementSet":
         return ElementSet(self.poset, self.mask | other.mask)
-
-    def intersection(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.poset, self.mask & other.mask)
 
     def difference(self, other: "ElementSet") -> "ElementSet":
         return ElementSet(self.poset, self.mask & ~other.mask)

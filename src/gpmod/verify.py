@@ -64,12 +64,11 @@ def _case_fsp_apu(rng, field, caps):
     m = _draw_module(rng, p, field, caps["max_dim"])
     for mask in _subsets_to_try(rng, p):
         s = p.subset_from_mask(mask)
-        gen_bd = inv.is_generated(m, s, via="births")
-        pres_bd = inv.is_presented(m, s, via="births")
-        gen_mu = inv.is_generated(m, s, via="mu")
-        pres_mu = inv.is_presented(m, s, via="mu")
-        assert gen_bd == gen_mu, f"generation mismatch at S={s.ids()}"
-        assert pres_bd == pres_mu, f"presentation mismatch at S={s.ids()}"
+        mu = canonical_mu(m, s)
+        assert inv.is_generated(m, s) == is_epi(mu), \
+            f"generation mismatch at S={s.ids()}"
+        assert inv.is_presented(m, s) == is_iso(mu), \
+            f"presentation mismatch at S={s.ids()}"
 
 
 def _case_syntyma_minimi(rng, field, caps):

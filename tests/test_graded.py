@@ -4,17 +4,21 @@ import json
 import numpy as np
 import pytest
 
-from gpmod import graded
+from gpmod import graded, linalg
 from gpmod.errors import (
     ArityMismatch,
+    GpmodError,
     InternalError,
+    NoSolution,
     NotComparable,
     NotUnital,
     ValidationError,
 )
 from gpmod.graded import (
+    FunctorModule,
     GAct,
     GradedAlgebra,
+    GradedModule,
     Monoid,
     SmashAlgebra,
     SmashModule,
@@ -55,6 +59,7 @@ from gpmod.graded import (
 from gpmod.invariants import births, deaths
 from gpmod.linalg import FieldSpec
 from gpmod.posets import chain
+from gpmod.textio import parse_text, serialize_algebra, serialize_monoid
 
 PRIMES = (101, 2**31 - 1)
 
@@ -463,3 +468,278 @@ def test_catalog_digest(field):
                                 sort_keys=True).encode())
     assert h.hexdigest() == ("9b3155cf21944cfef3aeb58417dad050"
                              "13542c91ddbe550af0348ed9fd3a6af5")
+
+
+# ---------------------------------------------------------------------------
+# the representation kernel: large primes and the per-triple loop oracles
+
+
+def _truncated_polynomials_random_basis(p, seed, d=6):
+    """k[x]/(x^d) over the trivial monoid, written in a seeded random basis
+    f_a = sum_i B[i, a] x^i; the inverse comes from linalg.solve and the
+    structure constants are computed on Python integers."""
+    rng = np.random.default_rng(seed)
+    while True:
+        basis = rng.integers(0, p, size=(d, d)).astype(np.int64)
+        try:
+            inverse = linalg.solve(basis, linalg.identity(d), p)
+        except NoSolution:
+            continue
+        break
+    b, inv = basis.astype(object), inverse.astype(object)
+    mult = np.zeros((d, d, d), dtype=object)
+    for i in range(d):
+        for j in range(d - i):
+            # f_a f_b gains B[i,a] B[j,b] x^(i+j), and x^k = sum_c inv[c,k] f_c
+            mult += np.multiply.outer(np.outer(b[i], b[j]), inv[:, i + j])
+    return GradedAlgebra(FieldSpec(p), trivial_monoid(), [f"f{a}" for a in range(d)],
+                         [0] * d, (mult % p).astype(np.int64),
+                         (inv[:, 0] % p).astype(np.int64), name="trunc",
+                         validate=False)
+
+
+def test_associative_algebra_near_2_31_is_accepted():
+    p = 2**31 - 1
+    alg = _truncated_polynomials_random_basis(p, 71)
+    assert validate_graded_algebra(alg) is None
+    text = (serialize_monoid(alg.monoid, "T")
+            + serialize_algebra(alg, "A", monoid_name="T"))
+    loaded = parse_text(text).algebras["A"]
+    assert np.array_equal(loaded.mult, alg.mult)
+    assert np.array_equal(loaded.unit, alg.unit)
+    bent = alg.mult.copy()
+    bent[1, 2, 3] = (bent[1, 2, 3] + 1) % p
+    assert validate_graded_algebra(GradedAlgebra(
+        alg.field, alg.monoid, alg.syms, alg.degs, bent, alg.unit,
+        validate=False)) is not None
+    bent_text = (serialize_monoid(alg.monoid, "T") + serialize_algebra(
+        GradedAlgebra(alg.field, alg.monoid, alg.syms, alg.degs, bent,
+                      alg.unit, validate=False), "A", monoid_name="T"))
+    with pytest.raises(GpmodError):
+        parse_text(bent_text)
+
+
+def _exact(m):
+    return np.asarray(m).astype(object)
+
+
+def _loop_monoid(mon):
+    n, t, u = len(mon), mon.table, mon.unit
+    for g in range(n):
+        if t[u, g] != g or t[g, u] != g:
+            return ("unit", mon.names[g])
+    for g in range(n):
+        for h in range(n):
+            for k in range(n):
+                if t[t[g, h], k] != t[g, t[h, k]]:
+                    return ("associativity", mon.names[g], mon.names[h],
+                            mon.names[k])
+    return None
+
+
+def _loop_act(act):
+    mon = act.monoid
+    for a in range(len(act)):
+        if act.table[mon.unit, a] != a:
+            return ("unit", act.points[a])
+    for g in range(len(mon)):
+        for h in range(len(mon)):
+            for a in range(len(act)):
+                if act.table[mon.mul(g, h), a] != act.table[g, act.table[h, a]]:
+                    return ("compatibility", mon.names[g], mon.names[h],
+                            act.points[a])
+    return None
+
+
+def _loop_algebra(alg):
+    p, d, t = alg.field.p, alg.dim, _exact(alg.mult)
+    for i in range(d):
+        if alg.unit[i] and alg.degs[i] != alg.monoid.unit:
+            return ("unit_degree", alg.syms[i])
+    for i in range(d):
+        for j in range(d):
+            deg = alg.monoid.mul(alg.degs[i], alg.degs[j])
+            for k in range(d):
+                if alg.mult[i, j, k] and alg.degs[k] != deg:
+                    return ("grading", alg.syms[i], alg.syms[j], alg.syms[k])
+    unit = _exact(alg.unit)
+    for j in range(d):
+        if any((unit @ t[:, j] - np.eye(d, dtype=object)[j]) % p):
+            return ("left_unit", alg.syms[j])
+        if any((t[j].T @ unit - np.eye(d, dtype=object)[j]) % p):
+            return ("right_unit", alg.syms[j])
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if any((t[i, j] @ t[:, k, :] - t[j, k] @ t[i]) % p):
+                    return ("associativity", alg.syms[i], alg.syms[j], alg.syms[k])
+    return None
+
+
+def _loop_represents(mats, table, p):
+    """The first (i, j) where mats[i] mats[j] != sum_k table[i,j,k] mats[k]."""
+    mats = [_exact(m) for m in mats]
+    for i in range(len(mats)):
+        for j in range(len(mats)):
+            combo = sum(int(c) * m for c, m in zip(table[i, j], mats))
+            if np.any((mats[i] @ mats[j] - combo) % p):
+                return i, j
+    return None
+
+
+def _loop_functor(f):
+    alg, act = f.algebra, f.act
+    p = alg.field.p
+    arrows = {k: _exact(m) for k, m in f.arrows.items()}
+    for a in range(len(act)):
+        ident = np.eye(f.spaces[a], dtype=object)
+        for i in np.flatnonzero(alg.unit):
+            ident = ident - int(alg.unit[i]) * arrows[(int(i), a)]
+        if np.any(ident % p):
+            return ("unit", act.points[a])
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for a in range(len(act)):
+                b = act.act(alg.degs[j], a)
+                combo = sum(int(alg.mult[i, j, k]) * arrows[(k, a)]
+                            for k in range(alg.dim) if alg.mult[i, j, k])
+                if np.any((arrows[(i, b)] @ arrows[(j, a)] - combo) % p):
+                    return ("composition", alg.syms[i], alg.syms[j], act.points[a])
+    return None
+
+
+def _loop_graded(q):
+    alg, act = q.algebra, q.act
+    for i in range(alg.dim):
+        for a in range(len(act)):
+            target = act.act(alg.degs[i], a)
+            for b in range(len(act)):
+                if b != target and np.any(q.block(q.action[i], b, a)):
+                    return ("grading", alg.syms[i], act.points[a])
+    unit = sum(int(alg.unit[i]) * _exact(q.action[i]) for i in range(alg.dim))
+    if np.any((unit - np.eye(q.total_dim, dtype=object)) % alg.field.p):
+        return ("unit",)
+    bad = _loop_represents(q.action, alg.mult, alg.field.p)
+    if bad is not None:
+        return ("associativity", alg.syms[bad[0]], alg.syms[bad[1]])
+    return None
+
+
+def _loop_smash(q):
+    sm = q.smash
+    bad = _loop_represents([q.action[t] for t in range(sm.dim)], sm.table,
+                           sm.algebra.field.p)
+    return None if bad is None else ("product", sm.pair_name(bad[0]),
+                                     sm.pair_name(bad[1]))
+
+
+def _bump(m, rng, p):
+    """A copy of m with one random entry shifted by a nonzero amount."""
+    m = np.array(m, dtype=np.int64)
+    if m.size:
+        cell = tuple(int(rng.integers(0, s)) for s in m.shape)
+        m[cell] = (m[cell] + int(rng.integers(1, p))) % p
+    return m
+
+
+def _bent_algebra(alg, rng):
+    """A copy of alg with its structure constants, unit or one degree
+    changed at random (or nothing), not validated."""
+    p, mult, unit, degs = alg.field.p, alg.mult, alg.unit, list(alg.degs)
+    roll = int(rng.integers(0, 4))
+    if roll == 0:
+        mult = _bump(mult, rng, p)
+    elif roll == 1:
+        unit = _bump(unit, rng, p)
+    elif roll == 2:
+        degs[int(rng.integers(0, alg.dim))] = int(rng.integers(0, len(alg.monoid)))
+    return GradedAlgebra(alg.field, alg.monoid, alg.syms, degs, mult, unit,
+                         validate=False)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_validators_match_loop_witnesses(p):
+    field = FieldSpec(p)
+    rng = np.random.default_rng(97)
+    seen = set()
+    for mon, act in _catalog_sample(98, 30):
+        bent = mon.table.copy()
+        g, h = (int(rng.integers(1, len(mon))) if len(mon) > 1 else 0
+                for _ in range(2))
+        bent[g, h] = int(rng.integers(0, len(mon)))
+        bent_mon = Monoid(mon.names, bent, validate=False)
+        for m in (mon, bent_mon):
+            assert validate_monoid(m) == _loop_monoid(m)
+            seen.add(("monoid", validate_monoid(m) is None))
+        bent_act = GAct(mon, act.points, act.table.copy(), validate=False)
+        bent_act.table[int(rng.integers(0, len(mon))),
+                       int(rng.integers(0, len(act)))] = int(rng.integers(0, len(act)))
+        for a in (act, bent_act):
+            assert validate_act(a) == _loop_act(a)
+            seen.add(("act", validate_act(a) is None))
+    settings = _smash_settings(field, 99)
+    settings.append((_truncated_polynomials_random_basis(p, 72), None))
+    for alg, act in settings:
+        for bent in [alg] + [_bent_algebra(alg, rng) for _ in range(4)]:
+            assert validate_graded_algebra(bent) == _loop_algebra(bent)
+            seen.add(("algebra", validate_graded_algebra(bent) is None))
+        if act is None:
+            continue
+        fm = random_functor_module(alg, act, rng)
+        for _ in range(3):
+            arrows = dict(fm.arrows)
+            key = list(arrows)[int(rng.integers(0, len(arrows)))]
+            arrows[key] = _bump(arrows[key], rng, p)
+            for f in (fm, FunctorModule(alg, act, fm.spaces, arrows,
+                                        validate=False)):
+                assert validate_functor_module(f) == _loop_functor(f)
+                seen.add(("functor", validate_functor_module(f) is None))
+            q = phi(fm)
+            action = list(q.action)
+            i = int(rng.integers(0, alg.dim))
+            action[i] = _bump(action[i], rng, p)
+            for g in (q, GradedModule(alg, act, q.components, action,
+                                      validate=False)):
+                assert validate_graded_module(g) == _loop_graded(g)
+                seen.add(("graded", validate_graded_module(g) is None))
+            s = gamma(fm)
+            action = dict(s.action)
+            t = int(rng.integers(0, s.smash.dim))
+            action[t] = _bump(action[t], rng, p)
+            for sq in (s, SmashModule(s.smash, s.dim, action, validate=False)):
+                assert validate_smash_module(sq) == _loop_smash(sq)
+                seen.add(("smash", validate_smash_module(sq) is None))
+    # every validator met both lawful and broken instances
+    assert len(seen) == 12
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_unit_sides_match_loop(p):
+    rng = np.random.default_rng(101)
+    for alg, act in _smash_settings(FieldSpec(p), 102):
+        sm = SmashAlgebra(alg, act, validate=False)
+        t = _exact(sm.table)
+        total = sum(sm.point_idempotent(a) for a in range(len(act))) % p
+        for x in (total, _bump(total, rng, p),
+                  rng.integers(0, p, size=sm.dim)):
+            x = _exact(x)
+            ident = np.eye(sm.dim, dtype=object)
+            left = not np.any((np.tensordot(x, t, axes=(0, 0)) - ident) % p)
+            right = not np.any((np.tensordot(t, x, axes=(1, 0)) - ident) % p)
+            assert sm.unit_sides(x.astype(np.int64)) == (left, right)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_gamma_places_each_arrow_in_its_block(p):
+    rng = np.random.default_rng(103)
+    for alg, act in _smash_settings(FieldSpec(p), 104):
+        fm = random_functor_module(alg, act, rng)
+        q = gamma(fm)
+        offsets = np.concatenate([[0], np.cumsum(fm.spaces)])
+        for t, (i, a) in enumerate(q.smash.pairs):
+            b = act.act(alg.degs[i], a)
+            expected = np.zeros((fm.total_dim, fm.total_dim), dtype=np.int64)
+            expected[offsets[b]:offsets[b + 1],
+                     offsets[a]:offsets[a + 1]] = fm.arrows[(i, a)]
+            assert q.action[t].dtype == expected.dtype
+            assert q.action[t].tobytes() == expected.tobytes()

@@ -457,3 +457,18 @@ def test_report_takes_one_window_pass_per_module_and_set(monkeypatch, field):
     rep = birth_death_report(m, grid.whole())
     assert rep["presented"]
     assert len(keys) == len(set(keys)) == 2 * len(grid) == 288
+
+
+# S meets the report's 20-element cut, but hat(S) has 21 elements, so the
+# hat(hat(S)) inside fsp_from_determined hits the hat guard
+HAT_GUARD_SET = ["(1,0)", "(0,3)", "(2,1)", "(1,3)", "(2,2)", "(2,3)", "(4,1)",
+                 "(5,0)", "(1,5)", "(2,4)", "(4,2)", "(5,1)", "(2,5)", "(3,5)",
+                 "(4,5)", "(5,5)"]
+
+
+def test_report_on_determined_module_past_the_hat_guard(field):
+    grid = grid_poset((6, 6))
+    m = random_module(grid, 2, field, 4, generator="intervals")
+    assert len(hat(grid, HAT_GUARD_SET)) == 21
+    rep = birth_death_report(m, HAT_GUARD_SET)
+    assert rep["determined"] and rep["fsp"] is None

@@ -250,6 +250,21 @@ def test_cli_analyze_unknown_set_element(ws_file):
     assert "zz" in proc.stderr
 
 
+def test_cli_analyze_reports_null_fsp_past_the_hat_guard(tmp_path, field):
+    # |S| = 16 but |hat(S)| = 21, past the hat guard
+    s = ("(1,0),(0,3),(2,1),(1,3),(2,2),(2,3),(4,1),(5,0),(1,5),(2,4),(4,2),"
+         "(5,1),(2,5),(3,5),(4,5),(5,5)")
+    g = grid_poset((6, 6))
+    m = random_module(g, 2, field, 4, generator="intervals")
+    f = tmp_path / "h.gpm"
+    f.write_text(serialize_poset(g, name="G") +
+                 serialize_module(m, name="M", poset_name="G"))
+    proc = run_cli(["analyze", str(f), "--set", s])
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["determined"] and data["fsp"] is None
+
+
 def test_cli_set_takes_grid_ids(tmp_path, field):
     g = grid_poset((3, 3))
     m = direct_sum(free_module(g, "(1,1)", 1, field),
