@@ -15,6 +15,7 @@ from .errors import (
     EmptySetError,
     FunctorialityError,
     GpmodError,
+    InputTooLarge,
     InternalError,
     MismatchedBase,
     NoSolution,

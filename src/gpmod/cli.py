@@ -9,6 +9,7 @@ as key/value lines.  Exit codes: 0 success, 1 a verified property failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -256,7 +257,15 @@ def cmd_verify(args) -> int:
     return 0 if not report["failures"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gpm parser, built on first use and shared by every later call.
+
+    Sharing is safe: parse_args fills a fresh Namespace each time (the
+    sub-parsers copy their defaults into it), no cmd_* function writes to
+    its arguments, a usage error exits before anything is stored, and help
+    text reads the terminal width when it is formatted.
+    """
     parser = argparse.ArgumentParser(
         prog="gpm",
         description="Exact invariants of persistence modules over finite "
@@ -342,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GpmodError as exc:

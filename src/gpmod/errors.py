@@ -88,3 +88,7 @@ class ParseError(GpmodError):
     def __init__(self, line_no, message):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
+
+
+class InputTooLarge(ParseError, TooLargeError):
+    """A text input exceeds a parse-time size guard at the given line."""

@@ -315,19 +315,25 @@ def mub(p: Poset, s) -> ElementSet:
 
 def hat(p: Poset, s) -> ElementSet:
     """Union of mub over every nonempty subset of s (the singleton subsets
-    put s itself inside the result)."""
+    put s itself inside the result).
+
+    c lies in mub(T) for some nonempty T exactly when T_c = s & down(c) is
+    nonempty and no lower cover d of c has s & down(d) == T_c.  T_c is the
+    largest T that c bounds, and an upper bound e < c of T_c would put T_c
+    below the lower cover of c above e.  So one pass over up(s) replaces
+    the enumeration of all 2**|s| subsets.
+    """
     s = p.subset(s)
     k = len(s)
     if k > HAT_SIZE_LIMIT:
         raise TooLargeError(f"hat() guard: |S| = {k} > {HAT_SIZE_LIMIT}")
+    down, index = p._down, p._index
     out = 0
-    members = list(_bits(s.mask))
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(members, size):
-            ub = p.full_mask
-            for i in combo:
-                ub &= p._up[i]
-            out |= p.minimal_of_mask(ub)
+    for c in _bits(up_set(p, s).mask):
+        below = down[c] & s.mask
+        if all(down[index[d]] & s.mask != below
+               for d in p.covers_below(p.elements[c])):
+            out |= 1 << c
     return ElementSet(p, out)
 
 

@@ -24,13 +24,21 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ParseError, UnknownElement, ValidationError
+from .errors import InputTooLarge, ParseError, UnknownElement, ValidationError
 from .graded import GAct, GradedAlgebra, Monoid
 from .linalg import FieldSpec, NoSolution, solve, zeros
 from .modules import PersModule
 from .posets import Poset, build_poset
 
 BLOCK_KINDS = ("poset", "module", "monoid", "act", "algebra")
+
+# Parse-time size guards, checked line by line before anything is
+# allocated: elements of one poset (each holds two n-bit masks), the
+# dimension at one element (validation builds its identity matrix), and
+# the cells of one module's cover maps together.
+POSET_SIZE_LIMIT = 10**4
+DIM_LIMIT = 4096
+CELL_LIMIT = 2**24
 
 
 @dataclass
@@ -164,6 +172,9 @@ def _parse_poset(block) -> Poset:
     elements, relations = [], []
     for line_no, tokens, _ in block.lines:
         if tokens[0] == "elem" and len(tokens) == 2:
+            if len(elements) == POSET_SIZE_LIMIT:
+                raise InputTooLarge(line_no, f"poset {block.name!r} has more than "
+                                             f"{POSET_SIZE_LIMIT} elements")
             elements.append(tokens[1])
         elif tokens[0] == "rel" and len(tokens) == 3:
             relations.append((tokens[1], tokens[2]))
@@ -185,19 +196,29 @@ def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
     field_text = _header_option(block.header, "field", block.line_no)
     field = FieldSpec(int(field_text) if field_text else default_field)
     dims = {}
+    cells = 0  # sum of dims[a] * dims[b] over the covers a < b
     raw_maps = []
     for line_no, tokens, _ in block.lines:
         if tokens[0] == "space" and len(tokens) == 3:
-            if tokens[1] not in poset._index:
-                raise ParseError(line_no, f"unknown element {tokens[1]!r}")
+            e = tokens[1]
+            if e not in poset._index:
+                raise ParseError(line_no, f"unknown element {e!r}")
             try:
                 dim = int(tokens[2])
             except ValueError:
                 dim = -1
             if dim < 0:
-                raise ParseError(line_no, f"dimension at {tokens[1]!r} must be a "
+                raise ParseError(line_no, f"dimension at {e!r} must be a "
                                           f"non-negative integer, got {tokens[2]!r}")
-            dims[tokens[1]] = dim
+            if dim > DIM_LIMIT:
+                raise InputTooLarge(line_no, f"dimension {dim} at {e!r} exceeds "
+                                             f"{DIM_LIMIT}")
+            neighbours = poset.covers_below(e) + poset.covers_above(e)
+            cells += (dim - dims.get(e, 0)) * sum(dims.get(x, 0) for x in neighbours)
+            if cells > CELL_LIMIT:
+                raise InputTooLarge(line_no, f"module {block.name!r} needs {cells} "
+                                             f"cover-map cells, more than {CELL_LIMIT}")
+            dims[e] = dim
         elif tokens[0] == "map" and len(tokens) >= 4:
             raw_maps.append((line_no, tokens[1], tokens[2], tokens[3:]))
         else:

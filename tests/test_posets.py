@@ -200,6 +200,43 @@ def test_hat_monotone_tower():
         assert h1.mask & ~h2.mask == 0
 
 
+def _hat_by_enumeration(p, s):
+    """hat as its definition reads: mub over every nonempty subset of s."""
+    out = set()
+    for size in range(1, len(s) + 1):
+        for combo in itertools.combinations(s.ids(), size):
+            out |= set(mub(p, combo))
+    return sorted(out, key=p.index)
+
+
+def test_hat_matches_subset_enumeration():
+    rng = np.random.default_rng(10)
+    cases = []
+    for _ in range(150):
+        n = int(rng.integers(1, 10))
+        ids = [f"v{i}" for i in range(n)]
+        rels = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
+                if rng.random() < float(rng.uniform(0.1, 0.6))]
+        p = build_poset(ids, rels)
+        k = int(rng.integers(0, n + 1))
+        cases.append((p, list(rng.choice(ids, size=k, replace=False))))
+    for shape in ([6, 6], [4, 5], [3, 3, 3]):
+        g = grid_poset(shape)
+        for _ in range(8):
+            # sparse S: a few scattered grid points
+            k = int(rng.integers(1, 8))
+            cases.append((g, list(rng.choice(g.elements, size=k, replace=False))))
+    # every subset of S has its own upper bounds: x_j lies above all of S
+    # but s_j
+    k = 10
+    s_ids = [f"s{i}" for i in range(k)]
+    rels = [(s_ids[i], f"x{j}") for i in range(k) for j in range(k) if i != j]
+    cases.append((build_poset(s_ids + [f"x{j}" for j in range(k)], rels), s_ids))
+    for p, ids in cases:
+        s = p.subset(ids)
+        assert hat(p, s).ids() == _hat_by_enumeration(p, s)
+
+
 def test_canonical_order_is_topological(diamond, grid33):
     for p in (diamond, grid33):
         for a, b in p.covers:

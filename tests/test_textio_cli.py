@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
@@ -5,11 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from gpmod.errors import ParseError, ValidationError
+from gpmod import cli
+from gpmod.errors import ParseError, TooLargeError, ValidationError
 from gpmod.graded import regular_act, cyclic_monoid, monoid_algebra
 from gpmod.modules import direct_sum, free_module, random_module
 from gpmod.posets import grid_poset
 from gpmod.textio import (
+    CELL_LIMIT,
+    DIM_LIMIT,
+    POSET_SIZE_LIMIT,
     parse_text,
     serialize_act,
     serialize_algebra,
@@ -149,6 +156,64 @@ space b {dim}
     assert err.value.line_no == line_no
     assert str(err.value).startswith(f"line {line_no}: ")
     assert "non-negative integer" in str(err.value)
+
+
+def _oversized_case(kind):
+    """A workspace text past one parse-time guard, and the line it names."""
+    if kind == "dimension":
+        text = ("poset P\nelem a\nelem b\nrel a b\n"
+                "module M over P field 101\nspace a 99999999999\nspace b 1\n")
+        return text, 6
+    if kind == "cells":
+        # two covers of 3000 x 3000 cells together pass 2**24 on the last line
+        dim = 3000
+        assert dim <= DIM_LIMIT and dim * dim <= CELL_LIMIT < 2 * dim * dim
+        text = ("poset P\nelem a\nelem b\nelem c\nrel a b\nrel b c\n"
+                f"module M over P field 101\nspace a {dim}\nspace c {dim}\n"
+                f"space b {dim}\n")
+        return text, 10
+    elems = "".join(f"elem e{i}\n" for i in range(POSET_SIZE_LIMIT + 1))
+    return "poset P\n" + elems, POSET_SIZE_LIMIT + 2
+
+
+@pytest.mark.parametrize("kind", ["dimension", "cells", "poset"])
+def test_oversized_input_is_refused_at_its_line(kind, monkeypatch):
+    text, line_no = _oversized_case(kind)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size guard fired")
+
+    # the guard fires while lines are read: no matrix is built, and no
+    # poset past the element guard
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "array", refuse)
+    if kind == "poset":
+        monkeypatch.setattr("gpmod.textio.build_poset", refuse)
+    with pytest.raises(TooLargeError) as err:
+        parse_text(text, stem="f")
+    assert isinstance(err.value, ParseError)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: ")
+
+
+@pytest.mark.parametrize("kind", ["dimension", "cells", "poset"])
+def test_cli_oversized_input_exits_2(kind, tmp_path):
+    text, line_no = _oversized_case(kind)
+    f = tmp_path / "big.gpm"
+    f.write_text(text)
+    proc = run_cli(["check", str(f)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: line {line_no}: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_redefined_dimension_replaces_its_cells():
+    # a second space line for the same element replaces the first, so
+    # cells are counted once per cover
+    dim = 3000
+    text = ("poset P\nelem a\nelem b\nrel a b\nmodule M over P field 101\n"
+            f"space a {dim}\n" + f"space b {dim}\n" * 3 + "space b 1\n")
+    assert parse_text(text, stem="f").modules["M"].dims == {"a": dim, "b": 1}
 
 
 def test_anonymous_blocks_get_stem_names():
@@ -350,6 +415,73 @@ def test_cli_verify(ws_file):
 def test_cli_exit_code_on_missing_file():
     proc = run_cli(["check", "/nonexistent/file.gpm"])
     assert proc.returncode == 2
+
+
+def _main_in_process(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            rc = cli.main(args)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue()
+
+
+def test_cli_main_reuses_one_parser(ws_file, graded_file):
+    runs = [
+        ["analyze", ws_file],
+        ["present", ws_file],
+        ["analyze", ws_file, "--text"],
+        ["verify", "--suite", "verho", "--cases", "2"],
+        ["graded", "smash", graded_file],
+        ["verify", "--suite", "nope"],  # usage error: argparse exits 2
+        ["check", "/nonexistent/file.gpm"],
+        ["analyze", ws_file],
+    ]
+    results = [_main_in_process(args) for args in runs]
+    for args, (rc, out) in zip(runs, results):
+        proc = run_cli(args)
+        assert (rc, out) == (proc.returncode, proc.stdout), args
+    assert [rc for rc, _ in results] == [0, 0, 0, 0, 0, 2, 2, 0]
+    assert results[0] == results[-1]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_is_not_built_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gpmod.cli as c; print(c.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_shared_parser_keeps_no_state(ws_file, graded_file, monkeypatch, capsys):
+    parser = cli.build_parser()
+    first = parser.parse_args(["verify", "--suite", "verho", "--cases", "2",
+                               "--max-dim", "3", "--text"])
+    again = parser.parse_args(["verify", "--suite", "verho"])
+    assert again is not first
+    assert (again.cases, again.max_dim, again.text, again.seed) == (100, None, False, 0)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert vars(parser.parse_args(["verify", "--suite", "verho"])) == vars(again)
+    # no command writes to its arguments
+    for args in (["analyze", ws_file], ["present", ws_file, "--set", "b,c,d"],
+                 ["verify", "--suite", "verho", "--cases", "2"],
+                 ["graded", "smash", graded_file]):
+        ns = parser.parse_args(args)
+        before = copy.copy(vars(ns))
+        assert ns.func(ns) == 0
+        assert vars(ns) == before
+    capsys.readouterr()
+    # help is laid out for the terminal width at the time it is printed
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = parser.format_help()
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = parser.format_help()
+    assert len(narrow.splitlines()) > len(wide.splitlines())
 
 
 def test_to_json_stable():
