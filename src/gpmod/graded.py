@@ -1066,15 +1066,10 @@ def _canonical_monoid_bytes(table_bytes: bytes, n: int) -> bytes:
     return best
 
 
-_ACT_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def enumerate_acts(mon: Monoid, max_size: int = 4) -> tuple[GAct, ...]:
     """All acts of the monoid on at most max_size points, one per act
     isomorphism class (bijections of the point set)."""
-    key = (mon.table.tobytes(), len(mon), max_size)
-    if key in _ACT_CACHE:
-        return _ACT_CACHE[key]
     out = []
     n = len(mon)
     for m in range(1, max_size + 1):
@@ -1100,9 +1095,7 @@ def enumerate_acts(mon: Monoid, max_size: int = 4) -> tuple[GAct, ...]:
             points = [f"p{i}" for i in range(m)]
             out.append(GAct(mon, points, table.astype(np.int64),
                             name=f"act{m}", validate=False))
-    result = tuple(out)
-    _ACT_CACHE[key] = result
-    return result
+    return tuple(out)
 
 
 def _extend_assignments(assign: np.ndarray, g: int, mon: Monoid,

@@ -92,13 +92,9 @@ def splitting(m: PersModule, s, c: str) -> SplittingResult:
 def splitting_map(f: ModuleMorphism, s, c: str) -> np.ndarray:
     """The map induced by f between the splitting quotients at c."""
     p = f.source.field.p
-    lam_src, _ = lambda_with_window(f.source, s, c)
-    lam_tgt, _ = lambda_with_window(f.target, s, c)
-    _, proj_src = linalg.cokernel(lam_src, p)
-    _, proj_tgt = linalg.cokernel(lam_tgt, p)
-    rhs = linalg.matmul(proj_tgt, f.components[c], p)
+    rhs = linalg.matmul(splitting(f.target, s, c).projection, f.components[c], p)
     try:
-        return linalg.solve_left(proj_src, rhs, p)
+        return linalg.solve_left(splitting(f.source, s, c).projection, rhs, p)
     except linalg.NoSolution as exc:  # pragma: no cover - naturality guards this
         raise InternalError(f"splitting map at {c!r}") from exc
 

@@ -8,9 +8,9 @@ every window space and takes relations only from the covers of the order
 induced on the window, which suffices because covers generate the order.
 ``window_ranks`` needs only dimensions and ranks, so it uses a smaller
 local presentation: the spaces at the window's maximal elements, related
-along the maximal common lower bounds of each pair of them.  All bases come
-from the deterministic cokernel convention in ``linalg``, so injections and
-induced maps are byte-reproducible.
+along the maximal common lower bounds of pairs (``Poset.local_spans``).
+All bases come from the deterministic cokernel convention in ``linalg``, so
+injections and induced maps are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class ColimitResult:
     projection: np.ndarray
 
 
-def _window_elements(m: PersModule, mask: int) -> list[str]:
-    return [m.poset.elements[i] for i in _bits(mask)]
-
-
 def _offsets(m: PersModule, window) -> tuple[dict[str, int], int]:
     """Summand offsets of the window spaces in their direct sum, and its
     dimension."""
@@ -89,7 +85,7 @@ def _relation_matrix(m: PersModule, offsets, total, spans) -> np.ndarray:
 def _relations(m: PersModule, mask: int):
     """The window on mask, its summand offsets and the relation matrix on
     the direct sum: one block x - m(d <= d2) x per cover d < d2 inside."""
-    window = _window_elements(m, mask)
+    window = [m.poset.elements[i] for i in _bits(mask)]
     offsets, total = _offsets(m, window)
     spans = [(d, d, d2) for d, d2 in m.poset.cover_pairs_within(mask)]
     return window, offsets, _relation_matrix(m, offsets, total, spans)
@@ -235,33 +231,25 @@ def lambda_map(m: PersModule, s, c: str) -> np.ndarray:
 def window_ranks(m: PersModule, s, c: str) -> tuple[int, int, int]:
     """(rank of lambda, colimit dimension, dims(c)) for the strict window.
 
-    Uses the local presentation of the colimit over W = {d in s : d < c}.
-    Let T be the maximal elements of W.  The generators are the sum of
-    m(t) over t in T, with one relation block m(d <= t1) - m(d <= t2) for
-    each pair t1 != t2 in T and each maximal element d of the common lower
-    set W & down(t1) & down(t2).  This presents the same colimit as the
-    cover presentation of ``colim_over_mask``: every d in W lies below some
-    t in T, so a cocone on W is fixed by its legs at T; those legs extend
-    to a cocone exactly when they agree on each common lower set, and
-    agreement at d' implies agreement at every d <= d', so the maximal
-    common lower bounds suffice.  Hence the colimit dimension is
-    sum dims(T) - rank(relations).  The colimit projection is surjective
-    and m(d <= c) factors through m(t <= c), so rank(lambda) is the rank of
-    the structure maps m(t <= c), t in T, side by side.  Both numbers are
-    ranks, so they do not depend on a choice of basis.
+    Uses the local presentation of the colimit over W = {d in s : d < c}
+    from ``Poset.local_spans``.  Let T be the maximal elements of W.  The
+    generators are the sum of m(t) over t in T, with one relation block
+    m(d <= t0) - m(d <= t) per span (d, t0, t).  This presents the same
+    colimit as the cover presentation of ``colim_over_mask``: every d in W
+    lies below some t in T, so a cocone on W is fixed by its legs at T;
+    those legs extend to a cocone exactly when each two agree on their
+    common lower set.  Agreement at d' implies agreement at every d <= d',
+    so the maximal common lower bounds d suffice, and at each of them it
+    is enough that every top above d agrees with the first one.  Hence the
+    colimit dimension is sum dims(T) - rank(relations).  The projection is
+    surjective and m(d <= c) factors through m(t <= c), so rank(lambda) is
+    the rank of the structure maps m(t <= c), t in T, side by side.  Both
+    numbers are ranks, so they do not depend on a choice of basis.
     """
     s = m.poset.subset(s)
-    poset = m.poset
     p = m.field.p
-    mask = IndexWindow(s, c, strict=True).mask()
-    tops = _window_elements(m, poset.maximal_of_mask(mask))
+    tops, spans = m.poset.local_spans(IndexWindow(s, c, strict=True).mask())
     offsets, total = _offsets(m, tops)
-    spans = []
-    for k, t1 in enumerate(tops):
-        below_t1 = mask & poset.down_mask(t1)
-        for t2 in tops[k + 1:]:
-            common = poset.maximal_of_mask(below_t1 & poset.down_mask(t2))
-            spans.extend((d, t1, t2) for d in _window_elements(m, common))
     relations = _relation_matrix(m, offsets, total, spans)
     colim_dim = total - linalg.rank(relations, p)
     return linalg.rank(_cocone(m, tops, c), p), colim_dim, m.dims[c]

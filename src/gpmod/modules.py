@@ -2,10 +2,9 @@
 
 A module assigns a finite-dimensional F_p vector space to every poset
 element and a matrix to every cover; composites along covers must be
-path-independent, which is validated at construction by propagating, for
-every source element, the composite map to every element above it and
-comparing whenever two routes meet.  Structure maps between arbitrary
-comparable pairs are composed on demand and memoized.
+path-independent, which construction checks locally, on the spans below
+each element.  Structure maps between arbitrary comparable pairs are
+composed on demand along one fixed route and memoized.
 """
 
 from __future__ import annotations
@@ -89,22 +88,17 @@ class PersModule:
     # -- validation ------------------------------------------------------
 
     def _check_functoriality(self):
-        poset = self.poset
-        for a in poset.elements:
-            if self.dims[a] == 0:
-                continue
-            reached = {a: linalg.identity(self.dims[a])}
-            for c in poset.elements:
-                if c not in reached:
-                    continue
-                base = reached[c]
-                for d in poset.covers_above(c):
-                    m = linalg.matmul(self.cover_maps[(c, d)], base, self.field.p)
-                    if d in reached:
-                        if not np.array_equal(reached[d], m):
-                            raise FunctorialityError(a, d)
-                    else:
-                        reached[d] = m
+        """At each b, the routes through two lower covers t0, t of b agree
+        at every span (d, t0, t) of down(b) - b.  By induction on b this
+        makes ``eval_map`` the one composite (see ``kan.window_ranks``)."""
+        poset, p = self.poset, self.field.p
+        for b in poset.elements:
+            _, spans = poset.local_spans(poset.down_mask(b) & ~(1 << poset.index(b)))
+            for d, t0, t in spans:
+                if not np.array_equal(
+                        linalg.matmul(self.cover_maps[(t0, b)], self.eval_map(d, t0), p),
+                        linalg.matmul(self.cover_maps[(t, b)], self.eval_map(d, t), p)):
+                    raise FunctorialityError(d, b)
 
     # -- basic queries ---------------------------------------------------
 

@@ -171,15 +171,29 @@ class Poset:
             mask &= ~self._down[i]
         return out
 
+    def local_spans(self, mask: int):
+        """The maximal elements ``tops`` of the subset mask, and its spans
+        (d, t0, t): d maximal in mask & down(t1) & down(t2) for two tops,
+        t0 the first top above d and t each later one.  A diagram on mask
+        is its values at the tops glued along the spans (``kan.window_ranks``)."""
+        names, down = self.elements, self._down
+        tops = list(_bits(self.maximal_of_mask(mask)))
+        common = {d for k, t1 in enumerate(tops) for t2 in tops[k + 1:]
+                  for d in _bits(self.maximal_of_mask(mask & down[t1] & down[t2]))}
+        spans = []
+        for d in sorted(common):
+            t0, *later = [t for t in tops if down[t] >> d & 1]
+            spans += [(names[d], names[t0], names[t]) for t in later]
+        return [names[t] for t in tops], spans
+
     def cover_pairs_within(self, mask: int) -> list[tuple[str, str]]:
-        """Transitive reduction of the order induced on the subset mask."""
-        out = []
-        for a in _bits(mask):
-            reach = self._up[a] & mask & ~(1 << a)
-            for b in _bits(reach):
-                if reach & self._down[b] & ~(1 << b) == 0:
-                    out.append((self.elements[a], self.elements[b]))
-        return out
+        """Transitive reduction of the order induced on the subset mask, in
+        canonical order: the lower covers of b are the maximal elements of
+        (down(b) & mask) - b, the tops of its ``local_spans``."""
+        names, down = self.elements, self._down
+        pairs = sorted((a, b) for b in _bits(mask) for a in
+                       _bits(self.maximal_of_mask(mask & down[b] & ~(1 << b))))
+        return [(names[a], names[b]) for a, b in pairs]
 
 
 def MismatchedSubset(es, poset):

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InputTooLarge, ParseError, UnknownElement, ValidationError
+from .errors import (CycleError, InputTooLarge, ParseError, UnknownElement,
+                     ValidationError)
 from .graded import GAct, GradedAlgebra, Monoid
 from .linalg import FieldSpec, NoSolution, solve, zeros
 from .modules import PersModule
@@ -35,7 +36,9 @@ BLOCK_KINDS = ("poset", "module", "monoid", "act", "algebra")
 # Parse-time size guards, checked line by line before anything is
 # allocated: elements of one poset (each holds two n-bit masks), the
 # dimension at one element (validation builds its identity matrix), and
-# the cells of one module's cover maps together.
+# the cells of one module's cover maps together.  CELL_LIMIT also bounds
+# the n**3 cells of a monoid's associativity check, the |G|**2 * |A| of an
+# act's and the 2 * d**3 of an algebra's unit system.
 POSET_SIZE_LIMIT = 10**4
 DIM_LIMIT = 4096
 CELL_LIMIT = 2**24
@@ -67,7 +70,7 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
-def _parse_matrix_tokens(tokens: list[str], line_no: int) -> list[list[int]]:
+def _parse_matrix_tokens(tokens: list[str], line_no: int, p: int) -> list[list[int]]:
     text = " ".join(tokens)
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(line_no, "matrix literal must be bracketed")
@@ -78,7 +81,7 @@ def _parse_matrix_tokens(tokens: list[str], line_no: int) -> list[list[int]]:
         entries = []
         for tok in chunk.split():
             try:
-                entries.append(int(tok))
+                entries.append(int(tok) % p)
             except ValueError:
                 raise ParseError(line_no, f"bad matrix entry {tok!r}") from None
         rows.append(entries)
@@ -100,7 +103,8 @@ def _shape_matrix(rows, shape, line_no, had_semicolon):
     return np.array(rows, dtype=np.int64).reshape(r, c) if r * c else zeros(r, c)
 
 
-def _parse_lin_combo(text: str, syms: dict, dim: int, line_no: int) -> np.ndarray:
+def _parse_lin_combo(text: str, syms: dict, dim: int, line_no: int,
+                     p: int) -> np.ndarray:
     out = np.zeros(dim, dtype=np.int64)
     text = text.strip()
     if text == "0":
@@ -119,7 +123,7 @@ def _parse_lin_combo(text: str, syms: dict, dim: int, line_no: int) -> np.ndarra
             raise ParseError(line_no, f"bad term {term.strip()!r}")
         if sym not in syms:
             raise ParseError(line_no, f"unknown basis symbol {sym!r}")
-        out[syms[sym]] += coeff
+        out[syms[sym]] = (out[syms[sym]] + coeff % p) % p
     return out
 
 
@@ -168,6 +172,23 @@ def _header_option(header, key, line_no):
     return None
 
 
+def _header_field(block, default_field: int) -> FieldSpec:
+    """The block's ``field p`` (else the default); anything but a prime in
+    [2, 2**31) is a ParseError at the header line."""
+    text = _header_option(block.header, "field", block.line_no)
+    try:
+        return FieldSpec(int(text) if text else default_field)
+    except ValueError:
+        raise ParseError(block.line_no, f"field must be a prime in [2, 2**31), "
+                                        f"got {text!r}") from None
+
+
+def _check_cells(cells: int, line_no: int, owner: str, noun: str = "cells"):
+    if cells > CELL_LIMIT:
+        raise InputTooLarge(line_no, f"{owner} needs {cells} {noun}, more than "
+                                     f"{CELL_LIMIT}")
+
+
 def _parse_poset(block) -> Poset:
     elements, relations = [], []
     for line_no, tokens, _ in block.lines:
@@ -177,12 +198,18 @@ def _parse_poset(block) -> Poset:
                                              f"{POSET_SIZE_LIMIT} elements")
             elements.append(tokens[1])
         elif tokens[0] == "rel" and len(tokens) == 3:
-            relations.append((tokens[1], tokens[2]))
+            relations.append((line_no, tokens[1], tokens[2]))
         else:
             raise ParseError(line_no, f"bad poset directive {tokens[0]!r}")
+    known = set(elements)
+    for line_no, a, b in relations:
+        for x in (a, b):
+            if x not in known:
+                raise ParseError(line_no, f"relation references unknown element {x!r}")
     try:
-        return build_poset(elements, relations, name=block.name)
-    except ValidationError as exc:
+        return build_poset(elements, [(a, b) for _, a, b in relations],
+                           name=block.name)
+    except (ValidationError, CycleError) as exc:
         raise ParseError(block.line_no, str(exc)) from exc
 
 
@@ -193,8 +220,7 @@ def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
     if poset_name not in ws.posets:
         raise ValidationError(f"module references unknown poset {poset_name!r}")
     poset = ws.posets[poset_name]
-    field_text = _header_option(block.header, "field", block.line_no)
-    field = FieldSpec(int(field_text) if field_text else default_field)
+    field = _header_field(block, default_field)
     dims = {}
     cells = 0  # sum of dims[a] * dims[b] over the covers a < b
     raw_maps = []
@@ -215,9 +241,7 @@ def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
                                              f"{DIM_LIMIT}")
             neighbours = poset.covers_below(e) + poset.covers_above(e)
             cells += (dim - dims.get(e, 0)) * sum(dims.get(x, 0) for x in neighbours)
-            if cells > CELL_LIMIT:
-                raise InputTooLarge(line_no, f"module {block.name!r} needs {cells} "
-                                             f"cover-map cells, more than {CELL_LIMIT}")
+            _check_cells(cells, line_no, f"module {block.name!r}", "cover-map cells")
             dims[e] = dim
         elif tokens[0] == "map" and len(tokens) >= 4:
             raw_maps.append((line_no, tokens[1], tokens[2], tokens[3:]))
@@ -230,7 +254,7 @@ def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
             raise ParseError(line_no, f"unknown element in map {a!r} {b!r}")
         if (a, b) not in cover_set:
             raise ParseError(line_no, f"{(a, b)!r} is not a cover")
-        rows = _parse_matrix_tokens(mtokens, line_no)
+        rows = _parse_matrix_tokens(mtokens, line_no, field.p)
         shape = (dims.get(b, 0), dims.get(a, 0))
         maps[(a, b)] = _shape_matrix(rows, shape, line_no,
                                      ";" in " ".join(mtokens))
@@ -242,6 +266,7 @@ def _parse_monoid(block) -> Monoid:
     products = []
     for line_no, tokens, _ in block.lines:
         if tokens[0] == "elem" and len(tokens) == 2:
+            _check_cells((len(names) + 1) ** 3, line_no, f"monoid {block.name!r}")
             names.append(tokens[1])
         elif tokens[0] == "mul" and len(tokens) == 4:
             products.append((line_no, tokens[1], tokens[2], tokens[3]))
@@ -272,6 +297,8 @@ def _parse_act(block, ws: Workspace) -> GAct:
     applications = []
     for line_no, tokens, _ in block.lines:
         if tokens[0] == "point" and len(tokens) == 2:
+            _check_cells(len(mon) ** 2 * (len(points) + 1), line_no,
+                         f"act {block.name!r}")
             points.append(tokens[1])
         elif tokens[0] == "apply" and len(tokens) == 4:
             applications.append((line_no, tokens[1], tokens[2], tokens[3]))
@@ -300,8 +327,7 @@ def _parse_algebra(block, ws: Workspace, default_field: int) -> GradedAlgebra:
     if mon_name is None or mon_name not in ws.monoids:
         raise ValidationError(f"algebra references unknown monoid {mon_name!r}")
     mon = ws.monoids[mon_name]
-    field_text = _header_option(block.header, "field", block.line_no)
-    field = FieldSpec(int(field_text) if field_text else default_field)
+    field = _header_field(block, default_field)
     syms, degs = [], []
     mul_lines = []
     g_index = {g: i for i, g in enumerate(mon.names)}
@@ -309,6 +335,7 @@ def _parse_algebra(block, ws: Workspace, default_field: int) -> GradedAlgebra:
         if tokens[0] == "basis" and len(tokens) == 4 and tokens[2] == "deg":
             if tokens[3] not in g_index:
                 raise ParseError(line_no, f"unknown degree {tokens[3]!r}")
+            _check_cells(2 * (len(syms) + 1) ** 3, line_no, f"algebra {block.name!r}")
             syms.append(tokens[1])
             degs.append(g_index[tokens[3]])
         elif tokens[0] == "mul" and "=" in raw:
@@ -326,7 +353,8 @@ def _parse_algebra(block, ws: Workspace, default_field: int) -> GradedAlgebra:
         _, a, b = parts
         if a not in s_index or b not in s_index:
             raise ParseError(line_no, f"unknown basis symbol in mul")
-        mult[s_index[a], s_index[b]] = _parse_lin_combo(combo, s_index, d, line_no)
+        mult[s_index[a], s_index[b]] = _parse_lin_combo(combo, s_index, d, line_no,
+                                                        field.p)
     unit = _solve_unit(mult, d, field.p, block.line_no)
     return GradedAlgebra(field, mon, syms, degs, mult, unit, name=block.name)
 

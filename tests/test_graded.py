@@ -283,6 +283,20 @@ def test_act_catalog_is_lawful():
     assert len(enumerate_acts(trivial_monoid(), 4)) == 4
 
 
+def test_act_catalog_is_bound_to_its_monoid(field):
+    # the same table under other element names is another monoid, so its
+    # acts must not come from the catalog of the first
+    z2 = cyclic_monoid(2)
+    enumerate_acts(z2, 2)
+    renamed = Monoid(["e", "x"], z2.table, name="Z2'")
+    acts = enumerate_acts(renamed, 2)
+    assert acts and all(act.monoid == renamed for act in acts)
+    alg = monoid_algebra(renamed, field)
+    rng = np.random.default_rng(5)
+    for act in acts:
+        assert validate_functor_module(random_functor_module(alg, act, rng)) is None
+
+
 def test_free_functor_module_spaces(field):
     z2 = cyclic_monoid(2)
     alg = monoid_algebra(z2, field)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gpmod import linalg
 from gpmod.errors import (
     FunctorialityError,
     MismatchedBase,
@@ -26,7 +27,8 @@ from gpmod.modules import (
     summand_inclusions,
     zero_module,
 )
-from gpmod.posets import chain
+from gpmod.linalg import FieldSpec
+from gpmod.posets import chain, grid_poset
 from gpmod.verify import random_poset
 
 
@@ -211,3 +213,61 @@ def test_hom_basis_matches_interval_rule(chain3, field):
     assert hom_space_dim(m, n) == 0
     for f in hom_basis(n, m):
         ModuleMorphism(n, m, f.components)  # naturality revalidated
+
+
+def _check_by_propagation(m):
+    """The functoriality check that ``PersModule`` ran before the local
+    one, kept verbatim as its oracle: from every source, propagate the
+    composite along every cover and compare wherever two routes meet."""
+    poset = m.poset
+    for a in poset.elements:
+        if m.dims[a] == 0:
+            continue
+        reached = {a: linalg.identity(m.dims[a])}
+        for c in poset.elements:
+            if c not in reached:
+                continue
+            base = reached[c]
+            for d in poset.covers_above(c):
+                mat = linalg.matmul(m.cover_maps[(c, d)], base, m.field.p)
+                if d in reached:
+                    if not np.array_equal(reached[d], mat):
+                        raise FunctorialityError(a, d)
+                else:
+                    reached[d] = mat
+
+
+def _is_functorial(check, m):
+    try:
+        check()
+    except FunctorialityError as err:
+        assert m.poset.leq(err.source, err.target)
+        return False
+    return True
+
+
+def test_local_functoriality_check_matches_propagation():
+    """Random cover maps, functorial modules, and functorial modules with
+    one cover map changed, over random posets and small grids."""
+    rng = np.random.default_rng(31)
+    field = FieldSpec(3)
+    grids = [grid_poset([3, 3]), grid_poset([2, 2, 2]), grid_poset([2, 4])]
+    broken = 0
+    for k in range(3000):
+        p = grids[k % 3] if k % 5 == 0 else random_poset(rng, 4, 9)
+        m = random_module(p, 2, field, seed=int(rng.integers(2**32)))
+        maps = dict(m.cover_maps)
+        if k % 3 == 0:
+            changed = p.covers
+        elif k % 3 == 1 and p.covers:
+            changed = [p.covers[int(rng.integers(len(p.covers)))]]
+        else:
+            changed = []
+        for c in changed:
+            maps[c] = rng.integers(0, 3, size=maps[c].shape)
+        m = PersModule(p, field, m.dims, maps, validate=False)
+        local = _is_functorial(m._check_functoriality, m)
+        fresh = PersModule(p, field, m.dims, maps, validate=False)
+        assert local == _is_functorial(lambda: _check_by_propagation(fresh), fresh)
+        broken += not local
+    assert broken >= 100

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gpmod.errors import CycleError, EmptySetError, TooLargeError, UnknownElement
+from gpmod.kan import IndexWindow
 from gpmod.posets import (
+    _bits,
     build_poset,
     chain,
     check_property_m,
@@ -241,3 +243,52 @@ def test_canonical_order_is_topological(diamond, grid33):
     for p in (diamond, grid33):
         for a, b in p.covers:
             assert p.index(a) < p.index(b)
+
+
+def _cover_pairs_by_scan(p, mask):
+    """The scan over every comparable pair that ``cover_pairs_within`` used
+    before the local cover route, kept verbatim as its oracle."""
+    out = []
+    for a in _bits(mask):
+        reach = p._up[a] & mask & ~(1 << a)
+        for b in _bits(reach):
+            if reach & p._down[b] & ~(1 << b) == 0:
+                out.append((p.elements[a], p.elements[b]))
+    return out
+
+
+def test_cover_pairs_within_matches_comparable_pair_scan():
+    rng = np.random.default_rng(12)
+    cases = []
+    for _ in range(2000):
+        n = int(rng.integers(1, 13))
+        ids = [f"v{i}" for i in range(n)]
+        q = float(rng.uniform(0.05, 0.7))
+        rels = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
+                if rng.random() < q]
+        p = build_poset(ids, rels)
+        cases.append((p, int(rng.integers(0, p.full_mask + 1))))
+    for shape in ([6, 6], [4, 5], [3, 3, 3], [2, 3, 2, 2]):
+        g = grid_poset(shape)
+        cases.append((g, g.full_mask))
+        for _ in range(40):
+            c = g.elements[int(rng.integers(len(g)))]
+            k = int(rng.integers(1, len(g) + 1))
+            s = g.subset(rng.choice(g.elements, size=k, replace=False))
+            cases.append((g, IndexWindow(s, c, strict=True).mask()))
+            cases.append((g, IndexWindow(g.whole(), c, strict=False).mask()))
+    for p, mask in cases:
+        assert p.cover_pairs_within(mask) == _cover_pairs_by_scan(p, mask)
+
+
+def test_local_spans_relate_each_top_to_the_first_above_d(diamond):
+    below = diamond.down_mask("d") & ~(1 << diamond.index("d"))
+    assert diamond.local_spans(below) == (["b", "c"], [("a", "b", "c")])
+    # a fan of four tops over one bottom: one span per later top, not one
+    # per pair of tops
+    tops = [f"t{i}" for i in range(4)]
+    p = build_poset(["z", *tops, "b"],
+                    [("z", t) for t in tops] + [(t, "b") for t in tops])
+    below = p.down_mask("b") & ~(1 << p.index("b"))
+    assert p.local_spans(below) == (tops, [("z", "t0", t) for t in tops[1:]])
+    assert p.local_spans(p.subset(tops).mask) == (tops, [])

@@ -7,9 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpmod import cli
-from gpmod.errors import ParseError, TooLargeError, ValidationError
+from gpmod.errors import GpmodError, ParseError, TooLargeError, ValidationError
 from gpmod.graded import regular_act, cyclic_monoid, monoid_algebra
 from gpmod.modules import direct_sum, free_module, random_module
 from gpmod.posets import grid_poset
@@ -158,6 +160,80 @@ space b {dim}
     assert "non-negative integer" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["x", "100", "1", "2147483659"])
+@pytest.mark.parametrize("block", ["module", "algebra"])
+def test_bad_field_names_its_header(block, value):
+    good = MODULE_TEXT if block == "module" else GRADED_TEXT
+    header = "module M over D" if block == "module" else "algebra S over G"
+    text = good.replace(f"{header} field 101", f"{header} field {value}")
+    line_no = text.splitlines().index(f"{header} field {value}") + 1
+    with pytest.raises(ParseError) as err:
+        parse_text(text, stem="f")
+    assert err.value.line_no == line_no
+    assert "field must be a prime" in str(err.value)
+
+
+def test_unknown_relation_element_names_its_line():
+    text = POSET_TEXT.replace("rel b d", "rel b e")
+    with pytest.raises(ParseError) as err:
+        parse_text(text, stem="f")
+    assert err.value.line_no == text.splitlines().index("rel b e") + 1
+    assert "'e'" in str(err.value)
+
+
+def test_cyclic_relations_name_the_poset_header():
+    text = POSET_TEXT + "rel d a\n"
+    with pytest.raises(ParseError) as err:
+        parse_text(text, stem="f")
+    assert err.value.line_no == text.splitlines().index("poset D") + 1
+    assert "cyclic" in str(err.value)
+
+
+# tokens the fuzz may insert besides those of the file itself
+HOSTILE_TOKENS = ["x", "0", "-1", "2", "100", str(2**70), "[", "]", ";", "=", "+",
+                  "[1", "2]", "over", "field", "deg", "elem", "rel", "mul", "poset",
+                  "module", "monoid", "act", "algebra", "#"]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.data())
+def test_parse_text_fuzz_raises_only_gpmod_errors(data):
+    """Mutated copies of a valid five-block file: swapped, inserted and
+    deleted tokens and duplicated lines.  Parsing may fail, but only with
+    a GpmodError."""
+    text = MODULE_TEXT + GRADED_TEXT
+    lines = [line.split() for line in text.splitlines() if line and line[0] != "#"]
+    vocab = sorted({tok for line in lines for tok in line}) + HOSTILE_TOKENS
+    spot = st.sampled_from(range(len(lines)))
+    for _ in range(data.draw(st.integers(1, 6))):
+        op = data.draw(st.sampled_from(["swap", "insert", "delete", "duplicate"]))
+        line = lines[data.draw(spot)]
+        if op == "duplicate":
+            lines.insert(data.draw(spot), list(line))
+        elif op == "insert":
+            line.insert(data.draw(st.integers(0, len(line))),
+                        data.draw(st.sampled_from(vocab)))
+        elif line:
+            j = data.draw(st.integers(0, len(line) - 1))
+            if op == "delete":
+                del line[j]
+            else:
+                other = lines[data.draw(spot)] or line
+                k = data.draw(st.integers(0, len(other) - 1))
+                line[j], other[k] = other[k], line[j]
+    try:
+        parse_text("\n".join(" ".join(line) for line in lines), stem="fuzz")
+    except GpmodError:
+        pass
+
+
+def _cyclic_monoid_text(n):
+    names = [f"g{i}" for i in range(n)]
+    return ("monoid G\n" + "".join(f"elem {g}\n" for g in names)
+            + "".join(f"mul {names[i]} {names[j]} {names[(i + j) % n]}\n"
+                      for i in range(n) for j in range(n)))
+
+
 def _oversized_case(kind):
     """A workspace text past one parse-time guard, and the line it names."""
     if kind == "dimension":
@@ -172,11 +248,30 @@ def _oversized_case(kind):
                 f"module M over P field 101\nspace a {dim}\nspace c {dim}\n"
                 f"space b {dim}\n")
         return text, 10
+    if kind == "monoid":
+        # validation builds the n**3 products t[t]: 257**3 > 2**24 >= 256**3
+        assert 256 ** 3 <= CELL_LIMIT < 257 ** 3
+        return "monoid G\n" + "".join(f"elem g{i}\n" for i in range(257)), 258
+    if kind == "act":
+        # |G|**2 * |A| cells over a group of order 64 pass 2**24 at point 4097
+        assert 64 ** 2 * 4096 <= CELL_LIMIT < 64 ** 2 * 4097
+        text = _cyclic_monoid_text(64) + "act A over G\n"
+        header = text.count("\n")
+        return text + "".join(f"point p{i}\n" for i in range(4097)), header + 4097
+    if kind == "algebra":
+        # the unit system has 2 * d**3 cells: 2 * 204**3 > 2**24 >= 2 * 203**3
+        assert 2 * 203 ** 3 <= CELL_LIMIT < 2 * 204 ** 3
+        text = ("monoid G\nelem 1\nmul 1 1 1\nalgebra S over G field 101\n"
+                + "".join(f"basis u{i} deg 1\n" for i in range(204)))
+        return text, 4 + 204
     elems = "".join(f"elem e{i}\n" for i in range(POSET_SIZE_LIMIT + 1))
     return "poset P\n" + elems, POSET_SIZE_LIMIT + 2
 
 
-@pytest.mark.parametrize("kind", ["dimension", "cells", "poset"])
+OVERSIZED_KINDS = ["dimension", "cells", "poset", "monoid", "act", "algebra"]
+
+
+@pytest.mark.parametrize("kind", OVERSIZED_KINDS)
 def test_oversized_input_is_refused_at_its_line(kind, monkeypatch):
     text, line_no = _oversized_case(kind)
 
@@ -196,7 +291,7 @@ def test_oversized_input_is_refused_at_its_line(kind, monkeypatch):
     assert str(err.value).startswith(f"line {line_no}: ")
 
 
-@pytest.mark.parametrize("kind", ["dimension", "cells", "poset"])
+@pytest.mark.parametrize("kind", OVERSIZED_KINDS)
 def test_cli_oversized_input_exits_2(kind, tmp_path):
     text, line_no = _oversized_case(kind)
     f = tmp_path / "big.gpm"
