@@ -180,21 +180,6 @@ class PreorderRelation:
     def is_antisymmetric(self) -> bool:
         return not any(a != b and (b, a) in self.pairs for a, b in self.pairs)
 
-    def quotient_to_poset(self):
-        """Collapse mutual-leq classes; returns (poset, point -> class id)."""
-        classes = {}
-        for a in self.elements:
-            cls = tuple(sorted(b for b in self.elements
-                               if self.leq(a, b) and self.leq(b, a)))
-            classes[a] = cls
-        reps = sorted(set(classes.values()))
-        class_id = {cls: "|".join(cls) for cls in reps}
-        rels = []
-        for a, b in self.pairs:
-            rels.append((class_id[classes[a]], class_id[classes[b]]))
-        poset = build_poset([class_id[c] for c in reps], rels, name="act-order")
-        return poset, {a: class_id[classes[a]] for a in self.elements}
-
 
 def act_preorder(act: GAct) -> PreorderRelation:
     """a <= b when some monoid element moves a to b."""
@@ -333,7 +318,8 @@ def _trilinear(x: np.ndarray, y: np.ndarray, table: np.ndarray, p: int) -> np.nd
     """sum_{i,j} x_i y_j table[i,j,:] mod p, intermediate sums kept exact."""
     outer = np.mod(np.asarray(x, dtype=np.int64)[:, None]
                    * np.asarray(y, dtype=np.int64)[None, :], p)
-    return linalg.matmul(outer.reshape(1, -1), table.reshape(outer.size, -1), p)[0]
+    return linalg.matmul(outer.reshape(1, -1),
+                         table.reshape(outer.size, table.shape[2]), p)[0]
 
 
 class GradedAlgebra:
@@ -990,7 +976,7 @@ def pers_from_functor_module(f: FunctorModule, field: FieldSpec | None = None,
     pre = act_preorder(act)
     if not pre.is_antisymmetric():
         raise ValidationError("act preorder is not antisymmetric")
-    poset, _ = pre.quotient_to_poset()
+    poset = build_poset(act.points, pre.pairs, name="act-order")
     dims = {act.points[a]: f.spaces[a] for a in range(len(act))}
     maps = {}
     for a_name, b_name in poset.covers:

@@ -22,7 +22,9 @@ from .errors import (
 )
 
 HAT_SIZE_LIMIT = 20
-GRID_SIZE_LIMIT = 10**5
+# Each element holds two n-bit masks: about 25 MB in all at 10**4 elements,
+# 2.5 GB at 10**5.
+POSET_SIZE_LIMIT = 10**4
 
 
 def _bits(mask: int):
@@ -44,39 +46,18 @@ class Poset:
             ``elements``.
     """
 
-    __slots__ = ("elements", "covers", "topo_rank", "name", "grid_shape",
+    __slots__ = ("elements", "covers", "topo_rank", "name",
                  "_index", "_up", "_down", "_covers_above", "_covers_below")
 
-    def __init__(self, elements, up_masks, name="poset", grid_shape=None):
-        # Internal constructor: ``up_masks[i]`` is the reachability bitmask
-        # of elements[i] in the *given* element order.  Use build_poset().
-        n = len(elements)
-        # Longest-chain rank in one pass over a linear extension: a < b
-        # makes up(b) a proper subset of up(a), so sort by up-set size.
-        rank = [0] * n
-        for i in sorted(range(n), key=lambda i: -up_masks[i].bit_count()):
-            above = rank[i] + 1
-            for j in _bits(up_masks[i] & ~(1 << i)):
-                if rank[j] < above:
-                    rank[j] = above
-        order = sorted(range(n), key=lambda i: (rank[i], elements[i]))
-        pos = {old: new for new, old in enumerate(order)}
-        self.elements = tuple(elements[i] for i in order)
-        self.topo_rank = tuple(rank[i] for i in order)
+    def __init__(self, elements, topo_rank, up, down, name="poset"):
+        # Internal constructor: everything is given in canonical order, with
+        # ``up[i]``/``down[i]`` the reachability bitmasks of elements[i].
+        # Use build_poset().
+        self.elements = tuple(elements)
+        self.topo_rank = tuple(topo_rank)
         self.name = name
-        self.grid_shape = grid_shape
         self._index = {e: i for i, e in enumerate(self.elements)}
-        up = [0] * n
-        for old in range(n):
-            m = 0
-            for j in _bits(up_masks[old]):
-                m |= 1 << pos[j]
-            up[pos[old]] = m
         self._up = tuple(up)
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
         self._down = tuple(down)
         self.covers = tuple(self.cover_pairs_within(self.full_mask))
         above = {e: [] for e in self.elements}
@@ -111,9 +92,6 @@ class Poset:
 
     def lt(self, a: str, b: str) -> bool:
         return a != b and self.leq(a, b)
-
-    def comparable(self, a: str, b: str) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
 
     def down_mask(self, e: str) -> int:
         return self._down[self.index(e)]
@@ -175,10 +153,13 @@ class Poset:
         """The maximal elements ``tops`` of the subset mask, and its spans
         (d, t0, t): d maximal in mask & down(t1) & down(t2) for two tops,
         t0 the first top above d and t each later one.  A diagram on mask
-        is its values at the tops glued along the spans (``kan.window_ranks``)."""
+        is its values at the tops glued along the spans (``kan.window_ranks``).
+        Only tops with something strictly below them in mask can share a d:
+        a common lower bound of two distinct tops lies strictly below each."""
         names, down = self.elements, self._down
         tops = list(_bits(self.maximal_of_mask(mask)))
-        common = {d for k, t1 in enumerate(tops) for t2 in tops[k + 1:]
+        low = [t for t in tops if mask & down[t] & ~(1 << t)]
+        common = {d for k, t1 in enumerate(low) for t2 in low[k + 1:]
                   for d in _bits(self.maximal_of_mask(mask & down[t1] & down[t2]))}
         spans = []
         for d in sorted(common):
@@ -260,37 +241,55 @@ def build_poset(elements, relations, name="poset") -> Poset:
         raise ValidationError("duplicate element identifiers")
     index = {e: i for i, e in enumerate(ids)}
     n = len(ids)
-    adj = [set() for _ in range(n)]
+    succ = [set() for _ in range(n)]
     for a, b in relations:
         if a not in index:
             raise UnknownElement(f"relation references unknown element {a!r}")
         if b not in index:
             raise UnknownElement(f"relation references unknown element {b!r}")
         if a != b:
-            adj[index[a]].add(index[b])
+            succ[index[a]].add(index[b])
     indeg = [0] * n
     for i in range(n):
-        for j in adj[i]:
+        for j in succ[i]:
             indeg[j] += 1
+    # Kahn's pass also takes the longest-chain rank: a longest chain is a
+    # chain of covers, and every cover is an input pair.
+    rank = [0] * n
     queue = [i for i in range(n) if indeg[i] == 0]
-    topo = []
+    done = 0
     while queue:
         i = queue.pop()
-        topo.append(i)
-        for j in adj[i]:
+        done += 1
+        for j in succ[i]:
+            rank[j] = max(rank[j], rank[i] + 1)
             indeg[j] -= 1
             if indeg[j] == 0:
                 queue.append(j)
-    if len(topo) != n:
+    if done != n:
         cyclic = [ids[i] for i in range(n) if indeg[i] > 0]
         raise CycleError(f"relation closure is cyclic through {cyclic[:4]}")
+    # The canonical order (rank, id) is a linear extension, so up-sets close
+    # over successors from the last element back and down-sets over
+    # predecessors from the first on, both in canonical indices.
+    order = sorted(range(n), key=lambda i: (rank[i], ids[i]))
+    pos = {old: new for new, old in enumerate(order)}
     up = [0] * n
-    for i in reversed(topo):
+    pred = [[] for _ in range(n)]
+    for i in reversed(range(n)):
         m = 1 << i
-        for j in adj[i]:
-            m |= up[j]
+        for j in succ[order[i]]:
+            m |= up[pos[j]]
+            pred[pos[j]].append(i)
         up[i] = m
-    return Poset(ids, up, name=name)
+    down = [0] * n
+    for i in range(n):
+        m = 1 << i
+        for j in pred[i]:
+            m |= down[j]
+        down[i] = m
+    return Poset([ids[i] for i in order], [rank[i] for i in order], up, down,
+                 name=name)
 
 
 def up_set(p: Poset, s) -> ElementSet:
@@ -447,6 +446,17 @@ def grid_coord(e: str) -> tuple[int, ...]:
     return tuple(int(t) for t in e.strip("()").split(","))
 
 
+def _grid_covers(dims) -> tuple[list[str], list[tuple[str, str]]]:
+    """Ids of the grid of the given shape in lexicographic coordinate order,
+    and its covers: each element with its successor along every axis."""
+    coords = list(itertools.product(*(range(d) for d in dims)))
+    ids = [grid_id(c) for c in coords]
+    strides = [math.prod(dims[axis + 1:]) for axis in range(len(dims))]
+    pairs = [(ids[i], ids[i + stride]) for i, c in enumerate(coords)
+             for axis, stride in enumerate(strides) if c[axis] + 1 < dims[axis]]
+    return ids, pairs
+
+
 def grid_poset(dims) -> Poset:
     """Product of chains with the componentwise order.
 
@@ -456,22 +466,10 @@ def grid_poset(dims) -> Poset:
     if not dims or any(d < 1 for d in dims):
         raise ValidationError("grid dimensions must be positive")
     total = math.prod(dims)
-    if total > GRID_SIZE_LIMIT:
-        raise TooLargeError(f"grid size {total} exceeds {GRID_SIZE_LIMIT}")
-    # Coordinates in lexicographic order, so the successor of index i along
-    # an axis is i + stride; up-sets are built from the last element back.
-    coords = list(itertools.product(*(range(d) for d in dims)))
-    strides = [total // math.prod(dims[:axis + 1]) for axis in range(len(dims))]
-    up = [0] * total
-    for i in reversed(range(total)):
-        mask = 1 << i
-        for axis, stride in enumerate(strides):
-            if coords[i][axis] + 1 < dims[axis]:
-                mask |= up[i + stride]
-        up[i] = mask
-    return Poset([grid_id(c) for c in coords], up,
-                 name="grid" + "x".join(str(d) for d in dims),
-                 grid_shape=tuple(dims))
+    if total > POSET_SIZE_LIMIT:
+        raise TooLargeError(f"grid size {total} exceeds {POSET_SIZE_LIMIT}")
+    ids, pairs = _grid_covers(dims)
+    return build_poset(ids, pairs, name="grid" + "x".join(str(d) for d in dims))
 
 
 def chain(n: int) -> Poset:
@@ -485,8 +483,6 @@ def chain(n: int) -> Poset:
 
 def as_grid_shape(p: Poset) -> tuple[int, ...] | None:
     """Recognize a grid poset structurally; returns its shape or None."""
-    if p.grid_shape is not None:
-        return p.grid_shape
     try:
         coords = [grid_coord(e) for e in p.elements]
     except (ValueError, AttributeError):
@@ -497,12 +493,8 @@ def as_grid_shape(p: Poset) -> tuple[int, ...] | None:
     if any(len(c) != arity or any(x < 0 for x in c) for c in coords):
         return None
     dims = tuple(max(c[a] for c in coords) + 1 for a in range(arity))
-    total = 1
-    for d in dims:
-        total *= d
-    if total != len(p.elements) or len(set(coords)) != len(coords):
+    if math.prod(dims) != len(p.elements) or len(set(coords)) != len(coords):
         return None
-    reference = grid_poset(dims)
-    if set(p.covers) != set(reference.covers):
+    if set(p.covers) != set(_grid_covers(dims)[1]):
         return None
     return dims

@@ -24,22 +24,20 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (CycleError, InputTooLarge, ParseError, UnknownElement,
-                     ValidationError)
+from .errors import GpmodError, InputTooLarge, ParseError, UnknownElement
 from .graded import GAct, GradedAlgebra, Monoid
 from .linalg import FieldSpec, NoSolution, solve, zeros
 from .modules import PersModule
-from .posets import Poset, build_poset
+from .posets import POSET_SIZE_LIMIT, Poset, build_poset
 
 BLOCK_KINDS = ("poset", "module", "monoid", "act", "algebra")
 
 # Parse-time size guards, checked line by line before anything is
-# allocated: elements of one poset (each holds two n-bit masks), the
+# allocated: elements of one poset (``posets.POSET_SIZE_LIMIT``), the
 # dimension at one element (validation builds its identity matrix), and
 # the cells of one module's cover maps together.  CELL_LIMIT also bounds
 # the n**3 cells of a monoid's associativity check, the |G|**2 * |A| of an
 # act's and the 2 * d**3 of an algebra's unit system.
-POSET_SIZE_LIMIT = 10**4
 DIM_LIMIT = 4096
 CELL_LIMIT = 2**24
 
@@ -183,6 +181,18 @@ def _header_field(block, default_field: int) -> FieldSpec:
                                         f"got {text!r}") from None
 
 
+def _over(block, table: dict, kind: str):
+    """The block's ``over`` target, looked up in table; a missing or unknown
+    target is a ParseError at the header line."""
+    name = _header_option(block.header, "over", block.line_no)
+    if name is None:
+        raise ParseError(block.line_no, f"{block.kind} needs 'over <{kind}>'")
+    if name not in table:
+        raise ParseError(block.line_no,
+                         f"{block.kind} references unknown {kind} {name!r}")
+    return table[name]
+
+
 def _check_cells(cells: int, line_no: int, owner: str, noun: str = "cells"):
     if cells > CELL_LIMIT:
         raise InputTooLarge(line_no, f"{owner} needs {cells} {noun}, more than "
@@ -206,20 +216,12 @@ def _parse_poset(block) -> Poset:
         for x in (a, b):
             if x not in known:
                 raise ParseError(line_no, f"relation references unknown element {x!r}")
-    try:
-        return build_poset(elements, [(a, b) for _, a, b in relations],
-                           name=block.name)
-    except (ValidationError, CycleError) as exc:
-        raise ParseError(block.line_no, str(exc)) from exc
+    return build_poset(elements, [(a, b) for _, a, b in relations],
+                       name=block.name)
 
 
 def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
-    poset_name = _header_option(block.header, "over", block.line_no)
-    if poset_name is None:
-        raise ParseError(block.line_no, "module needs 'over <poset>'")
-    if poset_name not in ws.posets:
-        raise ValidationError(f"module references unknown poset {poset_name!r}")
-    poset = ws.posets[poset_name]
+    poset = _over(block, ws.posets, "poset")
     field = _header_field(block, default_field)
     dims = {}
     cells = 0  # sum of dims[a] * dims[b] over the covers a < b
@@ -289,10 +291,7 @@ def _parse_monoid(block) -> Monoid:
 
 
 def _parse_act(block, ws: Workspace) -> GAct:
-    mon_name = _header_option(block.header, "over", block.line_no)
-    if mon_name is None or mon_name not in ws.monoids:
-        raise ValidationError(f"act references unknown monoid {mon_name!r}")
-    mon = ws.monoids[mon_name]
+    mon = _over(block, ws.monoids, "monoid")
     points = []
     applications = []
     for line_no, tokens, _ in block.lines:
@@ -323,10 +322,7 @@ def _parse_act(block, ws: Workspace) -> GAct:
 
 
 def _parse_algebra(block, ws: Workspace, default_field: int) -> GradedAlgebra:
-    mon_name = _header_option(block.header, "over", block.line_no)
-    if mon_name is None or mon_name not in ws.monoids:
-        raise ValidationError(f"algebra references unknown monoid {mon_name!r}")
-    mon = ws.monoids[mon_name]
+    mon = _over(block, ws.monoids, "monoid")
     field = _header_field(block, default_field)
     syms, degs = [], []
     mul_lines = []
@@ -381,18 +377,26 @@ def _solve_unit(mult: np.ndarray, d: int, p: int, line_no: int) -> np.ndarray:
 
 def parse_text(text: str, stem: str = "ws", workspace: Workspace | None = None,
                default_field: int = 101) -> Workspace:
+    """Parse every block into the workspace.  Any failure is a ParseError:
+    one raised while a block is built (a cycle, an axiom, functoriality)
+    names the block's header line."""
     ws = workspace if workspace is not None else Workspace()
     for block in _split_blocks(text, stem):
-        if block.kind == "poset":
-            ws.posets[block.name] = _parse_poset(block)
-        elif block.kind == "module":
-            ws.modules[block.name] = _parse_module(block, ws, default_field)
-        elif block.kind == "monoid":
-            ws.monoids[block.name] = _parse_monoid(block)
-        elif block.kind == "act":
-            ws.acts[block.name] = _parse_act(block, ws)
-        elif block.kind == "algebra":
-            ws.algebras[block.name] = _parse_algebra(block, ws, default_field)
+        try:
+            if block.kind == "poset":
+                ws.posets[block.name] = _parse_poset(block)
+            elif block.kind == "module":
+                ws.modules[block.name] = _parse_module(block, ws, default_field)
+            elif block.kind == "monoid":
+                ws.monoids[block.name] = _parse_monoid(block)
+            elif block.kind == "act":
+                ws.acts[block.name] = _parse_act(block, ws)
+            elif block.kind == "algebra":
+                ws.algebras[block.name] = _parse_algebra(block, ws, default_field)
+        except ParseError:
+            raise
+        except GpmodError as exc:
+            raise ParseError(block.line_no, str(exc)) from exc
     return ws
 
 

@@ -1,4 +1,5 @@
-"""linalg against sympy's DomainMatrix over GF(p), an independent exact route.
+"""linalg and graded._trilinear against sympy's DomainMatrix over GF(p), an
+independent exact route.
 
 At p = 2**31 - 1 every product of two entries is just below 2**62, so
 ``matmul`` adds one inner index per chunk and the ``rref`` row updates
@@ -13,6 +14,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from gpmod import linalg
+from gpmod.graded import _trilinear
 from gpmod.errors import NoSolution
 
 PRIMES = [101, 2**31 - 1]
@@ -124,6 +126,29 @@ def test_matmul_matches_sympy(p):
         assert got.shape == (n, m)
         if n and k and m:
             assert np.array_equal(got, _np(_dm(a, p) * _dm(b, p)))
+        else:
+            assert not np.any(got)
+
+    check()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_trilinear_matches_sympy(p):
+    """sum_{i,j} x_i y_j table[i,j,k] is the bilinear form x^T table[:,:,k] y
+    at each k: one DomainMatrix product per output coordinate."""
+    @oracle
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+    def check(a, b, c, data):
+        x = data.draw(_matrices(p, rows=st.just(1), cols=st.just(a)))
+        y = data.draw(_matrices(p, rows=st.just(b), cols=st.just(1)))
+        slices = [data.draw(_matrices(p, rows=st.just(a), cols=st.just(b)))
+                  for _ in range(c)]
+        table = np.stack(slices, axis=2) if c else np.zeros((a, b, 0), np.int64)
+        got = _trilinear(x[0], y[:, 0], table, p)
+        assert got.shape == (c,)
+        if a and b:
+            want = [_np(_dm(x, p) * _dm(t, p) * _dm(y, p))[0, 0] for t in slices]
+            assert got.tolist() == want
         else:
             assert not np.any(got)
 

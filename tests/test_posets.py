@@ -6,11 +6,14 @@ import pytest
 from gpmod.errors import CycleError, EmptySetError, TooLargeError, UnknownElement
 from gpmod.kan import IndexWindow
 from gpmod.posets import (
+    POSET_SIZE_LIMIT,
     _bits,
+    as_grid_shape,
     build_poset,
     chain,
     check_property_m,
     down_set,
+    grid_coord,
     grid_poset,
     hat,
     is_connected,
@@ -105,8 +108,49 @@ def test_grid_poset():
     g = grid_poset([3, 3])
     assert len(g) == 9 and len(g.covers) == 12
     assert chain(1).elements == ("0",)
+    # the one poset size limit, at its boundary
+    assert POSET_SIZE_LIMIT == 100 * 100
+    assert len(grid_poset([100, 100])) == POSET_SIZE_LIMIT
+    with pytest.raises(TooLargeError):
+        grid_poset([100, 101])
     with pytest.raises(TooLargeError):
         grid_poset([1000, 1000])
+
+
+GRID_SHAPES = [(a, b) for a in range(2, 7) for b in range(2, 7)] + [(3, 3, 3),
+                                                                     (2, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_grid_poset_matches_build_over_all_componentwise_pairs(shape):
+    g = grid_poset(shape)
+    coords = list(itertools.product(*(range(d) for d in shape)))
+    ids = [f"({','.join(map(str, c))})" for c in coords]
+    rels = [(ids[i], ids[j]) for i, a in enumerate(coords)
+            for j, b in enumerate(coords) if all(x <= y for x, y in zip(a, b))]
+    p = build_poset(ids, rels)
+    assert g.elements == p.elements
+    assert g.topo_rank == p.topo_rank
+    assert g.topo_rank == tuple(sum(grid_coord(e)) for e in g.elements)
+    assert g._up == p._up and g._down == p._down
+    assert g.covers == p.covers
+    assert len(g.covers) == sum(len(coords) // d * (d - 1) for d in shape)
+
+
+def test_as_grid_shape_recognizes_grids_and_their_round_trip():
+    from gpmod.textio import parse_text, serialize_poset
+
+    for shape in [(1,), (4,), (3, 3), (2, 5), (3, 3, 3), (2, 3, 2, 2)]:
+        g = grid_poset(shape)
+        assert as_grid_shape(g) == shape
+        parsed = parse_text(serialize_poset(g, "G")).posets["G"]
+        assert parsed == g and as_grid_shape(parsed) == shape
+    g = grid_poset((3, 4))
+    for dropped in g.covers:
+        rels = [c for c in g.covers if c != dropped]
+        assert as_grid_shape(build_poset(g.elements, rels)) is None
+    assert as_grid_shape(chain(3)) is None
+    assert as_grid_shape(build_poset(["(0,0)", "(1,1)"], [("(0,0)", "(1,1)")])) is None
 
 
 def test_grid_mub_is_componentwise_max(grid33):
@@ -292,3 +336,36 @@ def test_local_spans_relate_each_top_to_the_first_above_d(diamond):
     below = p.down_mask("b") & ~(1 << p.index("b"))
     assert p.local_spans(below) == (tops, [("z", "t0", t) for t in tops[1:]])
     assert p.local_spans(p.subset(tops).mask) == (tops, [])
+
+
+def test_local_spans_scan_only_tops_with_something_below(monkeypatch, field):
+    # K_m,m: every lower element below every upper one.  Below an upper
+    # element the tops are the m lower ones, none with anything under it,
+    # so no pair of tops is scanned: one maximal_of_mask call per
+    # local_spans call, also through the functoriality check
+    from gpmod.linalg import identity
+    from gpmod.modules import PersModule
+    from gpmod.posets import Poset
+
+    m = 12
+    lower, upper = [f"a{i}" for i in range(m)], [f"b{i}" for i in range(m)]
+    p = build_poset(lower + upper, [(a, b) for a in lower for b in upper])
+    calls = {"local_spans": 0, "maximal_of_mask": 0}
+
+    def counted(name):
+        real = getattr(Poset, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Poset, name, counted(name))
+    for b in upper:
+        assert p.local_spans(p.down_mask(b) & ~(1 << p.index(b))) == (sorted(lower), [])
+    assert calls == {"local_spans": m, "maximal_of_mask": m}
+    PersModule(p, field, {e: 1 for e in p.elements},
+               {c: identity(1) for c in p.covers}, validate=True)
+    assert calls["local_spans"] == 3 * m
+    assert calls["maximal_of_mask"] == calls["local_spans"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmod import cli
-from gpmod.errors import GpmodError, ParseError, TooLargeError, ValidationError
+from gpmod.errors import ParseError, TooLargeError
 from gpmod.graded import regular_act, cyclic_monoid, monoid_algebra
 from gpmod.modules import direct_sum, free_module, random_module
 from gpmod.posets import grid_poset
@@ -99,8 +99,39 @@ def test_parse_module_bad_shape():
 
 
 def test_parse_module_unknown_poset():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError) as err:
         parse_text("module M over NOPE field 5\nspace a 1", stem="f")
+    assert err.value.line_no == 1
+    assert "unknown poset 'NOPE'" in str(err.value)
+
+
+# (block header, valid line, broken line): an unknown or missing ``over``
+# target, and blocks that parse but fail their axioms or functoriality
+BROKEN_BLOCKS = {
+    "act-unknown-monoid": ("act A over H", "act A over G", "act A over H"),
+    "act-without-over": ("act A", "act A over G", "act A"),
+    "algebra-unknown-monoid": ("algebra S over H field 101",
+                               "algebra S over G field 101",
+                               "algebra S over H field 101"),
+    "module-without-over": ("module M field 101", "module M over D field 101",
+                            "module M field 101"),
+    "monoid": ("monoid G", "mul g 1 g", "mul g 1 1"),
+    "act": ("act A over G", "apply g y x", "apply g y y"),
+    "algebra": ("algebra S over G field 101", "mul v v = u", "mul v v = v"),
+    "module": ("module M over D field 101", "map c d [1]",
+               "map c d [2]\nspace a 1\nmap a b [1]\nmap a c [1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_BLOCKS))
+def test_block_failures_name_their_header(case):
+    header, good, bad = BROKEN_BLOCKS[case]
+    text = (MODULE_TEXT + GRADED_TEXT).replace(good, bad)
+    assert text != MODULE_TEXT + GRADED_TEXT
+    with pytest.raises(ParseError) as err:
+        parse_text(text, stem="f")
+    assert err.value.line_no == text.splitlines().index(header) + 1
+    assert str(err.value).startswith(f"line {err.value.line_no}: ")
 
 
 def test_parse_matrix_flat_and_rows():
@@ -200,7 +231,7 @@ HOSTILE_TOKENS = ["x", "0", "-1", "2", "100", str(2**70), "[", "]", ";", "=", "+
 def test_parse_text_fuzz_raises_only_gpmod_errors(data):
     """Mutated copies of a valid five-block file: swapped, inserted and
     deleted tokens and duplicated lines.  Parsing may fail, but only with
-    a GpmodError."""
+    a ParseError that names a line."""
     text = MODULE_TEXT + GRADED_TEXT
     lines = [line.split() for line in text.splitlines() if line and line[0] != "#"]
     vocab = sorted({tok for line in lines for tok in line}) + HOSTILE_TOKENS
@@ -223,8 +254,8 @@ def test_parse_text_fuzz_raises_only_gpmod_errors(data):
                 line[j], other[k] = other[k], line[j]
     try:
         parse_text("\n".join(" ".join(line) for line in lines), stem="fuzz")
-    except GpmodError:
-        pass
+    except ParseError as err:
+        assert err.line_no >= 1
 
 
 def _cyclic_monoid_text(n):
