@@ -9,9 +9,13 @@ Three data layouts carry the same mathematics on finite instances:
 * SmashModule: one total-space matrix per basis element of the smash
   product, a module over a ring without identity.
 
-phi/psi convert between the first two and gamma/lambda_functor between the
-first and third; all four are data transformations whose round trips are
-exact identities, which the validators and test suites check exhaustively.
+The last two keep their matrices as one reduced int64 array of shape
+(count, n, n), which the validators read directly.  phi/psi convert between
+the first two and gamma/lambda_functor between the first and third; all
+four are data transformations whose round trips are exact identities,
+which the validators and test suites check exhaustively.  Random functor
+modules are quotients of one free module on a list of points
+(free_functor_module).
 """
 
 from __future__ import annotations
@@ -263,10 +267,16 @@ def _first(mask: np.ndarray):
     return np.unravel_index(flat[0], mask.shape) if flat.size else None
 
 
-def _stack(mats, n: int) -> np.ndarray:
-    """The n x n matrices as one (count, n, n) array, also when there are none."""
-    mats = list(mats)
-    return np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
+def _action_array(action, shape, p: int, what: str) -> np.ndarray:
+    """The action matrices as one int64 array reduced mod p, of the given
+    (count, n, n) shape."""
+    try:
+        mats = np.mod(np.asarray(action, dtype=np.int64), p)
+    except ValueError as exc:  # ragged matrices
+        raise ValidationError(f"{what} must have shape {shape}") from exc
+    if mats.shape != shape:
+        raise ValidationError(f"{what} has shape {mats.shape}, expected {shape}")
+    return mats
 
 
 def _owner(components) -> np.ndarray:
@@ -331,11 +341,10 @@ class GradedAlgebra:
     one so that graded free modules have a well-placed generator.
     """
 
-    __slots__ = ("field", "monoid", "syms", "degs", "mult", "unit",
-                 "is_monoid_algebra", "name")
+    __slots__ = ("field", "monoid", "syms", "degs", "mult", "unit", "name")
 
     def __init__(self, field: FieldSpec, monoid: Monoid, syms, degs, mult,
-                 unit, *, name="S", is_monoid_algebra=False, validate=True):
+                 unit, *, name="S", validate=True):
         self.field = field
         self.monoid = monoid
         self.syms = tuple(syms)
@@ -343,7 +352,6 @@ class GradedAlgebra:
         d = len(self.syms)
         self.mult = np.mod(np.asarray(mult, dtype=np.int64), field.p)
         self.unit = np.mod(np.asarray(unit, dtype=np.int64), field.p)
-        self.is_monoid_algebra = is_monoid_algebra
         self.name = name
         if self.mult.shape != (d, d, d) or self.unit.shape != (d,):
             raise ValidationError("structure constant shapes are wrong")
@@ -357,6 +365,17 @@ class GradedAlgebra:
     @property
     def dim(self) -> int:
         return len(self.syms)
+
+    @property
+    def is_monoid_algebra(self) -> bool:
+        """Whether this is the monoid algebra k[G]: basis element i has
+        degree i, with the structure constants and unit of
+        ``monoid_algebra``."""
+        if self.degs != tuple(range(len(self.monoid))):
+            return False
+        ref = monoid_algebra(self.monoid, self.field)
+        return (np.array_equal(self.mult, ref.mult)
+                and np.array_equal(self.unit, ref.unit))
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _trilinear(x, y, self.mult, self.field.p)
@@ -402,8 +421,7 @@ def monoid_algebra(mon: Monoid, field: FieldSpec) -> GradedAlgebra:
     unit = np.zeros(n, dtype=np.int64)
     unit[mon.unit] = 1
     return GradedAlgebra(field, mon, mon.names, list(range(n)), mult, unit,
-                         name=f"k[{mon.name}]", is_monoid_algebra=True,
-                         validate=False)
+                         name=f"k[{mon.name}]", validate=False)
 
 
 def dual_numbers_algebra(field: FieldSpec) -> GradedAlgebra:
@@ -498,7 +516,7 @@ def validate_functor_module(f: FunctorModule):
     failing column names the point."""
     alg, points = f.algebra, f.act.points
     p = alg.field.p
-    mats = _stack(phi(f).action, f.total_dim)
+    mats = phi(f).action
     owner = _owner(f.spaces)
     unit = _combine(alg.unit, mats, p) != linalg.identity(f.total_dim)
     bad = _first(unit.any(axis=0))
@@ -512,8 +530,8 @@ def validate_functor_module(f: FunctorModule):
 
 
 class GradedModule:
-    """One total-space matrix per algebra basis element; the grading is the
-    block-support condition linking point components."""
+    """One total-space matrix per algebra basis element, ``action[i]``; the
+    grading is the block-support condition linking point components."""
 
     __slots__ = ("algebra", "act", "components", "offsets", "action")
 
@@ -526,15 +544,8 @@ class GradedModule:
         self.components = tuple(int(c) for c in components)
         self.offsets = tuple(itertools.accumulate(self.components, initial=0))[:-1]
         total = sum(self.components)
-        p = algebra.field.p
-        mats = []
-        for i in range(algebra.dim):
-            m = np.mod(np.asarray(action[i], dtype=np.int64), p)
-            if m.shape != (total, total):
-                raise ValidationError(f"action of {algebra.syms[i]} must be "
-                                      f"{total}x{total}")
-            mats.append(m)
-        self.action = tuple(mats)
+        self.action = _action_array(action, (algebra.dim, total, total),
+                                    algebra.field.p, "graded action")
         if validate:
             bad = validate_graded_module(self)
             if bad is not None:
@@ -552,8 +563,7 @@ class GradedModule:
     def __eq__(self, other):
         return (isinstance(other, GradedModule) and self.algebra == other.algebra
                 and self.act == other.act and self.components == other.components
-                and all(np.array_equal(a, b)
-                        for a, b in zip(self.action, other.action)))
+                and np.array_equal(self.action, other.action))
 
     def __repr__(self):
         return f"GradedModule(components={self.components})"
@@ -561,8 +571,7 @@ class GradedModule:
 
 def validate_graded_module(q: GradedModule):
     alg, act = q.algebra, q.act
-    p = alg.field.p
-    mats = _stack(q.action, q.total_dim)
+    p, mats = alg.field.p, q.action
     owner = _owner(q.components)
     # [i, r, c]: the column's point does not move to the row's under deg(i)
     target = act.table[list(alg.degs)][:, owner]
@@ -704,35 +713,28 @@ def local_unit(sm: SmashAlgebra, elements) -> np.ndarray:
 
 
 class SmashModule:
-    """A module over the smash product: one total matrix per basis pair."""
+    """A module over the smash product: one total matrix per basis pair,
+    ``action[t]`` for the pair ``smash.pairs[t]``."""
 
     __slots__ = ("smash", "dim", "action")
 
     def __init__(self, smash: SmashAlgebra, dim: int, action, *, validate=True):
         self.smash = smash
         self.dim = int(dim)
-        p = smash.algebra.field.p
-        fixed = {}
-        for t in range(smash.dim):
-            m = np.mod(np.asarray(action[t], dtype=np.int64), p)
-            if m.shape != (self.dim, self.dim):
-                raise ValidationError("smash module action shape mismatch")
-            fixed[t] = m
-        self.action = fixed
+        self.action = _action_array(action, (smash.dim, self.dim, self.dim),
+                                    smash.algebra.field.p, "smash module action")
         if validate:
             bad = validate_smash_module(self)
             if bad is not None:
                 raise ValidationError(f"smash module axiom violated at {bad}")
 
     def act_vector(self, x: np.ndarray) -> np.ndarray:
-        return _combine(x, _stack(self.action.values(), self.dim),
-                        self.smash.algebra.field.p)
+        return _combine(x, self.action, self.smash.algebra.field.p)
 
     def __eq__(self, other):
         return (isinstance(other, SmashModule) and self.smash == other.smash
                 and self.dim == other.dim
-                and all(np.array_equal(self.action[t], other.action[t])
-                        for t in self.action))
+                and np.array_equal(self.action, other.action))
 
     def __repr__(self):
         return f"SmashModule(dim={self.dim})"
@@ -740,8 +742,7 @@ class SmashModule:
 
 def validate_smash_module(q: SmashModule):
     sm = q.smash
-    bad = _first_defect(_stack(q.action.values(), q.dim), sm.table,
-                        sm.algebra.field.p)
+    bad = _first_defect(q.action, sm.table, sm.algebra.field.p)
     if bad is not None:
         return ("product", sm.pair_name(bad[0]), sm.pair_name(bad[1]))
     return None
@@ -753,8 +754,9 @@ def gamma(f: FunctorModule, sm: SmashAlgebra | None = None) -> SmashModule:
     if sm is None:
         sm = SmashAlgebra(f.algebra, f.act, validate=False)
     # phi(f)'s matrix for i with every column outside the a-block zeroed
-    mats, owner = phi(f).action, _owner(f.spaces)
-    action = {t: mats[i] * (owner == a) for t, (i, a) in enumerate(sm.pairs)}
+    pairs = np.array(sm.pairs, dtype=np.int64).reshape(-1, 2)
+    in_block = _owner(f.spaces) == pairs[:, 1, None]
+    action = phi(f).action[pairs[:, 0]] * in_block[:, None, :]
     return SmashModule(sm, f.total_dim, action, validate=False)
 
 
@@ -840,71 +842,27 @@ def category_algebra_iso(field: FieldSpec, mon: Monoid, act: GAct) -> dict:
 # free functor modules, cokernels, random instances
 
 
-def free_functor_module(alg: GradedAlgebra, act: GAct, a0: int,
-                        mult: int = 1) -> FunctorModule:
-    """The representable functor module generated at the point a0.
+def free_functor_module(alg: GradedAlgebra, act: GAct, points) -> FunctorModule:
+    """The free functor module with one generator at each listed point,
+    summands in list order.
 
-    The space at b is spanned by pairs (copy, algebra basis element i) with
-    deg(i) . a0 = b; arrows act by left multiplication through the
-    structure constants.
+    The space at b is spanned by the pairs (t, i) with deg(i) . points[t]
+    = b, in (t, i) order; arrow j sends (t, i) to sum_k mult[j,i,k] (t, k).
     """
-    d = alg.dim
-    basis_at = [[] for _ in range(len(act))]
-    for i in range(d):
-        basis_at[act.act(alg.degs[i], a0)].append(i)
-    spaces = [mult * len(basis_at[b]) for b in range(len(act))]
-    pos = {}
-    for b in range(len(act)):
-        for t in range(mult):
-            for r, i in enumerate(basis_at[b]):
-                pos[(b, t, i)] = t * len(basis_at[b]) + r
-    arrows = {}
-    for j in range(d):
-        g = alg.degs[j]
-        for b in range(len(act)):
-            target = act.act(g, b)
-            m = linalg.zeros(spaces[target], spaces[b])
-            for t in range(mult):
-                for i in basis_at[b]:
-                    col = pos[(b, t, i)]
-                    for k in np.nonzero(alg.mult[j, i])[0]:
-                        m[pos[(target, t, int(k))], col] = alg.mult[j, i, k]
-            arrows[(j, b)] = m % alg.field.p
+    n_pts = len(act)
+    at = act.table[np.ix_(alg.degs, points)].T  # [t, i]: the point of (t, i)
+    # pos[t, i]: the place of (t, i) among the pairs at its point
+    pos = np.empty_like(at)
+    spaces = [0] * n_pts
+    for t, i in np.ndindex(at.shape):
+        pos[t, i] = spaces[at[t, i]]
+        spaces[at[t, i]] += 1
+    arrows = {(j, b): linalg.zeros(spaces[act.act(alg.degs[j], b)], spaces[b])
+              for j in range(alg.dim) for b in range(n_pts)}
+    for j, i, k in zip(*np.nonzero(alg.mult)):
+        for t in range(len(points)):
+            arrows[(j, at[t, i])][pos[t, k], pos[t, i]] = alg.mult[j, i, k]
     return FunctorModule(alg, act, spaces, arrows, validate=False)
-
-
-def fm_direct_sum(f1: FunctorModule, f2: FunctorModule) -> FunctorModule:
-    spaces = [a + b for a, b in zip(f1.spaces, f2.spaces)]
-    arrows = {k: linalg.block_diag([f1.arrows[k], f2.arrows[k]])
-              for k in f1.arrows}
-    return FunctorModule(f1.algebra, f1.act, spaces, arrows, validate=False)
-
-
-def fm_zero(alg: GradedAlgebra, act: GAct) -> FunctorModule:
-    return FunctorModule(alg, act, [0] * len(act), {}, validate=False)
-
-
-def free_morphism_components(free: FunctorModule, a0: int, mult: int,
-                             target: FunctorModule, images) -> dict:
-    """Components of the morphism free -> target sending the copy-t
-    generator to images[t] (a vector in the target space at a0)."""
-    alg, act = free.algebra, free.act
-    p = alg.field.p
-    basis_at = [[] for _ in range(len(act))]
-    for i in range(alg.dim):
-        basis_at[act.act(alg.degs[i], a0)].append(i)
-    comps = {}
-    for b in range(len(act)):
-        m = linalg.zeros(target.spaces[b], free.spaces[b])
-        width = len(basis_at[b])
-        for t in range(mult):
-            for r, i in enumerate(basis_at[b]):
-                col = t * width + r
-                m[:, col] = linalg.matmul(
-                    target.arrows[(i, a0)],
-                    images[t].reshape(-1, 1), p)[:, 0]
-        comps[b] = m
-    return comps
 
 
 def fm_cokernel(target: FunctorModule, components: dict) -> FunctorModule:
@@ -932,25 +890,25 @@ def fm_cokernel(target: FunctorModule, components: dict) -> FunctorModule:
 
 def random_functor_module(alg: GradedAlgebra, act: GAct, rng,
                           max_gens: int = 2, max_rels: int = 2) -> FunctorModule:
-    """A random quotient of a random sum of representable modules."""
-    n_pts = len(act)
-    gens = [(int(rng.integers(0, n_pts)), 1)
-            for _ in range(int(rng.integers(1, max_gens + 1)))]
-    total = fm_zero(alg, act)
-    for a0, mult in gens:
-        total = fm_direct_sum(total, free_functor_module(alg, act, a0, mult))
+    """A random quotient of a free module on random points.
+
+    A relation at b0 with vector v is the image of the generator of the
+    free module at b0: the columns arrows[(i, b0)] v at deg(i) . b0.
+    """
+    n_pts, p = len(act), alg.field.p
+    n_gens = int(rng.integers(1, max_gens + 1))
+    free = free_functor_module(alg, act, [int(rng.integers(0, n_pts))
+                                          for _ in range(n_gens)])
     n_rels = int(rng.integers(0, max_rels + 1))
     if n_rels == 0:
-        return total
-    rel_sources = [int(rng.integers(0, n_pts)) for _ in range(n_rels)]
-    comps = {b: linalg.zeros(total.spaces[b], 0) for b in range(n_pts)}
-    for b0 in rel_sources:
-        free = free_functor_module(alg, act, b0, 1)
-        image = rng.integers(0, alg.field.p, size=total.spaces[b0]).astype(np.int64)
-        part = free_morphism_components(free, b0, 1, total, [image])
-        for b in range(n_pts):
-            comps[b] = np.hstack([comps[b], part[b]])
-    return fm_cokernel(total, comps)
+        return free
+    cols = [[linalg.zeros(free.spaces[b], 0)] for b in range(n_pts)]
+    for b0 in [int(rng.integers(0, n_pts)) for _ in range(n_rels)]:
+        v = rng.integers(0, p, size=(free.spaces[b0], 1)).astype(np.int64)
+        for i in range(alg.dim):
+            cols[act.act(alg.degs[i], b0)].append(
+                linalg.matmul(free.arrows[(i, b0)], v, p))
+    return fm_cokernel(free, {b: np.hstack(cols[b]) for b in range(n_pts)})
 
 
 # ---------------------------------------------------------------------------

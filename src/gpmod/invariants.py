@@ -192,9 +192,11 @@ def finitely_presented_witness(m: PersModule) -> WitnessReport:
     enumeration record showing the poset satisfies the boundedness and
     mub-completeness hypotheses (automatic for finite posets, and field
     coefficients make every pointwise space finitely presented)."""
-    s = minimal_presentation_support(m, m.poset.whole())
-    return WitnessReport(pointwise_ok=True, support=s,
-                         property_m=check_property_m(m.poset))
+    # the enumeration guard refuses a large poset before any rank work
+    property_m = check_property_m(m.poset)
+    return WitnessReport(pointwise_ok=True,
+                         support=minimal_presentation_support(m, m.poset.whole()),
+                         property_m=property_m)
 
 
 def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:

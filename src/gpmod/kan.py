@@ -200,7 +200,7 @@ def _factor_cocone(m: PersModule, cr: ColimitResult, c: str, what: str):
         raise InternalError(f"{what} at {c!r}") from exc
 
 
-def canonical_mu(m: PersModule, s, *, validate=True) -> ModuleMorphism:
+def canonical_mu(m: PersModule, s) -> ModuleMorphism:
     """The counit ind(res(m)) -> m of the restriction/induction adjunction.
 
     The component at c sends the class of x in m(d), d in the window, to
@@ -211,7 +211,7 @@ def canonical_mu(m: PersModule, s, *, validate=True) -> ModuleMorphism:
     ind, data = induce_with_data(restrict(m, s), m.poset)
     comps = {c: _factor_cocone(m, data[c], c, "mu component")
              for c in m.poset.elements}
-    return ModuleMorphism(ind, m, comps, validate=validate)
+    return ModuleMorphism(ind, m, comps)
 
 
 def lambda_with_window(m: PersModule, s, c: str):

@@ -107,22 +107,35 @@ class PersModule:
         return sum(self.dims.values())
 
     def eval_map(self, a: str, b: str) -> np.ndarray:
-        """The composite structure map a -> b (identity when a == b)."""
-        if not self.poset.leq(a, b):
+        """The composite structure map a -> b (identity when a == b).
+
+        The route steps down from b, each time to the first lower cover
+        above a, until it meets a or a memoized pair (a, c); the products
+        are then taken back up it, and every pair (a, x) on it is memoized.
+        """
+        poset, cache = self.poset, self._eval_cache
+        if not poset.leq(a, b):
             raise NotComparable(f"{a!r} is not below {b!r}")
         if a == b:
             return linalg.identity(self.dims[a])
-        key = (a, b)
-        cached = self._eval_cache.get(key)
-        if cached is not None:
-            return cached
-        for c in self.poset.covers_below(b):
-            if self.poset.leq(a, c):
-                m = linalg.matmul(self.cover_maps[(c, b)], self.eval_map(a, c),
-                                  self.field.p)
-                self._eval_cache[key] = m
-                return m
-        raise InternalError(f"no cover path from {a!r} to {b!r}")
+        m = cache.get((a, b))
+        if m is not None:
+            return m
+        route = []  # the covers (c, x) stepped down, top first
+        x = b
+        while m is None:
+            for c in poset.covers_below(x):
+                if poset.leq(a, c):
+                    break
+            else:
+                raise InternalError(f"no cover path from {a!r} to {b!r}")
+            route.append((c, x))
+            x = c
+            m = linalg.identity(self.dims[a]) if x == a else cache.get((a, x))
+        for c, x in reversed(route):
+            m = linalg.matmul(self.cover_maps[(c, x)], m, self.field.p)
+            cache[(a, x)] = m
+        return m
 
     def support(self) -> ElementSet:
         return self.poset.subset([e for e in self.poset.elements if self.dims[e] > 0])

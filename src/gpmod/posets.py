@@ -25,6 +25,9 @@ HAT_SIZE_LIMIT = 20
 # Each element holds two n-bit masks: about 25 MB in all at 10**4 elements,
 # 2.5 GB at 10**5.
 POSET_SIZE_LIMIT = 10**4
+# Subsets check_property_m may enumerate: every subset of at most 3
+# elements of a 144-element poset (12x12) is 497,784 of them.
+PROPERTY_M_SUBSET_LIMIT = 500_000
 
 
 def _bits(mask: int):
@@ -368,24 +371,25 @@ class PropertyMReport:
         }
 
 
-def check_property_m(p: Poset, max_subset_size: int | None = None) -> PropertyMReport:
+def check_property_m(p: Poset) -> PropertyMReport:
     """Check weak boundedness and mub-completeness by direct enumeration.
 
     Both hold for every finite poset; the report records that this was
-    established by enumeration (exhaustive when every subset size was
-    covered, which is the default for posets of at most 15 elements).
+    established by enumeration: of every subset for posets of at most 15
+    elements (exhaustive), else of every subset of at most 3 elements.
+    More than ``PROPERTY_M_SUBSET_LIMIT`` subsets raise ``TooLargeError``
+    before any is enumerated.
     """
     n = len(p)
-    if max_subset_size is None:
-        max_subset_size = n if n <= 15 else min(3, n)
-    max_subset_size = min(max_subset_size, n)
+    max_subset_size = n if n <= 15 else 3
+    count = sum(math.comb(n, k) for k in range(1, max_subset_size + 1))
+    if count > PROPERTY_M_SUBSET_LIMIT:
+        raise TooLargeError(f"property M check: {count} subsets exceed the "
+                            f"limit of {PROPERTY_M_SUBSET_LIMIT}")
     weakly_bounded = True
     mub_complete = True
-    checked = 0
-    universe = list(range(n))
     for size in range(1, max_subset_size + 1):
-        for combo in itertools.combinations(universe, size):
-            checked += 1
+        for combo in itertools.combinations(range(n), size):
             ub = p.full_mask
             for i in combo:
                 ub &= p._up[i]
@@ -400,7 +404,7 @@ def check_property_m(p: Poset, max_subset_size: int | None = None) -> PropertyMR
         mub_complete=mub_complete,
         exhaustive=max_subset_size == n,
         max_subset_size=max_subset_size,
-        subsets_checked=checked,
+        subsets_checked=count,
     )
 
 

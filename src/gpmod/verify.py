@@ -181,7 +181,7 @@ def _case_gamma_lambda(rng, field, caps):
     assert lam == fm, "lambda(gamma(F)) != F"
     assert gr.gamma(lam, q.smash) == q, "gamma(lambda(Q)) != Q"
     if q.dim:
-        padded = {t: np.pad(mat, ((0, 1), (0, 1))) for t, mat in q.action.items()}
+        padded = np.pad(q.action, ((0, 0), (0, 1), (0, 1)))
         bigger = gr.SmashModule(q.smash, q.dim + 1, padded, validate=False)
         assert not gr.is_unital(bigger), "dead vector went unnoticed"
 

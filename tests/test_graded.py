@@ -29,7 +29,6 @@ from gpmod.graded import (
     dual_numbers_algebra,
     enumerate_acts,
     enumerate_monoids,
-    fm_direct_sum,
     free_functor_module,
     gamma,
     is_unital,
@@ -59,7 +58,7 @@ from gpmod.graded import (
 from gpmod.invariants import births, deaths
 from gpmod.linalg import FieldSpec
 from gpmod.posets import chain
-from gpmod.textio import parse_text, serialize_algebra, serialize_monoid
+from gpmod.textio import parse_text, serialize_act, serialize_algebra, serialize_monoid
 
 PRIMES = (101, 2**31 - 1)
 
@@ -225,7 +224,7 @@ def test_non_unital_detection(field):
     rng = np.random.default_rng(63)
     fm = random_functor_module(alg, act, rng)
     q = gamma(fm)
-    padded = {t: np.pad(m, ((0, 1), (0, 1))) for t, m in q.action.items()}
+    padded = np.pad(q.action, ((0, 0), (0, 1), (0, 1)))
     bigger = SmashModule(q.smash, q.dim + 1, padded)
     assert validate_smash_module(bigger) is None
     assert not is_unital(bigger)
@@ -301,12 +300,13 @@ def test_free_functor_module_spaces(field):
     z2 = cyclic_monoid(2)
     alg = monoid_algebra(z2, field)
     act = regular_act(z2)
-    fm = free_functor_module(alg, act, 0, 1)
+    fm = free_functor_module(alg, act, [0])
     assert fm.spaces == (1, 1)
     assert validate_functor_module(fm) is None
-    two = fm_direct_sum(fm, free_functor_module(alg, act, 1, 2))
-    assert two.spaces == (3, 3)
-    assert validate_functor_module(two) is None
+    three = free_functor_module(alg, act, [0, 1, 1])
+    assert three.spaces == (3, 3)
+    assert validate_functor_module(three) is None
+    assert free_functor_module(alg, act, []).spaces == (0, 0)
 
 
 def test_transport_preserves_births_deaths(field):
@@ -330,6 +330,52 @@ def test_transport_preserves_births_deaths(field):
         assert deaths(pm, whole).mask == deaths(round_trip, whole).mask
         transported += 1
     assert transported >= 10
+
+
+def test_parsed_monoid_algebra_transports(field):
+    mon = Monoid(["1", "t"], [[0, 1], [1, 1]], name="idem")
+    act = GAct(mon, ["a", "b"], [[0, 1], [1, 1]])
+    alg = monoid_algebra(mon, field)
+    ws = parse_text(serialize_monoid(mon, "T") + serialize_act(act, "A", "T")
+                    + serialize_algebra(alg, "K", "T"))
+    parsed, parsed_act = ws.algebras["K"], ws.acts["A"]
+    assert parsed == alg and parsed.is_monoid_algebra
+    rng = np.random.default_rng(67)
+    transported = 0
+    for _ in range(10):
+        state = rng.bit_generator.state
+        fm = random_functor_module(alg, act, rng)
+        rng.bit_generator.state = state
+        parsed_fm = random_functor_module(parsed, parsed_act, rng)
+        try:
+            pm = pers_from_functor_module(fm)
+        except ValidationError:
+            continue
+        assert pers_from_functor_module(parsed_fm) == pm
+        transported += 1
+    assert transported >= 3
+    # the same structure constants under other degrees are not k[G]
+    assert not dual_numbers_algebra(field).is_monoid_algebra
+    swapped = GradedAlgebra(field, mon, alg.syms, (1, 0), alg.mult, alg.unit,
+                            validate=False)
+    assert not swapped.is_monoid_algebra
+
+
+def test_module_actions_are_one_array_of_checked_shape(field):
+    alg, act = _setting(field, "m2")
+    fm = random_functor_module(alg, act, np.random.default_rng(68))
+    q, s = phi(fm), gamma(fm)
+    n = fm.total_dim
+    assert q.action.shape == (alg.dim, n, n) and q.action.dtype == np.int64
+    assert s.action.shape == (s.smash.dim, n, n) and s.action.dtype == np.int64
+    with pytest.raises(ValidationError):
+        GradedModule(alg, act, q.components, q.action[:-1])
+    with pytest.raises(ValidationError):
+        GradedModule(alg, act, q.components, [np.eye(n), np.eye(n + 1)])
+    with pytest.raises(ValidationError):
+        SmashModule(s.smash, n + 1, s.action)
+    # entries are reduced on the way in
+    assert GradedModule(alg, act, q.components, q.action - field.p) == q
 
 
 def test_trivial_group_transport(field):
@@ -709,7 +755,7 @@ def test_validators_match_loop_witnesses(p):
                 assert validate_functor_module(f) == _loop_functor(f)
                 seen.add(("functor", validate_functor_module(f) is None))
             q = phi(fm)
-            action = list(q.action)
+            action = q.action.copy()
             i = int(rng.integers(0, alg.dim))
             action[i] = _bump(action[i], rng, p)
             for g in (q, GradedModule(alg, act, q.components, action,
@@ -717,7 +763,7 @@ def test_validators_match_loop_witnesses(p):
                 assert validate_graded_module(g) == _loop_graded(g)
                 seen.add(("graded", validate_graded_module(g) is None))
             s = gamma(fm)
-            action = dict(s.action)
+            action = s.action.copy()
             t = int(rng.integers(0, s.smash.dim))
             action[t] = _bump(action[t], rng, p)
             for sq in (s, SmashModule(s.smash, s.dim, action, validate=False)):
@@ -757,3 +803,143 @@ def test_gamma_places_each_arrow_in_its_block(p):
                      offsets[a]:offsets[a + 1]] = fm.arrows[(i, a)]
             assert q.action[t].dtype == expected.dtype
             assert q.action[t].tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# oracle for the free-module builder: the former construction, a direct sum
+# of one representable module per generator and one free morphism per
+# relation
+
+
+def _oracle_free_functor_module(alg: GradedAlgebra, act: GAct, a0: int,
+                                mult: int = 1) -> FunctorModule:
+    """The representable functor module generated at the point a0.
+
+    The space at b is spanned by pairs (copy, algebra basis element i) with
+    deg(i) . a0 = b; arrows act by left multiplication through the
+    structure constants.
+    """
+    d = alg.dim
+    basis_at = [[] for _ in range(len(act))]
+    for i in range(d):
+        basis_at[act.act(alg.degs[i], a0)].append(i)
+    spaces = [mult * len(basis_at[b]) for b in range(len(act))]
+    pos = {}
+    for b in range(len(act)):
+        for t in range(mult):
+            for r, i in enumerate(basis_at[b]):
+                pos[(b, t, i)] = t * len(basis_at[b]) + r
+    arrows = {}
+    for j in range(d):
+        g = alg.degs[j]
+        for b in range(len(act)):
+            target = act.act(g, b)
+            m = linalg.zeros(spaces[target], spaces[b])
+            for t in range(mult):
+                for i in basis_at[b]:
+                    col = pos[(b, t, i)]
+                    for k in np.nonzero(alg.mult[j, i])[0]:
+                        m[pos[(target, t, int(k))], col] = alg.mult[j, i, k]
+            arrows[(j, b)] = m % alg.field.p
+    return FunctorModule(alg, act, spaces, arrows, validate=False)
+
+
+def _oracle_fm_direct_sum(f1: FunctorModule, f2: FunctorModule) -> FunctorModule:
+    spaces = [a + b for a, b in zip(f1.spaces, f2.spaces)]
+    arrows = {k: linalg.block_diag([f1.arrows[k], f2.arrows[k]])
+              for k in f1.arrows}
+    return FunctorModule(f1.algebra, f1.act, spaces, arrows, validate=False)
+
+
+def _oracle_fm_zero(alg: GradedAlgebra, act: GAct) -> FunctorModule:
+    return FunctorModule(alg, act, [0] * len(act), {}, validate=False)
+
+
+def _oracle_free_morphism_components(free: FunctorModule, a0: int, mult: int,
+                                     target: FunctorModule, images) -> dict:
+    """Components of the morphism free -> target sending the copy-t
+    generator to images[t] (a vector in the target space at a0)."""
+    alg, act = free.algebra, free.act
+    p = alg.field.p
+    basis_at = [[] for _ in range(len(act))]
+    for i in range(alg.dim):
+        basis_at[act.act(alg.degs[i], a0)].append(i)
+    comps = {}
+    for b in range(len(act)):
+        m = linalg.zeros(target.spaces[b], free.spaces[b])
+        width = len(basis_at[b])
+        for t in range(mult):
+            for r, i in enumerate(basis_at[b]):
+                col = t * width + r
+                m[:, col] = linalg.matmul(
+                    target.arrows[(i, a0)],
+                    images[t].reshape(-1, 1), p)[:, 0]
+        comps[b] = m
+    return comps
+
+
+def _oracle_random_functor_module(alg: GradedAlgebra, act: GAct, rng,
+                                  max_gens: int = 2, max_rels: int = 2) -> FunctorModule:
+    """A random quotient of a random sum of representable modules."""
+    n_pts = len(act)
+    gens = [(int(rng.integers(0, n_pts)), 1)
+            for _ in range(int(rng.integers(1, max_gens + 1)))]
+    total = _oracle_fm_zero(alg, act)
+    for a0, mult in gens:
+        total = _oracle_fm_direct_sum(
+            total, _oracle_free_functor_module(alg, act, a0, mult))
+    n_rels = int(rng.integers(0, max_rels + 1))
+    if n_rels == 0:
+        return total
+    rel_sources = [int(rng.integers(0, n_pts)) for _ in range(n_rels)]
+    comps = {b: linalg.zeros(total.spaces[b], 0) for b in range(n_pts)}
+    for b0 in rel_sources:
+        free = _oracle_free_functor_module(alg, act, b0, 1)
+        image = rng.integers(0, alg.field.p, size=total.spaces[b0]).astype(np.int64)
+        part = _oracle_free_morphism_components(free, b0, 1, total, [image])
+        for b in range(n_pts):
+            comps[b] = np.hstack([comps[b], part[b]])
+    return graded.fm_cokernel(total, comps)
+
+
+def _builder_cases(field):
+    """Every 7th act of every catalog monoid at 3 seeds; dual numbers and
+    matrix units on regular and trivial acts at 50 seeds."""
+    for mon in enumerate_monoids(4):
+        alg = monoid_algebra(mon, field)
+        for act in enumerate_acts(mon, 4)[::7]:
+            for seed in range(3):
+                yield alg, act, seed
+    for alg in (dual_numbers_algebra(field), matrix_units_algebra(field)):
+        for act in (regular_act(alg.monoid), trivial_act(alg.monoid, 2)):
+            for seed in range(50):
+                yield alg, act, seed
+
+
+def _same_functor_bytes(new, old):
+    assert new.spaces == old.spaces
+    assert new.arrows.keys() == old.arrows.keys()
+    for key, m in old.arrows.items():
+        assert new.arrows[key].dtype == m.dtype
+        assert new.arrows[key].tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_free_module_builder_matches_the_sum_of_representables(p):
+    cases = 0
+    for alg, act, seed in _builder_cases(FieldSpec(p)):
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        _same_functor_bytes(random_functor_module(alg, act, new_rng),
+                            _oracle_random_functor_module(alg, act, old_rng))
+        # both drew the same numbers from the generator
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        if seed == 0:
+            points = [len(act) - 1] + list(range(len(act))) + [0]
+            summands = [_oracle_free_functor_module(alg, act, a0, 1)
+                        for a0 in points]
+            total = _oracle_fm_zero(alg, act)
+            for f in summands:
+                total = _oracle_fm_direct_sum(total, f)
+            _same_functor_bytes(free_functor_module(alg, act, points), total)
+        cases += 1
+    assert cases == 764

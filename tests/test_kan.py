@@ -20,11 +20,12 @@ from gpmod.modules import (
     interval_module,
     is_epi,
     is_iso,
+    is_mono,
     new_module,
     random_module,
     random_morphism,
 )
-from gpmod.posets import build_poset, grid_poset
+from gpmod.posets import build_poset, chain, grid_poset
 from gpmod.verify import random_poset
 
 P = 101
@@ -269,3 +270,19 @@ def test_adjunction_dimension(field):
         assert hom_space_dim(induce(n, p), m) == hom_space_dim(n, restrict(m, s))
         checked += 1
     assert checked >= 25
+
+
+def test_restrict_and_mu_on_a_long_chain():
+    # a composite of 2999 covers, once deeper than Python's recursion limit
+    p = chain(3000)
+    field = linalg.FieldSpec(P)
+    m = new_module(p, field, {e: 1 for e in p.elements},
+                   {c: [[2]] for c in p.covers})
+    s = ["1", "2999"]
+    res = restrict(m, s)
+    assert res.cover_maps[("1", "2999")].tolist() == [[pow(2, 2998, P)]]
+    mu = canonical_mu(m, s)
+    # ind(res(m)) vanishes at 0 and is m from 1 on
+    assert mu.components["0"].shape == (1, 0)
+    assert not is_epi(mu) and is_mono(mu)
+    assert all(mu.components[e].shape == (1, 1) for e in p.elements[1:])

@@ -271,3 +271,51 @@ def test_local_functoriality_check_matches_propagation():
         assert local == _is_functorial(lambda: _check_by_propagation(fresh), fresh)
         broken += not local
     assert broken >= 100
+
+
+def _chain_module(n, field):
+    """Dimension 1 everywhere on chain(n), cover k -> k+1 multiplying by
+    k % 7 + 2, so the composite 0 -> k is the product of those factors."""
+    p = chain(n)
+    maps = {(a, b): [[int(a) % 7 + 2]] for a, b in p.covers}
+    return PersModule(p, field, {e: 1 for e in p.elements}, maps, validate=False)
+
+
+def test_eval_map_walks_long_routes_without_recursion(field):
+    m = _chain_module(3000, field)
+    expected = 1
+    for k in range(2999):
+        expected = expected * (k % 7 + 2) % field.p
+    assert m.eval_map("0", "2999").tolist() == [[expected]]
+    # every pair on the route is memoized
+    assert set(m._eval_cache) == {("0", str(k)) for k in range(1, 3000)}
+    assert m.eval_map("5", "5").tolist() == [[1]]
+
+
+def _recursive_eval_map(m, a, b):
+    """The former recursive composite: first lower cover of b above a."""
+    if a == b:
+        return linalg.identity(m.dims[a])
+    cached = m._eval_cache.get((a, b))
+    if cached is not None:
+        return cached
+    for c in m.poset.covers_below(b):
+        if m.poset.leq(a, c):
+            out = linalg.matmul(m.cover_maps[(c, b)], _recursive_eval_map(m, a, c),
+                                m.field.p)
+            m._eval_cache[(a, b)] = out
+            return out
+    raise AssertionError("no cover path")
+
+
+def test_eval_map_memoizes_what_the_recursive_route_did(field):
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        p = random_poset(rng, 2, 9)
+        seed = int(rng.integers(2**32))
+        loop, rec = (random_module(p, 3, field, seed=seed) for _ in range(2))
+        pairs = [(a, b) for a in p.elements for b in p.elements if p.leq(a, b)]
+        for k in rng.permutation(len(pairs)):
+            a, b = pairs[k]
+            assert loop.eval_map(a, b).tobytes() == _recursive_eval_map(rec, a, b).tobytes()
+            assert loop._eval_cache.keys() == rec._eval_cache.keys()

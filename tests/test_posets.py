@@ -7,6 +7,8 @@ from gpmod.errors import CycleError, EmptySetError, TooLargeError, UnknownElemen
 from gpmod.kan import IndexWindow
 from gpmod.posets import (
     POSET_SIZE_LIMIT,
+    PROPERTY_M_SUBSET_LIMIT,
+    Poset,
     _bits,
     as_grid_shape,
     build_poset,
@@ -86,6 +88,26 @@ def test_property_m(diamond):
     assert rep.weakly_bounded and rep.mub_complete
     rep = check_property_m(chain(5))
     assert rep.weakly_bounded and rep.mub_complete
+
+
+def test_property_m_record_at_12x12():
+    # 144 elements is the largest size whose subsets of at most 3
+    # elements stay within the limit
+    assert check_property_m(grid_poset([12, 12])).as_dict() == {
+        "weakly_bounded": True, "mub_complete": True, "exhaustive": False,
+        "max_subset_size": 3, "subsets_checked": 497784}
+    assert 497784 <= PROPERTY_M_SUBSET_LIMIT < 145 + 10440 + 497640
+
+
+def test_property_m_refuses_before_enumerating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Poset, "minimal_of_mask",
+                        lambda self, mask: calls.append(mask))
+    with pytest.raises(TooLargeError, match="508225 subsets exceed"):
+        check_property_m(chain(145))
+    with pytest.raises(TooLargeError, match=f"limit of {PROPERTY_M_SUBSET_LIMIT}"):
+        check_property_m(grid_poset([100, 100]))
+    assert calls == []
 
 
 def test_is_interval(diamond):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from gpmod import cli
 from gpmod.errors import ParseError, TooLargeError
 from gpmod.graded import regular_act, cyclic_monoid, monoid_algebra
-from gpmod.modules import direct_sum, free_module, random_module
-from gpmod.posets import grid_poset
+from gpmod.modules import direct_sum, free_module, new_module, random_module
+from gpmod.posets import chain, grid_poset
 from gpmod.textio import (
     CELL_LIMIT,
     DIM_LIMIT,
@@ -491,6 +491,27 @@ def test_cli_fsp(ws_file):
     proc = run_cli(["fsp", ws_file, "--set", "b,c"])
     data = json.loads(proc.stdout)
     assert data["fsp"] == ["b", "c", "d"]
+
+
+def test_cli_mu_on_a_long_chain(tmp_path, field):
+    # the composite from bottom to top spans 2999 covers
+    p = chain(3000)
+    m = new_module(p, field, {e: 1 for e in p.elements}, {c: [[3]] for c in p.covers})
+    f = tmp_path / "chain.gpm"
+    f.write_text(serialize_poset(p, "C") + serialize_module(m, "M", "C"))
+    proc = run_cli(["mu", str(f), "--set", "0,2999"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["iso"]
+
+
+def test_cli_fsp_refuses_a_large_property_m_enumeration(tmp_path, field):
+    g = grid_poset([20, 20])
+    f = tmp_path / "grid.gpm"
+    f.write_text(serialize_poset(g, "G")
+                 + serialize_module(free_module(g, g.elements[0], 1, field), "M", "G"))
+    proc = run_cli(["fsp", str(f)])
+    assert proc.returncode == 2
+    assert "exceed the limit" in proc.stderr and proc.stdout == ""
 
 
 def test_cli_poset_queries(ws_file):
