@@ -6,10 +6,10 @@ Run with  python demos/01_posets_intervals_births.py
 
 from gpmod import (
     FieldSpec,
+    PROPERTY_M,
     births,
     build_poset,
     chain,
-    check_property_m,
     deaths,
     grid_poset,
     hat,
@@ -35,9 +35,8 @@ print("upset of b:", up_set(diamond, ["b"]).ids())
 print("mub{b,c} =", mub(diamond, ["b", "c"]).ids())
 print("hat{b,c} =", hat(diamond, ["b", "c"]).ids())
 
-# Finite posets always satisfy the boundedness hypotheses; the report
-# records that this was established by enumeration.
-print("property check:", check_property_m(diamond))
+# Finite posets always satisfy the boundedness hypotheses (property M).
+print("property M:", PROPERTY_M)
 
 # An interval module is 1-dimensional on a betweenness-closed subset with
 # identity maps inside.  Births sit at its minimal elements.

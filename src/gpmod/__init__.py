@@ -35,11 +35,10 @@ from .errors import (
 from .linalg import FieldSpec, SubspaceBasis
 from .posets import (
     ElementSet,
+    PROPERTY_M,
     Poset,
-    PropertyMReport,
     build_poset,
     chain,
-    check_property_m,
     down_set,
     grid_poset,
     hat,

@@ -21,9 +21,9 @@ from .errors import GpmodError
 from .kan import IndexWindow, canonical_mu, colim_window
 from .linalg import FieldSpec
 from .modules import is_epi, is_iso
-from .posets import check_property_m, hat, mub
+from .posets import PROPERTY_M, hat, mub
 from .textio import Workspace, parse_path, to_json
-from .verify import SUITES, VerifyConfig, run_config
+from .verify import GRADED_CHECKS, SUITES, VerifyConfig, run_config
 
 
 def _load(files, default_field) -> Workspace:
@@ -104,7 +104,7 @@ def cmd_fsp(args) -> int:
             "module_id": args.module or m.name,
             "pointwise_ok": report.pointwise_ok,
             "S": report.support.ids(),
-            "property_m": report.property_m.as_dict(),
+            "property_m": PROPERTY_M,
         }
     else:
         s = _parse_set(m.poset, args.set)
@@ -168,7 +168,7 @@ def cmd_poset(args) -> int:
         result = hat(p, s).ids()
         _emit_raw(result, args.text)
     elif args.query == "propm":
-        _emit(check_property_m(p).as_dict(), args.text)
+        _emit(PROPERTY_M, args.text)
     else:  # pragma: no cover - argparse restricts choices
         raise GpmodError(f"unknown poset query {args.query!r}")
     return 0
@@ -184,21 +184,16 @@ def _emit_raw(obj, as_text: bool) -> None:
 def cmd_graded(args) -> int:
     ws = _load(args.files, args.field)
     field = FieldSpec(args.field)
-    if args.action in ("phi-psi", "gamma-lambda"):
+    if args.action in GRADED_CHECKS:
+        if args.cases < 1:
+            raise GpmodError("cases must be at least 1")
         alg = ws.single("algebra", args.algebra)
         act = ws.single("act", args.act)
+        check = GRADED_CHECKS[args.action]
         failures = []
         for i in range(args.cases):
-            rng = np.random.default_rng(args.seed + i)
-            fm = gr.random_functor_module(alg, act, rng)
             try:
-                if args.action == "phi-psi":
-                    q = gr.phi(fm)
-                    assert gr.psi(q) == fm and gr.phi(gr.psi(q)) == q
-                else:
-                    q = gr.gamma(fm)
-                    lam, _ = gr.lambda_functor(q)
-                    assert lam == fm and gr.gamma(lam, q.smash) == q
+                check(alg, act, np.random.default_rng(args.seed + i))
             except (AssertionError, GpmodError):
                 failures.append(args.seed + i)
         payload = {"suite": args.action, "cases": args.cases, "seed": args.seed,
@@ -243,13 +238,9 @@ def cmd_graded(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    caps = {}
-    if args.max_poset:
-        caps["max_poset"] = args.max_poset
-    if args.max_dim:
-        caps["max_dim"] = args.max_dim
-    if args.max_monoid:
-        caps["max_monoid"] = args.max_monoid
+    # a cap of 0 is passed on, so that VerifyConfig refuses it
+    caps = {key: getattr(args, key) for key in ("max_poset", "max_dim", "max_monoid")
+            if getattr(args, key) is not None}
     config = VerifyConfig(suite=args.suite, seed=args.seed, cases=args.cases,
                           field=args.field, caps=caps)
     report = run_config(config)

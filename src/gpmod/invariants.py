@@ -37,7 +37,6 @@ from .modules import (
 from .posets import (
     ElementSet,
     as_grid_shape,
-    check_property_m,
     hat,
     mub,
     up_set,
@@ -184,19 +183,15 @@ def fsp_from_determined(m: PersModule, s) -> FspReport:
 class WitnessReport:
     pointwise_ok: bool
     support: ElementSet
-    property_m: object
 
 
 def finitely_presented_witness(m: PersModule) -> WitnessReport:
-    """Minimal presentation support over the whole poset, plus the
-    enumeration record showing the poset satisfies the boundedness and
-    mub-completeness hypotheses (automatic for finite posets, and field
-    coefficients make every pointwise space finitely presented)."""
-    # the enumeration guard refuses a large poset before any rank work
-    property_m = check_property_m(m.poset)
+    """Minimal presentation support over the whole poset.  The poset's
+    boundedness and mub-completeness hypotheses need no witness
+    (``posets.PROPERTY_M`` holds for every finite poset), and field
+    coefficients make every pointwise space finitely presented."""
     return WitnessReport(pointwise_ok=True,
-                         support=minimal_presentation_support(m, m.poset.whole()),
-                         property_m=property_m)
+                         support=minimal_presentation_support(m, m.poset.whole()))
 
 
 def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import (
     CycleError,
@@ -25,9 +24,12 @@ HAT_SIZE_LIMIT = 20
 # Each element holds two n-bit masks: about 25 MB in all at 10**4 elements,
 # 2.5 GB at 10**5.
 POSET_SIZE_LIMIT = 10**4
-# Subsets check_property_m may enumerate: every subset of at most 3
-# elements of a 144-element poset (12x12) is 497,784 of them.
-PROPERTY_M_SUBSET_LIMIT = 500_000
+# Property M, the two hypotheses of the finitely-presented characterization,
+# holds for every finite poset of n elements.  The upper bounds of any subset
+# form a finite set, so they have at most n minimal elements (weakly
+# bounded), and every upper bound lies above one of those minimal elements,
+# since a finite set has no infinite descending chain (mub-complete).
+PROPERTY_M = {"weakly_bounded": True, "mub_complete": True}
 
 
 def _bits(mask: int):
@@ -92,9 +94,6 @@ class Poset:
 
     def leq(self, a: str, b: str) -> bool:
         return bool(self._up[self.index(a)] >> self.index(b) & 1)
-
-    def lt(self, a: str, b: str) -> bool:
-        return a != b and self.leq(a, b)
 
     def down_mask(self, e: str) -> int:
         return self._down[self.index(e)]
@@ -351,61 +350,6 @@ def hat(p: Poset, s) -> ElementSet:
                for d in p.covers_below(p.elements[c])):
             out |= 1 << c
     return ElementSet(p, out)
-
-
-@dataclass(frozen=True)
-class PropertyMReport:
-    weakly_bounded: bool
-    mub_complete: bool
-    exhaustive: bool
-    max_subset_size: int
-    subsets_checked: int
-
-    def as_dict(self):
-        return {
-            "weakly_bounded": self.weakly_bounded,
-            "mub_complete": self.mub_complete,
-            "exhaustive": self.exhaustive,
-            "max_subset_size": self.max_subset_size,
-            "subsets_checked": self.subsets_checked,
-        }
-
-
-def check_property_m(p: Poset) -> PropertyMReport:
-    """Check weak boundedness and mub-completeness by direct enumeration.
-
-    Both hold for every finite poset; the report records that this was
-    established by enumeration: of every subset for posets of at most 15
-    elements (exhaustive), else of every subset of at most 3 elements.
-    More than ``PROPERTY_M_SUBSET_LIMIT`` subsets raise ``TooLargeError``
-    before any is enumerated.
-    """
-    n = len(p)
-    max_subset_size = n if n <= 15 else 3
-    count = sum(math.comb(n, k) for k in range(1, max_subset_size + 1))
-    if count > PROPERTY_M_SUBSET_LIMIT:
-        raise TooLargeError(f"property M check: {count} subsets exceed the "
-                            f"limit of {PROPERTY_M_SUBSET_LIMIT}")
-    weakly_bounded = True
-    mub_complete = True
-    for size in range(1, max_subset_size + 1):
-        for combo in itertools.combinations(range(n), size):
-            ub = p.full_mask
-            for i in combo:
-                ub &= p._up[i]
-            mubs = p.minimal_of_mask(ub)
-            if mubs.bit_count() > n:
-                weakly_bounded = False
-            for c in _bits(ub):
-                if p._down[c] & mubs == 0:
-                    mub_complete = False
-    return PropertyMReport(
-        weakly_bounded=weakly_bounded,
-        mub_complete=mub_complete,
-        exhaustive=max_subset_size == n,
-        max_subset_size=max_subset_size,
-        subsets_checked=count,
-    )
 
 
 def is_interval(p: Poset, i) -> bool:

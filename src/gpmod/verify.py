@@ -161,8 +161,8 @@ def _case_tchernev(rng, field, caps):
         assert is_epi(f), "splitting-surjective map fails to be surjective"
 
 
-def _case_phi_psi(rng, field, caps):
-    alg, act = _draw_graded_setting(rng, field, caps)
+def check_phi_psi(alg, act, rng):
+    """phi and psi are mutually inverse on a random functor module."""
     fm = gr.random_functor_module(alg, act, rng)
     assert gr.validate_functor_module(fm) is None, "generator produced bad module"
     q = gr.phi(fm)
@@ -171,8 +171,9 @@ def _case_phi_psi(rng, field, caps):
     assert gr.phi(gr.psi(q)) == q, "phi(psi(Q)) != Q"
 
 
-def _case_gamma_lambda(rng, field, caps):
-    alg, act = _draw_graded_setting(rng, field, caps)
+def check_gamma_lambda(alg, act, rng):
+    """gamma and lambda are mutually inverse on a random functor module, the
+    image is unital, and a dead vector is caught."""
     fm = gr.random_functor_module(alg, act, rng)
     q = gr.gamma(fm)
     assert gr.validate_smash_module(q) is None, "gamma image fails validation"
@@ -184,6 +185,18 @@ def _case_gamma_lambda(rng, field, caps):
         padded = np.pad(q.action, ((0, 0), (0, 1), (0, 1)))
         bigger = gr.SmashModule(q.smash, q.dim + 1, padded, validate=False)
         assert not gr.is_unital(bigger), "dead vector went unnoticed"
+
+
+# the checks gpm graded runs on a given algebra and act
+GRADED_CHECKS = {"phi-psi": check_phi_psi, "gamma-lambda": check_gamma_lambda}
+
+
+def _case_phi_psi(rng, field, caps):
+    check_phi_psi(*_draw_graded_setting(rng, field, caps), rng)
+
+
+def _case_gamma_lambda(rng, field, caps):
+    check_gamma_lambda(*_draw_graded_setting(rng, field, caps), rng)
 
 
 def _case_smash_iso(rng, field, caps):

@@ -7,13 +7,12 @@ from gpmod.errors import CycleError, EmptySetError, TooLargeError, UnknownElemen
 from gpmod.kan import IndexWindow
 from gpmod.posets import (
     POSET_SIZE_LIMIT,
-    PROPERTY_M_SUBSET_LIMIT,
+    PROPERTY_M,
     Poset,
     _bits,
     as_grid_shape,
     build_poset,
     chain,
-    check_property_m,
     down_set,
     grid_coord,
     grid_poset,
@@ -23,6 +22,7 @@ from gpmod.posets import (
     mub,
     up_set,
 )
+from gpmod.verify import random_poset
 
 
 def test_singleton():
@@ -81,33 +81,34 @@ def test_hat_guard():
         hat(p, p.elements)
 
 
+def property_m_by_enumeration(p):
+    """Both property M flags, checked over every non-empty subset: its upper
+    bounds have at most n minimal elements, and each lies above one."""
+    n = len(p)
+    weakly_bounded = mub_complete = True
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            ub = p.full_mask
+            for i in combo:
+                ub &= p._up[i]
+            mubs = p.minimal_of_mask(ub)
+            weakly_bounded &= mubs.bit_count() <= n
+            mub_complete &= all(p._down[c] & mubs for c in _bits(ub))
+    return {"weakly_bounded": weakly_bounded, "mub_complete": mub_complete}
+
+
 def test_property_m(diamond):
-    rep = check_property_m(diamond)
-    assert rep.weakly_bounded and rep.mub_complete and rep.exhaustive
-    rep = check_property_m(build_poset(["x"], []))
-    assert rep.weakly_bounded and rep.mub_complete
-    rep = check_property_m(chain(5))
-    assert rep.weakly_bounded and rep.mub_complete
+    posets = [diamond, build_poset(["x"], []), chain(5), grid_poset([3, 4])]
+    rng = np.random.default_rng(84)
+    posets += [random_poset(rng, 1, 12) for _ in range(12)]
+    assert max(len(p) for p in posets) == 12
+    for p in posets:
+        assert property_m_by_enumeration(p) == PROPERTY_M, p
 
 
-def test_property_m_record_at_12x12():
-    # 144 elements is the largest size whose subsets of at most 3
-    # elements stay within the limit
-    assert check_property_m(grid_poset([12, 12])).as_dict() == {
-        "weakly_bounded": True, "mub_complete": True, "exhaustive": False,
-        "max_subset_size": 3, "subsets_checked": 497784}
-    assert 497784 <= PROPERTY_M_SUBSET_LIMIT < 145 + 10440 + 497640
-
-
-def test_property_m_refuses_before_enumerating(monkeypatch):
-    calls = []
-    monkeypatch.setattr(Poset, "minimal_of_mask",
-                        lambda self, mask: calls.append(mask))
-    with pytest.raises(TooLargeError, match="508225 subsets exceed"):
-        check_property_m(chain(145))
-    with pytest.raises(TooLargeError, match=f"limit of {PROPERTY_M_SUBSET_LIMIT}"):
-        check_property_m(grid_poset([100, 100]))
-    assert calls == []
+def test_property_m_oracle_sees_a_missing_minimal_element(monkeypatch, diamond):
+    monkeypatch.setattr(Poset, "minimal_of_mask", lambda self, mask: 0)
+    assert property_m_by_enumeration(diamond)["mub_complete"] is False
 
 
 def test_is_interval(diamond):

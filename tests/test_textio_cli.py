@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmod import cli
+from gpmod import graded as gr
 from gpmod.errors import ParseError, TooLargeError
 from gpmod.graded import regular_act, cyclic_monoid, monoid_algebra
 from gpmod.modules import direct_sum, free_module, new_module, random_module
-from gpmod.posets import chain, grid_poset
+from gpmod.posets import PROPERTY_M, chain, grid_poset
 from gpmod.textio import (
     CELL_LIMIT,
     DIM_LIMIT,
@@ -504,14 +505,19 @@ def test_cli_mu_on_a_long_chain(tmp_path, field):
     assert json.loads(proc.stdout)["iso"]
 
 
-def test_cli_fsp_refuses_a_large_property_m_enumeration(tmp_path, field):
-    g = grid_poset([20, 20])
+def test_cli_fsp_on_a_30x30_grid(tmp_path, field):
+    # property M holds for every finite poset, so no poset size refuses it
+    g = grid_poset([30, 30])
     f = tmp_path / "grid.gpm"
     f.write_text(serialize_poset(g, "G")
                  + serialize_module(free_module(g, g.elements[0], 1, field), "M", "G"))
     proc = run_cli(["fsp", str(f)])
-    assert proc.returncode == 2
-    assert "exceed the limit" in proc.stderr and proc.stdout == ""
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["property_m"] == {"weakly_bounded": True, "mub_complete": True}
+    assert data["S"] == ["(0,0)"]
+    proc = run_cli(["poset", str(f), "propm"])
+    assert proc.returncode == 0 and proc.stdout == to_json(PROPERTY_M)
 
 
 def test_cli_poset_queries(ws_file):
@@ -520,8 +526,7 @@ def test_cli_poset_queries(ws_file):
     proc = run_cli(["poset", ws_file, "hat", "--set", "b"])
     assert json.loads(proc.stdout) == ["b"]
     proc = run_cli(["poset", ws_file, "propm"])
-    data = json.loads(proc.stdout)
-    assert data["weakly_bounded"] and data["mub_complete"]
+    assert proc.stdout == '{"mub_complete":true,"weakly_bounded":true}\n'
 
 
 def test_cli_colim_mu(ws_file):
@@ -539,7 +544,8 @@ def test_cli_graded(graded_file):
     assert data["dim"] == 4 and data["sum_pa_is_left_unit"]
     proc = run_cli(["graded", "phi-psi", graded_file, "--cases", "5", "--seed", "3"])
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["failures"] == []
+    assert proc.stdout == to_json({"cases": 5, "failures": [], "seed": 3,
+                                   "suite": "phi-psi"})
     proc = run_cli(["graded", "gamma-lambda", graded_file, "--cases", "5",
                     "--seed", "3"])
     assert proc.returncode == 0
@@ -557,6 +563,29 @@ def test_cli_verify(ws_file):
     assert proc.returncode == 2
     proc = run_cli(["verify", "--suite", "verho", "--cases", "0"])
     assert proc.returncode == 2
+
+
+
+@pytest.mark.parametrize("cap", ["--max-poset", "--max-dim", "--max-monoid"])
+def test_cli_verify_refuses_a_zero_cap(cap):
+    rc, out = _main_in_process(["verify", "--suite", "verho", "--cases", "1",
+                                cap, "0"])
+    assert (rc, out) == (2, "")
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_cli_graded_refuses_fewer_than_one_case(graded_file, cases):
+    rc, out = _main_in_process(["graded", "phi-psi", graded_file,
+                                "--cases", cases])
+    assert (rc, out) == (2, "")
+
+
+def test_cli_graded_runs_the_verify_checks(graded_file, monkeypatch):
+    # the unital check belongs to the gamma-lambda verify suite
+    monkeypatch.setattr(gr, "is_unital", lambda q: False)
+    rc, out = _main_in_process(["graded", "gamma-lambda", graded_file,
+                                "--cases", "2"])
+    assert rc == 1 and json.loads(out)["failures"] == [0, 1]
 
 
 def test_cli_exit_code_on_missing_file():
