@@ -52,6 +52,7 @@ from .modules import (
     PersModule,
     direct_sum,
     free_module,
+    free_sum,
     hom_basis,
     hom_space_dim,
     interval_module,

@@ -28,17 +28,15 @@ from .kan import lambda_with_window, window_ranks
 from .modules import (
     ModuleMorphism,
     PersModule,
-    direct_sum,
-    free_module,
+    free_sum,
     is_epi,
     kernel_module,
-    zero_module,
 )
 from .posets import (
     ElementSet,
+    _bits,
     as_grid_shape,
     hat,
-    mub,
     up_set,
 )
 
@@ -159,7 +157,16 @@ class FspReport:
 
 def fsp_from_determined(m: PersModule, s) -> FspReport:
     """The double minimal-upper-bound closure of s as a finite support of a
-    presentation, with a frame below every element above the support."""
+    presentation, with a frame below every element above the support.
+
+    The frame of c is the canonical-first element of mub(T_c) below c, with
+    T_c = s & down(c).  Those elements are the minimal ones of X_c = {e <= c
+    : T_e = T_c}, and X_c is c together with the X_d of the lower covers d
+    of c with T_d = T_c.  The canonical order extends the partial order, so
+    the first element of that union is minimal in it, and the frame of c is
+    the canonical-first frame of those d, or c itself when there is none:
+    one sweep over up(s) in canonical order finds every frame.
+    """
     s = m.poset.subset(s)
     if not is_determined(m, s):
         raise NotDetermined(f"module is not determined by {sorted(s.ids())}")
@@ -167,15 +174,14 @@ def fsp_from_determined(m: PersModule, s) -> FspReport:
     if not is_presented(m, t):
         raise InternalError("double-hat closure failed to present the module")
     poset = m.poset
-    frames = {}
-    for c in up_set(poset, m.support()):
-        down_c = poset.down_mask(c) & s.mask
-        frame = next((cand for cand in mub(poset, poset.subset_from_mask(down_c))
-                      if poset.down_mask(cand) & s.mask == down_c
-                      and poset.leq(cand, c)), None)
-        if frame is None:
-            raise InternalError(f"no frame found for {c!r}")
-        frames[c] = frame
+    names, index, down = poset.elements, poset._index, poset._down
+    frame = {}  # canonical index -> canonical index of its frame
+    for i in _bits(up_set(poset, s).mask):
+        below = down[i] & s.mask
+        frame[i] = min((frame[index[d]] for d in poset.covers_below(names[i])
+                        if down[index[d]] & s.mask == below), default=i)
+    frames = {names[i]: names[frame[i]]
+              for i in _bits(up_set(poset, m.support()).mask)}
     return FspReport(fsp=t, frames=frames, presented=True)
 
 
@@ -200,25 +206,26 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
     exactly where the splitting dimension is non-zero, since rank(lambda)
     is the rank of the stacked structure maps.
 
+    The cover is built as one free module (``free_sum``), summands in
+    canonical birth order.  Its component at c stacks, for each birth e
+    whose up-set holds c, the structure map e -> c times the section at e.
     Sections of the splitting projections are the deterministic
     pivot-variable lifts, so the cover is byte-reproducible.
     """
     s = m.poset.subset(s)
-    born = minimal_generating_degrees(m, s)
-    p = m.field.p
+    poset, p = m.poset, m.field.p
     pieces = []  # (element, multiplicity, section)
-    for e in born:
+    for e in minimal_generating_degrees(m, s):
         res = splitting(m, s, e)
         section = linalg.solve(res.projection, linalg.identity(res.dim), p)
         pieces.append((e, res.dim, section))
-    cover = direct_sum(zero_module(m.poset, m.field),
-                       *(free_module(m.poset, e, mult, m.field)
-                         for e, mult, _ in pieces),
-                       name=f"cover({m.name})")
+    cover = free_sum(poset, [(e, mult) for e, mult, _ in pieces], m.field,
+                     name=f"cover({m.name})")
+    ups = [poset._up[poset.index(e)] for e, _, _ in pieces]
     comps = {}
-    for c in m.poset.elements:
+    for i, c in enumerate(poset.elements):
         blocks = [linalg.matmul(m.eval_map(e, c), section, p)
-                  for e, _, section in pieces if m.poset.leq(e, c)]
+                  for (e, _, section), up in zip(pieces, ups) if up >> i & 1]
         comps[c] = linalg.hstack(blocks, m.dims[c])
     h = ModuleMorphism(cover, m, comps, validate=True)
     if not is_epi(h):

@@ -109,23 +109,28 @@ class PersModule:
     def eval_map(self, a: str, b: str) -> np.ndarray:
         """The composite structure map a -> b (identity when a == b).
 
-        The route steps down from b, each time to the first lower cover
-        above a, until it meets a or a memoized pair (a, c); the products
-        are then taken back up it, and every pair (a, x) on it is memoized.
+        A memoized pair is returned at once: only comparable pairs are
+        memoized.  Otherwise the route steps down from b, each time to the
+        first lower cover inside a's up-set, until it meets a or a memoized
+        pair (a, c); the products are then taken back up it, and every pair
+        (a, x) on it is memoized.
         """
-        poset, cache = self.poset, self._eval_cache
-        if not poset.leq(a, b):
-            raise NotComparable(f"{a!r} is not below {b!r}")
-        if a == b:
-            return linalg.identity(self.dims[a])
+        cache = self._eval_cache
         m = cache.get((a, b))
         if m is not None:
             return m
+        poset = self.poset
+        index = poset._index
+        up_a = poset._up[poset.index(a)]
+        if not up_a >> poset.index(b) & 1:
+            raise NotComparable(f"{a!r} is not below {b!r}")
+        if a == b:
+            return linalg.identity(self.dims[a])
         route = []  # the covers (c, x) stepped down, top first
         x = b
         while m is None:
             for c in poset.covers_below(x):
-                if poset.leq(a, c):
+                if up_a >> index[c] & 1:
                     break
             else:
                 raise InternalError(f"no cover path from {a!r} to {b!r}")
@@ -257,17 +262,52 @@ def free_module(poset: Poset, c: str, multiplicity: int, field: FieldSpec,
                 *, name=None) -> PersModule:
     """The representable module at c with the given multiplicity: dimension
     ``multiplicity`` on the upset of c, identity maps inside."""
-    if multiplicity < 0:
-        raise ShapeError("multiplicity must be nonnegative")
-    up = up_set(poset, [c])
-    dims = {e: multiplicity for e in up}
-    ident = linalg.identity(multiplicity)
-    maps = {}
+    return free_sum(poset, [(c, multiplicity)], field, name=name)
+
+
+def _bit_indices(mask: int, width: int) -> np.ndarray:
+    """Indices of the set bits of a mask below ``width``, ascending."""
+    raw = np.frombuffer(mask.to_bytes(-(-width // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").nonzero()[0]
+
+
+def free_sum(poset: Poset, pieces, field: FieldSpec, *, name=None) -> PersModule:
+    """The direct sum of the representables at e with multiplicity mult,
+    for (e, mult) in ``pieces``, summands in that order, built in one pass.
+
+    The space at c holds the summands of the pieces with e <= c, in order,
+    and the map on a cover (a, b) is the 0/1 matrix sending each summand at
+    a to the same summand at b.  The summands at c are those born at c and
+    those at its lower covers, so one sweep in canonical order finds them
+    all as bitmasks, and each distinct pair of bitmasks on a cover gets one
+    matrix.  The result equals ``direct_sum(zero_module(poset,
+    field), *(free_module(poset, e, mult, field) for e, mult in pieces))``,
+    matrix bytes included.
+    """
+    pieces = [(e, int(mult)) for e, mult in pieces]
+    held = [0] * len(poset)  # summand bitmask: born at each element, then held there
+    total = 0
+    for e, mult in pieces:
+        if mult < 0:
+            raise ShapeError("multiplicity must be nonnegative")
+        held[poset.index(e)] |= ((1 << mult) - 1) << total
+        total += mult
+    index = poset._index
+    for i, c in enumerate(poset.elements):
+        for d in poset.covers_below(c):
+            held[i] |= held[index[d]]
+    maps, inclusions = {}, {}  # one 0/1 matrix per distinct pair of summand sets
     for a, b in poset.covers:
-        if a in up and b in up:
-            maps[(a, b)] = ident
-    return PersModule(poset, field, dims, maps,
-                      name=name or f"free({c},{multiplicity})", validate=False)
+        key = (held[index[a]], held[index[b]])
+        if not key[0]:
+            continue  # nothing at a: PersModule fills in the zero map
+        if key not in inclusions:
+            sub, sup = (_bit_indices(h, total) for h in key)
+            inclusions[key] = (sup[:, None] == sub).astype(np.int64)
+        maps[(a, b)] = inclusions[key]
+    dims = {c: h.bit_count() for c, h in zip(poset.elements, held)}
+    name = name or "+".join(f"free({e},{mult})" for e, mult in pieces) or "0"
+    return PersModule(poset, field, dims, maps, name=name, validate=False)
 
 
 def direct_sum(first: PersModule, *rest: PersModule, name=None) -> PersModule:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from gpmod import invariants, linalg
-from gpmod.errors import NotAGrid, NotGenerated, NotPresented, NotDetermined
+from gpmod.errors import (
+    InternalError,
+    NotAGrid,
+    NotDetermined,
+    NotGenerated,
+    NotPresented,
+)
 from gpmod.invariants import (
     birth_death_report,
     births,
@@ -27,6 +33,7 @@ from gpmod.kan import induce, lambda_with_window, restrict
 from gpmod.modules import (
     direct_sum,
     free_module,
+    free_sum,
     interval_module,
     is_epi,
     is_iso,
@@ -36,7 +43,17 @@ from gpmod.modules import (
     random_morphism,
     zero_module,
 )
-from gpmod.posets import chain, grid_poset, hat, up_set
+from gpmod.linalg import FieldSpec
+from gpmod.posets import (
+    Poset,
+    as_grid_shape,
+    chain,
+    grid_id,
+    grid_poset,
+    hat,
+    mub,
+    up_set,
+)
 from gpmod.verify import random_poset
 
 P = 101
@@ -292,6 +309,65 @@ def test_minimal_presentation_free_and_chain(chain3, field):
     assert dict(pres.gens) == {"0": 1} and dict(pres.rels) == {"1": 1}
 
 
+def _koszul_betti(m):
+    """xi0 and xi1 of a module on a 2-D grid from the Koszul complex
+    M(z-e1-e2) -> M(z-e1) + M(z-e2) -> M(z) at each z: xi0(z) = dim M(z)
+    - rank d1 and xi1(z) = dim ker d1 - rank d2.  Points off the grid
+    carry the zero space."""
+    p = m.field.p
+    rows, cols = as_grid_shape(m.poset)
+    xi0, xi1 = {}, {}
+    for i in range(rows):
+        for j in range(cols):
+            z = grid_id((i, j))
+            lower = [grid_id(y) for y, ok in (((i - 1, j), i), ((i, j - 1), j)) if ok]
+            d1 = linalg.hstack([m.cover_maps[(y, z)] for y in lower], m.dims[z])
+            rank_d2 = 0
+            if i and j:
+                w = grid_id((i - 1, j - 1))
+                d2 = linalg.vstack([m.cover_maps[(w, lower[0])],
+                                    (-m.cover_maps[(w, lower[1])]) % p], m.dims[w])
+                assert not linalg.matmul(d1, d2, p).any()
+                rank_d2 = linalg.rank(d2, p)
+            rank_d1 = linalg.rank(d1, p)
+            xi0[z] = m.dims[z] - rank_d1
+            xi1[z] = d1.shape[1] - rank_d1 - rank_d2
+    return ({z: k for z, k in xi0.items() if k},
+            {z: k for z, k in xi1.items() if k})
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_presentation_matches_the_koszul_complex_on_grids(p):
+    # bigraded Betti numbers: with S the whole grid, gens and rels of the
+    # minimal presentation are xi0 and xi1 of the Koszul complex
+    field = FieldSpec(p)
+    shapes = [(1, 1), (1, 4), (3, 1), (2, 2), (3, 3), (3, 5), (4, 4), (5, 6),
+              (6, 6), (7, 5), (8, 8)]
+    with_rels = 0
+    for k, shape in enumerate(shapes):
+        grid = grid_poset(shape)
+        for generator in ("solve", "intervals"):
+            m = random_module(grid, 2, field, seed=k, generator=generator)
+            pres = minimal_presentation(m, grid.whole())
+            xi0, xi1 = _koszul_betti(m)
+            assert dict(pres.gens) == xi0
+            assert dict(pres.rels) == xi1
+            with_rels += bool(xi1)
+    assert with_rels >= 8
+
+
+def test_presentation_asks_no_order_query_per_pair(monkeypatch, field):
+    # the cover's components and structure maps read up-set bits directly
+    def refuse(self, a, b):
+        raise AssertionError("Poset.leq called")
+
+    grid = grid_poset((6, 6))
+    m = random_module(grid, 2, field, 3)
+    monkeypatch.setattr(Poset, "leq", refuse)
+    pres = minimal_presentation(m, grid.whole())
+    assert pres.exact and pres.verho_equal
+
+
 def test_xi_multiplicities_against_grid_oracle(field):
     # one-step generator count at c over the whole poset: dim minus the
     # rank of the stacked incoming cover maps
@@ -368,6 +444,53 @@ def test_fsp_from_determined_examples(grid33, field):
         assert down_c == down_f and grid33.leq(frame, c)
     with pytest.raises(NotDetermined):
         fsp_from_determined(interval_module(grid33, ["(1,1)"], field), ["(0,0)"])
+
+
+def _mub_frames(m, s):
+    """The frames as fsp_from_determined found them before its sweep: for
+    each c above the support, the first of mub(s & down(c)) that has the
+    same s-downset as c and lies below c."""
+    poset = m.poset
+    s = poset.subset(s)
+    frames = {}
+    for c in up_set(poset, m.support()):
+        down_c = poset.down_mask(c) & s.mask
+        frame = next((cand for cand in mub(poset, poset.subset_from_mask(down_c))
+                      if poset.down_mask(cand) & s.mask == down_c
+                      and poset.leq(cand, c)), None)
+        if frame is None:
+            raise InternalError(f"no frame found for {c!r}")
+        frames[c] = frame
+    return frames
+
+
+def test_fsp_frames_match_the_mub_search(field):
+    # determined modules: a module induced from its restriction to s, and
+    # the free module on s, whose support is all of up(s)
+    rng = np.random.default_rng(71)
+    pairs = 0
+    posets = [random_poset(rng, 2, 10) for _ in range(60)]
+    posets += [grid_poset((r, c)) for r in range(2, 9) for c in range(r, 9)]
+    for poset in posets:
+        for _ in range(4):
+            k = int(rng.integers(1, min(4, len(poset)) + 1))
+            s = [poset.elements[i] for i in rng.choice(len(poset), k, replace=False)]
+            if len(hat(poset, hat(poset, s))) > 20:
+                continue
+            m0 = random_module(poset, 2, field, seed=int(rng.integers(2**32)))
+            for m in (induce(restrict(m0, s), poset),
+                      free_sum(poset, [(e, 1) for e in s], field)):
+                rep = fsp_from_determined(m, s)
+                assert list(rep.frames.items()) == list(_mub_frames(m, s).items())
+                pairs += len(rep.frames)
+    for shape in [(2, 2), (2, 3), (3, 3), (4, 4), (4, 5)]:
+        grid = grid_poset(shape)
+        m = random_module(grid, 2, field, seed=shape[1], generator="intervals")
+        rep = fsp_from_determined(m, grid.whole())
+        assert list(rep.frames.items()) == list(_mub_frames(m, grid.whole()).items())
+        assert all(rep.frames[c] == c for c in rep.frames)
+        pairs += len(rep.frames)
+    assert pairs > 4000
 
 
 def test_finitely_presented_witness(chain3, field):

@@ -14,6 +14,7 @@ from gpmod.modules import (
     PersModule,
     direct_sum,
     free_module,
+    free_sum,
     hom_basis,
     hom_space_dim,
     interval_module,
@@ -28,7 +29,7 @@ from gpmod.modules import (
     zero_module,
 )
 from gpmod.linalg import FieldSpec
-from gpmod.posets import chain, grid_poset
+from gpmod.posets import chain, grid_poset, up_set
 from gpmod.verify import random_poset
 
 
@@ -80,6 +81,52 @@ def test_free_module(diamond, chain3, field):
     f = free_module(chain3, "1", 1, field)
     assert [f.dims[e] for e in chain3.elements] == [0, 1, 1]
     assert free_module(diamond, "b", 0, field).total_dim == 0
+
+
+def _oracle_free_module(poset, c, multiplicity, field):
+    """The representable at c as free_module built it before free_sum:
+    identity maps on the covers inside up(c), zero maps elsewhere."""
+    up = up_set(poset, [c])
+    ident = linalg.identity(multiplicity)
+    maps = {(a, b): ident for a, b in poset.covers if a in up and b in up}
+    return PersModule(poset, field, {e: multiplicity for e in up}, maps,
+                      name=f"free({c},{multiplicity})", validate=False)
+
+
+def _same_bytes(m, n):
+    assert m.name == n.name and m.dims == n.dims
+    for c in m.poset.covers:
+        x, y = m.cover_maps[c], n.cover_maps[c]
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_free_sum_matches_the_direct_sum_of_representables(p):
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p % 1000)
+    posets = [random_poset(rng, 1, 9) for _ in range(25)]
+    posets += [grid_poset((r, c)) for r in range(1, 7) for c in range(r, 7)]
+    posets.append(grid_poset((3, 3, 3)))
+    cases = 0
+    for poset in posets:
+        for _ in range(3):
+            pieces = [(poset.elements[int(rng.integers(len(poset)))],
+                       int(rng.integers(0, 4)))
+                      for _ in range(int(rng.integers(0, 7)))]
+            got = free_sum(poset, pieces, field, name="cover(M)")
+            want = direct_sum(zero_module(poset, field),
+                              *(_oracle_free_module(poset, e, k, field)
+                                for e, k in pieces), name="cover(M)")
+            _same_bytes(got, want)
+            cases += 1
+        e = poset.elements[int(rng.integers(len(poset)))]
+        k = int(rng.integers(0, 4))
+        _same_bytes(free_module(poset, e, k, field),
+                    _oracle_free_module(poset, e, k, field))
+    assert cases == 3 * len(posets) == 3 * 47
+    assert free_sum(chain(2), [], FieldSpec(p)).name == "0"
+    with pytest.raises(ShapeError):
+        free_sum(chain(2), [("0", 1), ("1", -1)], FieldSpec(p))
 
 
 def test_direct_sum(chain3, field):
