@@ -5,6 +5,12 @@ prime p.  Zero-row and zero-column matrices are legal and denote maps to or
 from the zero space.  Every routine is a deterministic function of its
 inputs: pivots are always the leftmost nonzero column and the smallest
 eligible row, so bases, projections and solutions are byte-reproducible.
+
+Every elimination goes through ``rref``, which has two routes.  Matrices of
+at most 64 cells, nearly all of those the invariants reduce on grids, are
+row-reduced in lists of Python integers; larger ones in numpy, one array
+operation per pivot.  A matrix has exactly one reduced row-echelon form, so
+the two routes return the same bytes, pivots and rank.
 """
 
 from __future__ import annotations
@@ -91,13 +97,74 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+# Matrices of at most this many cells are reduced in Python integers.  A
+# numpy pivot step costs several array calls whatever the size, a Python one
+# grows with the cells it touches, so lists win on small inputs only.
+# Medians of one call on uniform entries, 2-vCPU shared VM, Python against
+# numpy, at p = 101 and at p = 2**31 - 1, where a product of two entries
+# takes three 30-bit digits of a Python integer:
+#   1x1     4 against 12 us        4 against 14 us
+#   3x5    16 against 50 us       21 against 72 us
+#   6x10   80 against 117 us     162 against 202 us
+#   8x8   107 against 180 us     209 against 266 us
+#   8x12  161 against 122 us     231 against 192 us
+#   8x16  193 against 186 us     270 against 197 us
+#   20x40 1447 against 394 us   4902 against 847 us
+_SMALL_CELLS = 64
+
+
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
     """Reduced row-echelon form with unit pivots.
 
-    Returns (reduced, pivot column indices, rank).  Pivot choice is the
-    leftmost nonzero column, smallest row index.
+    Returns (reduced, pivot column indices, rank); ``reduced`` is a fresh
+    int64 array of the input's shape.  Pivot choice is the leftmost nonzero
+    column, smallest row index.  A matrix with no cells returns at once.
+    One of at most ``_SMALL_CELLS`` (64, the measured crossover) cells is
+    reduced by Gauss-Jordan elimination on lists of Python integers, a
+    larger one by the numpy loop.  Elementary row operations keep the row
+    space, and each row space has exactly one reduced row-echelon form with
+    unit pivots, so both routes return the same bytes, pivots and rank.
     """
-    r = np.mod(np.asarray(a, dtype=np.int64), p).copy()
+    r = np.asarray(a, dtype=np.int64)
+    rows, cols = r.shape
+    if rows == 0 or cols == 0:
+        return zeros(rows, cols), (), 0
+    if rows * cols <= _SMALL_CELLS:
+        return _rref_ints(r, p)
+    return _rref_numpy(r, p)
+
+
+def _rref_ints(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """``rref`` as Gauss-Jordan elimination on lists of Python integers."""
+    rows, cols = a.shape
+    r = [[x % p for x in line] for line in a.tolist()]
+    pivots: list[int] = []
+    row = 0
+    for col in range(cols):
+        if row == rows:
+            break
+        i = row
+        while i < rows and not r[i][col]:
+            i += 1
+        if i == rows:
+            continue
+        r[row], r[i] = r[i], r[row]
+        top = r[row]
+        inv = pow(top[col], -1, p)
+        if inv != 1:
+            top = r[row] = [x * inv % p for x in top]
+        for k, line in enumerate(r):
+            f = line[col]
+            if f and k != row:
+                r[k] = [(x - f * y) % p for x, y in zip(line, top)]
+        pivots.append(col)
+        row += 1
+    return np.array(r, dtype=np.int64).reshape(rows, cols), tuple(pivots), row
+
+
+def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """``rref`` with one numpy row operation per pivot."""
+    r = np.mod(a, p).copy()
     rows, cols = r.shape
     pivots: list[int] = []
     row = 0

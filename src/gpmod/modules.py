@@ -447,12 +447,13 @@ def random_morphism(m: PersModule, n: PersModule, rng) -> ModuleMorphism:
     return ModuleMorphism(m, n, comps, validate=False)
 
 
-def _random_interval(poset: Poset, rng):
+def _random_interval(poset: Poset, rng) -> ElementSet:
+    """The interval [a, b] for a random a and a random b above it."""
     a = poset.elements[int(rng.integers(0, len(poset)))]
-    ups = list(up_set(poset, [a]))
+    up = up_set(poset, [a])
+    ups = up.ids()
     b = ups[int(rng.integers(0, len(ups)))]
-    members = [c for c in poset.elements if poset.leq(a, c) and poset.leq(c, b)]
-    return members
+    return poset.subset_from_mask(up.mask & poset.down_mask(b))
 
 
 def random_module(poset: Poset, max_dim: int, field: FieldSpec, seed,
@@ -498,7 +499,7 @@ def _random_solved(poset, max_dim, field, rng) -> PersModule | None:
         below = poset.covers_below(c)
         fixed_into_c = {}
         for b in below:
-            sources = [s for s in poset.elements if poset.leq(s, b)]
+            sources = poset.subset_from_mask(poset.down_mask(b)).members
             constrained = [s for s in sources if s in fixed_into_c]
             a_blocks = [composites[(s, b)].T for s in constrained]
             b_blocks = [fixed_into_c[s].T for s in constrained]

@@ -19,6 +19,7 @@ from .errors import GpmodError
 from .kan import canonical_mu, induce, restrict
 from .linalg import FieldSpec
 from .modules import (
+    _random_interval,
     free_module,
     hom_space_dim,
     interval_module,
@@ -224,12 +225,8 @@ def _case_split_esim(rng, field, caps):
 
 def _case_interval_ex(rng, field, caps):
     p = random_poset(rng, 2, caps["max_poset"] + 1)
-    a = p.elements[int(rng.integers(0, len(p)))]
-    ups = list(up_set(p, [a]))
-    b = ups[int(rng.integers(0, len(ups)))]
-    members = [c for c in p.elements if p.leq(a, c) and p.leq(c, b)]
-    m = interval_module(p, members, field)
-    i_set = p.subset(members)
+    i_set = _random_interval(p, rng)
+    m = interval_module(p, i_set, field)
     minimal = p.minimal_of_mask(i_set.mask)
     got_b = inv.births(m, p.whole())
     assert got_b.mask == minimal, \

@@ -136,3 +136,46 @@ def test_deterministic_outputs():
     assert np.array_equal(linalg.rref(a, P)[0], linalg.rref(a.copy(), P)[0])
     assert np.array_equal(linalg.kernel_basis(a, P).basis,
                           linalg.kernel_basis(a.copy(), P).basis)
+
+
+def _rref_bytes(result):
+    reduced, pivots, rk = result
+    return reduced.dtype, reduced.shape, reduced.tobytes(), pivots, rk
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_rref_routes_agree_byte_for_byte(p):
+    """The Python-integer route and the numpy route return the same reduced
+    bytes, pivots and rank, on inputs that are not reduced mod p, on both
+    sides of the crossover that chooses between them."""
+    rng = np.random.default_rng(p % 997)
+    small = [(0, 0), (0, 1), (0, 7), (7, 0), (1, 1), (1, 9), (9, 1), (2, 3),
+             (3, 2), (4, 4), (5, 7), (8, 8), (1, 64), (64, 1)]
+    large = [(1, 65), (65, 1), (9, 8), (8, 9), (12, 12), (5, 30), (20, 40)]
+    assert all(r * c <= linalg._SMALL_CELLS for r, c in small)
+    assert all(r * c > linalg._SMALL_CELLS for r, c in large)
+    edges = np.array([0, 1, p - 2, p - 1], dtype=np.int64)
+    cases = 0
+    for shape in small + large:
+        for kind in ("uniform", "edges", "unreduced", "low-rank", "sparse"):
+            if kind == "uniform":
+                a = rng.integers(0, p, size=shape)
+            elif kind == "edges":
+                a = rng.choice(edges, size=shape)
+            elif kind == "unreduced":
+                # negatives and values >= p, including multiples of p
+                a = rng.choice(edges, size=shape) + p * rng.integers(-3, 4, size=shape)
+            elif kind == "low-rank":
+                inner = int(rng.integers(0, 3))
+                a = (rng.integers(0, p, size=(shape[0], inner)).astype(object)
+                     .dot(rng.integers(0, p, size=(inner, shape[1])).astype(object))
+                     % p).astype(np.int64).reshape(shape)
+            else:
+                a = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.3)
+            a = a.astype(np.int64)
+            want = _rref_bytes(linalg._rref_numpy(a, p))
+            assert want[:2] == (np.int64, shape)
+            assert _rref_bytes(linalg._rref_ints(a, p)) == want, (shape, kind)
+            assert _rref_bytes(linalg.rref(a, p)) == want, (shape, kind)
+            cases += 1
+    assert cases == 5 * len(small + large)

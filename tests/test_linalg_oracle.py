@@ -41,6 +41,15 @@ def _matrices(p, rows=st.integers(0, 5), cols=st.integers(0, 5)):
                      st.integers(0, 3))
 
 
+def _either_route(p, least=0):
+    """Matrices for both ``rref`` routes: at most 5x5, which the Python-integer
+    route reduces, or 9x9 to 12x12, above its crossover, for numpy."""
+    assert 9 * 9 > linalg._SMALL_CELLS >= 5 * 5
+    return st.one_of(
+        _matrices(p, rows=st.integers(least, 5), cols=st.integers(least, 5)),
+        _matrices(p, rows=st.integers(9, 12), cols=st.integers(9, 12)))
+
+
 def _dm(a, p):
     field = GF(p, symmetric=False)
     return DomainMatrix([[field(int(x)) for x in row] for row in a], a.shape, field)
@@ -62,7 +71,7 @@ oracle = settings(max_examples=60, deadline=None)
 @pytest.mark.parametrize("p", PRIMES)
 def test_rref_and_rank_match_sympy(p):
     @oracle
-    @given(_matrices(p))
+    @given(_either_route(p))
     def check(a):
         reduced, pivots, rk = linalg.rref(a, p)
         want, want_pivots = _dm(a, p).rref()
@@ -76,7 +85,7 @@ def test_rref_and_rank_match_sympy(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_kernel_basis_matches_sympy(p):
     @oracle
-    @given(_matrices(p))
+    @given(_either_route(p))
     def check(a):
         basis = linalg.kernel_basis(a, p).basis
         want = _dm(a, p).nullspace()
@@ -92,8 +101,7 @@ def test_kernel_basis_matches_sympy(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_solve_matches_sympy(p):
     @oracle
-    @given(_matrices(p, rows=st.integers(1, 5), cols=st.integers(1, 5)),
-           st.integers(1, 3), st.data())
+    @given(_either_route(p, least=1), st.integers(1, 3), st.data())
     def check(a, nrhs, data):
         b = data.draw(_matrices(p, rows=st.just(a.shape[0]), cols=st.just(nrhs)))
         if data.draw(st.booleans()):

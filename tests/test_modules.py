@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpmod import linalg
+from gpmod import linalg, modules
 from gpmod.errors import (
     FunctorialityError,
     MismatchedBase,
@@ -29,8 +29,8 @@ from gpmod.modules import (
     zero_module,
 )
 from gpmod.linalg import FieldSpec
-from gpmod.posets import chain, grid_poset, up_set
-from gpmod.verify import random_poset
+from gpmod.posets import Poset, chain, grid_poset, up_set
+from gpmod.verify import random_poset, run_suite
 
 
 def test_new_module_chain(chain3, field):
@@ -249,6 +249,84 @@ def test_random_modules_are_functorial(field):
             m = random_module(p, 3, field, seed=int(rng.integers(2**32)),
                               generator=gen)
             PersModule(p, field, m.dims, m.cover_maps, validate=True)
+
+
+def _oracle_random_interval(poset, rng):
+    """modules._random_interval as it was, with one order query per element."""
+    a = poset.elements[int(rng.integers(0, len(poset)))]
+    ups = list(up_set(poset, [a]))
+    b = ups[int(rng.integers(0, len(ups)))]
+    members = [c for c in poset.elements if poset.leq(a, c) and poset.leq(c, b)]
+    return members
+
+
+def _oracle_random_solved(poset, max_dim, field, rng):
+    """modules._random_solved as it was, with one order query per element
+    for the sources of each cover."""
+    p = field.p
+    dims = {e: int(rng.integers(0, max_dim + 1)) for e in poset.elements}
+    maps = {}
+    composites = {(e, e): linalg.identity(dims[e]) for e in poset.elements}
+    for c in poset.elements:
+        below = poset.covers_below(c)
+        fixed_into_c = {}
+        for b in below:
+            sources = [s for s in poset.elements if poset.leq(s, b)]
+            constrained = [s for s in sources if s in fixed_into_c]
+            a_blocks = [composites[(s, b)].T for s in constrained]
+            b_blocks = [fixed_into_c[s].T for s in constrained]
+            if constrained:
+                a_sys = linalg.vstack(a_blocks, dims[b])
+                b_sys = linalg.vstack(b_blocks, dims[c])
+                try:
+                    xt = linalg.solve(a_sys, b_sys, p)
+                except linalg.NoSolution:
+                    return None
+                null = linalg.kernel_basis(a_sys, p)
+                if null.dim and dims[c]:
+                    coeffs = rng.integers(0, p, size=(null.dim, dims[c]))
+                    xt = (xt + linalg.matmul(null.basis, coeffs, p)) % p
+                x = xt.T.copy()
+            else:
+                x = rng.integers(0, p, size=(dims[c], dims[b])).astype(np.int64)
+            maps[(b, c)] = x
+            for s in sources:
+                if s not in fixed_into_c:
+                    fixed_into_c[s] = linalg.matmul(x, composites[(s, b)], p)
+        for s, m in fixed_into_c.items():
+            composites[(s, c)] = m
+    return PersModule(poset, field, dims, maps, name="random", validate=False)
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_random_module_matches_the_order_query_generators(p, monkeypatch):
+    """Reading sources and interval members from the up and down masks draws
+    the same random numbers in the same order as one ``leq`` per element."""
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p % 991)
+    posets = [random_poset(rng, 1, 9) for _ in range(20)]
+    posets += [grid_poset((r, c)) for r in range(1, 9) for c in range(r, 9, 3)]
+    cases = [(poset, gen, int(rng.integers(2**32)))
+             for poset in posets for gen in ("solve", "intervals")]
+    got = [random_module(poset, 2, field, seed, gen) for poset, gen, seed in cases]
+    monkeypatch.setattr(modules, "_random_interval", _oracle_random_interval)
+    monkeypatch.setattr(modules, "_random_solved", _oracle_random_solved)
+    for m, (poset, gen, seed) in zip(got, cases):
+        _same_bytes(m, random_module(poset, 2, field, seed, gen))
+    assert len(cases) == 2 * (20 + 15)
+
+
+def test_random_modules_ask_no_order_query(monkeypatch, field):
+    def refuse(self, a, b):
+        raise AssertionError("Poset.leq called")
+
+    monkeypatch.setattr(Poset, "leq", refuse)
+    grid = grid_poset((8, 8))
+    for gen in ("solve", "intervals"):
+        for seed in range(3):
+            assert random_module(grid, 2, field, seed, gen).total_dim
+    report = run_suite("interval-ex", cases=20, seed=7)
+    assert report["failures"] == [], report["messages"]
 
 
 def test_hom_basis_matches_interval_rule(chain3, field):
