@@ -245,11 +245,24 @@ def window_ranks(m: PersModule, s, c: str) -> tuple[int, int, int]:
     surjective and m(d <= c) factors through m(t <= c), so rank(lambda) is
     the rank of the structure maps m(t <= c), t in T, side by side.  Both
     numbers are ranks, so they do not depend on a choice of basis.
+
+    The relations involve only the diagram on W, never c or S beyond W, so
+    the colimit dimension is a function of W's local presentation (tops
+    and spans), which the poset memoizes per window mask.  The module
+    keeps the dimension in ``_colim_dims``, keyed by that presentation, for
+    every S and c with the same window.  An empty window has the zero
+    colimit, and lambda is the zero map.
     """
     s = m.poset.subset(s)
+    mask = IndexWindow(s, c, strict=True).mask()
+    if not mask:
+        return 0, 0, m.dims[c]
     p = m.field.p
-    tops, spans = m.poset.local_spans(IndexWindow(s, c, strict=True).mask())
-    offsets, total = _offsets(m, tops)
-    relations = _relation_matrix(m, offsets, total, spans)
-    colim_dim = total - linalg.rank(relations, p)
+    local = m.poset.local_spans(mask)
+    tops, spans = local
+    colim_dim = m._colim_dims.get(local)
+    if colim_dim is None:
+        offsets, total = _offsets(m, tops)
+        relations = _relation_matrix(m, offsets, total, spans)
+        colim_dim = m._colim_dims[local] = total - linalg.rank(relations, p)
     return linalg.rank(_cocone(m, tops, c), p), colim_dim, m.dims[c]

@@ -85,15 +85,35 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    k = a.shape[1]
+    return _chunked_product(a, b, p)
+
+
+def matmul_stack(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact (a[i] @ b[i]) mod p for every i of two stacks of matrices.
+
+    Shapes (n, r, k) and (n, k, c) give (n, r, c).  Each product is chunked
+    over k by the same rule as ``matmul``, so every slice of the result has
+    the bytes ``matmul(a[i], b[i], p)`` has, for any prime below 2**31.
+    """
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ShapeError(f"matmul_stack shape mismatch: {a.shape} @ {b.shape}")
+    return _chunked_product(a, b, p)
+
+
+def _chunked_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p over the last two axes, with the inner dimension cut
+    into chunks of at most 2**62 // (p - 1)**2 terms: a chunk's sum plus
+    the reduced accumulator stays below 2**63."""
+    k = a.shape[-1]
+    shape = a.shape[:-1] + b.shape[-1:]
     if k == 0:
-        return zeros(a.shape[0], b.shape[1])
+        return np.zeros(shape, dtype=np.int64)
     step = max(1, (2**62) // max(1, (p - 1) ** 2))
     if k <= step:
         return (a @ b) % p
-    acc = zeros(a.shape[0], b.shape[1])
+    acc = np.zeros(shape, dtype=np.int64)
     for i in range(0, k, step):
-        acc = (acc + a[:, i : i + step] @ b[i : i + step, :]) % p
+        acc = (acc + a[..., i : i + step] @ b[..., i : i + step, :]) % p
     return acc
 
 
@@ -177,7 +197,7 @@ def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int
         i = row + int(nz[0])
         if i != row:
             r[[row, i]] = r[[i, row]]
-        inv = pow(int(r[row, col]), p - 2, p)
+        inv = pow(int(r[row, col]), -1, p)
         r[row] = (r[row] * inv) % p
         others = np.nonzero(r[:, col])[0]
         others = others[others != row]

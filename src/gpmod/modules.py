@@ -41,12 +41,16 @@ class PersModule:
     Instances are immutable after construction, apart from the ``name``
     label: nothing writes to ``dims`` or ``cover_maps`` outside
     ``__init__``.  The memos depend on this:
-    ``_eval_cache`` holds composite structure maps and ``_window_cache``
-    holds the window-rank table of each subset S, keyed by its mask.
+    ``_eval_cache`` holds composite structure maps (a cover pair's entry is
+    its cover map itself), ``_window_cache`` holds the window-rank table of
+    each subset S, keyed by its mask, and ``_colim_dims`` holds the
+    colimit dimension of each window that ``kan.window_ranks`` presented,
+    keyed by the window's local presentation (``Poset.local_spans``),
+    which any S and c with that window share.
     """
 
     __slots__ = ("poset", "field", "dims", "cover_maps", "name", "_eval_cache",
-                 "_window_cache")
+                 "_window_cache", "_colim_dims")
 
     def __init__(self, poset: Poset, field: FieldSpec, dims, cover_maps,
                  *, name="M", validate=True):
@@ -82,6 +86,7 @@ class PersModule:
         self.cover_maps = maps
         self._eval_cache = {}
         self._window_cache = {}
+        self._colim_dims = {}
         if validate:
             self._check_functoriality()
 
@@ -118,6 +123,10 @@ class PersModule:
         cache = self._eval_cache
         m = cache.get((a, b))
         if m is not None:
+            return m
+        m = self.cover_maps.get((a, b))
+        if m is not None:
+            cache[(a, b)] = m
             return m
         poset = self.poset
         index = poset._index
@@ -158,7 +167,14 @@ class PersModule:
 
 
 class ModuleMorphism:
-    """A natural transformation between two modules over the same poset."""
+    """A natural transformation between two modules over the same poset.
+
+    Construction checks naturality on every cover in stacked products
+    (``linalg.matmul_stack``).  Each slice of a stacked product is the exact
+    product of that cover's matrices, chunked as ``linalg.matmul`` chunks
+    it, so the check accepts and rejects what a per-cover loop of
+    ``matmul`` calls would, for any prime below 2**31.
+    """
 
     __slots__ = ("source", "target", "components")
 
@@ -188,12 +204,33 @@ class ModuleMorphism:
             self._check_naturality()
 
     def _check_naturality(self):
-        p = self.source.field.p
-        for a, b in self.source.poset.covers:
-            left = linalg.matmul(self.target.cover_maps[(a, b)], self.components[a], p)
-            right = linalg.matmul(self.components[b], self.source.cover_maps[(a, b)], p)
-            if not np.array_equal(left, right):
-                raise ValidationError(f"naturality fails on cover {(a, b)!r}")
+        """T(a <= b) C_a == C_b S(a <= b) on every cover a < b, for source S,
+        target T and components C, checked in stacked products: covers
+        with equal (dims_T(b), dims_T(a), dims_S(a), dims_S(b)) form one
+        stack per side.  Raises on the first failing cover in canonical
+        order, as a loop over the covers would."""
+        src, tgt, comps = self.source, self.target, self.components
+        p = src.field.p
+        covers = src.poset.covers
+        groups = {}  # shape key -> indices into covers
+        for k, (a, b) in enumerate(covers):
+            key = (tgt.dims[b], tgt.dims[a], src.dims[a], src.dims[b])
+            if key[0] and key[2]:  # otherwise both sides are empty
+                groups.setdefault(key, []).append(k)
+        failed = []
+        for ks in groups.values():
+            pairs = [covers[k] for k in ks]
+            left = linalg.matmul_stack(
+                np.stack([tgt.cover_maps[c] for c in pairs]),
+                np.stack([comps[a] for a, _ in pairs]), p)
+            right = linalg.matmul_stack(
+                np.stack([comps[b] for _, b in pairs]),
+                np.stack([src.cover_maps[c] for c in pairs]), p)
+            bad = (left != right).any(axis=(1, 2))
+            if bad.any():
+                failed.append(ks[int(bad.argmax())])
+        if failed:
+            raise ValidationError(f"naturality fails on cover {covers[min(failed)]!r}")
 
     def __eq__(self, other):
         if not isinstance(other, ModuleMorphism):
@@ -493,15 +530,19 @@ def _random_solved(poset, max_dim, field, rng) -> PersModule | None:
     p = field.p
     dims = {e: int(rng.integers(0, max_dim + 1)) for e in poset.elements}
     maps = {}
-    # composites[(s, c)] = structure map s -> c fixed so far
-    composites = {(e, e): linalg.identity(dims[e]) for e in poset.elements}
+    # composites[(s, c)] = structure map s -> c fixed so far, for s < c
+    composites = {}
+
+    def composite(s, b):
+        return linalg.identity(dims[b]) if s == b else composites[(s, b)]
+
     for c in poset.elements:
         below = poset.covers_below(c)
         fixed_into_c = {}
         for b in below:
             sources = poset.subset_from_mask(poset.down_mask(b)).members
             constrained = [s for s in sources if s in fixed_into_c]
-            a_blocks = [composites[(s, b)].T for s in constrained]
+            a_blocks = [composite(s, b).T for s in constrained]
             b_blocks = [fixed_into_c[s].T for s in constrained]
             if constrained:
                 a_sys = linalg.vstack(a_blocks, dims[b])
@@ -520,7 +561,7 @@ def _random_solved(poset, max_dim, field, rng) -> PersModule | None:
             maps[(b, c)] = x
             for s in sources:
                 if s not in fixed_into_c:
-                    fixed_into_c[s] = linalg.matmul(x, composites[(s, b)], p)
+                    fixed_into_c[s] = linalg.matmul(x, composite(s, b), p)
         for s, m in fixed_into_c.items():
             composites[(s, c)] = m
     return PersModule(poset, field, dims, maps, name="random", validate=False)

@@ -52,7 +52,8 @@ class Poset:
     """
 
     __slots__ = ("elements", "covers", "topo_rank", "name",
-                 "_index", "_up", "_down", "_covers_above", "_covers_below")
+                 "_index", "_up", "_down", "_covers_above", "_covers_below",
+                 "_spans")
 
     def __init__(self, elements, topo_rank, up, down, name="poset"):
         # Internal constructor: everything is given in canonical order, with
@@ -72,6 +73,7 @@ class Poset:
             below[b].append(a)
         self._covers_above = {e: tuple(v) for e, v in above.items()}
         self._covers_below = {e: tuple(v) for e, v in below.items()}
+        self._spans = {}  # local_spans by mask
 
     def __len__(self):
         return len(self.elements)
@@ -154,10 +156,19 @@ class Poset:
     def local_spans(self, mask: int):
         """The maximal elements ``tops`` of the subset mask, and its spans
         (d, t0, t): d maximal in mask & down(t1) & down(t2) for two tops,
-        t0 the first top above d and t each later one.  A diagram on mask
-        is its values at the tops glued along the spans (``kan.window_ranks``).
-        Only tops with something strictly below them in mask can share a d:
-        a common lower bound of two distinct tops lies strictly below each."""
+        t0 the first top above d and t each later one, both as tuples.  A
+        diagram on mask is its values at the tops glued along the spans
+        (``kan.window_ranks``).  Only tops with something strictly below
+        them in mask can share a d: a common lower bound of two distinct
+        tops lies strictly below each.
+
+        The result depends on the order and the mask alone, and the poset
+        is immutable, so it is memoized by mask: a window that a module,
+        its kernel and the functoriality check all present is scanned once.
+        """
+        found = self._spans.get(mask)
+        if found is not None:
+            return found
         names, down = self.elements, self._down
         tops = list(_bits(self.maximal_of_mask(mask)))
         low = [t for t in tops if mask & down[t] & ~(1 << t)]
@@ -167,7 +178,8 @@ class Poset:
         for d in sorted(common):
             t0, *later = [t for t in tops if down[t] >> d & 1]
             spans += [(names[d], names[t0], names[t]) for t in later]
-        return [names[t] for t in tops], spans
+        found = self._spans[mask] = (tuple(names[t] for t in tops), tuple(spans))
+        return found
 
     def cover_pairs_within(self, mask: int) -> list[tuple[str, str]]:
         """Transitive reduction of the order induced on the subset mask, in

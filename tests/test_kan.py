@@ -1,9 +1,12 @@
 import numpy as np
 
 from gpmod import linalg
-from gpmod.invariants import splitting
+from gpmod.invariants import projective_cover, splitting
 from gpmod.kan import (
     IndexWindow,
+    _cocone,
+    _offsets,
+    _relation_matrix,
     canonical_mu,
     colim_over_mask,
     colim_window,
@@ -21,6 +24,7 @@ from gpmod.modules import (
     is_epi,
     is_iso,
     is_mono,
+    kernel_module,
     new_module,
     random_module,
     random_morphism,
@@ -286,3 +290,41 @@ def test_restrict_and_mu_on_a_long_chain():
     assert mu.components["0"].shape == (1, 0)
     assert not is_epi(mu) and is_mono(mu)
     assert all(mu.components[e].shape == (1, 1) for e in p.elements[1:])
+
+
+def _window_ranks_unshared(m, s, c):
+    """kan.window_ranks as it was: every call presents its window afresh."""
+    s = m.poset.subset(s)
+    tops, spans = m.poset.local_spans(IndexWindow(s, c, strict=True).mask())
+    offsets, total = _offsets(m, tops)
+    relations = _relation_matrix(m, offsets, total, spans)
+    colim_dim = total - linalg.rank(relations, m.field.p)
+    return linalg.rank(_cocone(m, tops, c), m.field.p), colim_dim, m.dims[c]
+
+
+def test_window_ranks_share_windows_as_the_unshared_route_would(field):
+    """A module and the kernel of its cover, each asked in shuffled element
+    order for two S that differ in one element, so that most windows repeat
+    across S: the shared colimit dimensions give what a fresh presentation
+    per call gives."""
+    rng = np.random.default_rng(58)
+    posets = [random_poset(rng, 3, 9) for _ in range(40)]
+    posets += [grid_poset((n, n)) for n in (3, 4, 5)]
+    calls = repeats = 0
+    for p in posets:
+        m = random_module(p, 2, field, seed=int(rng.integers(2**32)),
+                          generator=("solve", "intervals")[int(rng.integers(0, 2))])
+        ker, _ = kernel_module(projective_cover(m, p.whole())[1])
+        s1 = int(rng.integers(0, p.full_mask + 1))
+        s2 = s1 ^ 1 << int(rng.integers(len(p)))
+        for module in (m, ker):
+            windows = set()
+            for s in (p.subset_from_mask(s1), p.subset_from_mask(s2)):
+                for c in (p.elements[i] for i in rng.permutation(len(p))):
+                    want = _window_ranks_unshared(module, s, c)
+                    assert window_ranks(module, s, c) == want, (p.elements, s, c)
+                    mask = IndexWindow(s, c, strict=True).mask()
+                    calls += 1
+                    repeats += mask in windows
+                    windows.add(mask)
+    assert repeats > calls // 3, (repeats, calls)

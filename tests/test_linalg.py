@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmod import linalg
-from gpmod.errors import NoSolution
+from gpmod.errors import NoSolution, ShapeError
 from gpmod.linalg import FieldSpec
 
 P = 101
@@ -179,3 +179,37 @@ def test_rref_routes_agree_byte_for_byte(p):
             assert _rref_bytes(linalg.rref(a, p)) == want, (shape, kind)
             cases += 1
     assert cases == 5 * len(small + large)
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_matmul_stack_matches_matmul_slice_by_slice(p):
+    """Each slice of a stacked product has the bytes of matmul on that
+    slice and the value of the product in Python integers, with empty
+    stacks, empty factors, and an inner dimension above the chunk step at
+    the largest prime."""
+    rng = np.random.default_rng(p % 991)
+    step = max(1, 2**62 // (p - 1) ** 2)
+    shapes = [(0, 2, 3, 2), (3, 0, 2, 2), (3, 2, 0, 4), (3, 2, 4, 0), (7, 1, 1, 1),
+              (5, 3, 4, 2), (4, 2, 40, 3)]
+    if p == 2**31 - 1:
+        assert step < 40
+    edges = np.array([0, 1, p - 2, p - 1], dtype=np.int64)
+    for n, r, k, c in shapes:
+        for kind in ("uniform", "edges"):
+            if kind == "uniform":
+                a = rng.integers(0, p, size=(n, r, k)).astype(np.int64)
+                b = rng.integers(0, p, size=(n, k, c)).astype(np.int64)
+            else:
+                a, b = rng.choice(edges, size=(n, r, k)), rng.choice(edges, size=(n, k, c))
+            got = linalg.matmul_stack(a, b, p)
+            assert got.dtype == np.int64 and got.shape == (n, r, c)
+            for i in range(n):
+                want = linalg.matmul(a[i], b[i], p)
+                assert got[i].tobytes() == want.tobytes(), (n, r, k, c, kind)
+                assert got[i].tolist() == [
+                    [sum(int(a[i, x, t]) * int(b[i, t, y]) for t in range(k)) % p
+                     for y in range(c)] for x in range(r)]
+    with pytest.raises(ShapeError):
+        linalg.matmul_stack(np.zeros((2, 1, 3), np.int64), np.zeros((2, 2, 1), np.int64), p)
+    with pytest.raises(ShapeError):
+        linalg.matmul_stack(np.zeros((2, 1, 3), np.int64), np.zeros((1, 3, 1), np.int64), p)

@@ -8,6 +8,7 @@ from gpmod.errors import (
     NotAnInterval,
     NotComparable,
     ShapeError,
+    ValidationError,
 )
 from gpmod.modules import (
     ModuleMorphism,
@@ -444,3 +445,58 @@ def test_eval_map_memoizes_what_the_recursive_route_did(field):
             a, b = pairs[k]
             assert loop.eval_map(a, b).tobytes() == _recursive_eval_map(rec, a, b).tobytes()
             assert loop._eval_cache.keys() == rec._eval_cache.keys()
+
+
+def _naturality_by_loop(f):
+    """ModuleMorphism._check_naturality as it was: one pair of matmul calls
+    per cover, in canonical order, raising at the first failing cover."""
+    p = f.source.field.p
+    for a, b in f.source.poset.covers:
+        left = linalg.matmul(f.target.cover_maps[(a, b)], f.components[a], p)
+        right = linalg.matmul(f.components[b], f.source.cover_maps[(a, b)], p)
+        if not np.array_equal(left, right):
+            raise ValidationError(f"naturality fails on cover {(a, b)!r}")
+
+
+def _naturality_verdict(check):
+    try:
+        check()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_stacked_naturality_matches_the_per_cover_loop(p):
+    """Valid morphisms and copies with one component entry changed, on
+    random posets and grids up to 6x6 with elements of dimension 0: the
+    stacked check accepts what the per-cover loop accepts and names the
+    same first failing cover."""
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p % 983)
+    posets = [random_poset(rng, 2, 8) for _ in range(30)]
+    posets += [grid_poset(shape) for shape in ((1, 5), (2, 3), (3, 3), (4, 4), (5, 3), (6, 6))]
+    seen = {"accepted": 0, "rejected": 0, "dim 0": 0}
+    for poset in posets:
+        for generator in ("solve", "intervals"):
+            m, n = (random_module(poset, 2, field, seed=int(rng.integers(2**32)),
+                                  generator=generator) for _ in range(2))
+            seen["dim 0"] += 0 in m.dims.values() or 0 in n.dims.values()
+            f = random_morphism(m, n, rng)
+            candidates = [f.components]
+            filled = [e for e in poset.elements if f.components[e].size]
+            for _ in range(min(3, len(filled))):
+                e = filled[int(rng.integers(len(filled)))]
+                comps = dict(f.components)
+                entry = comps[e].copy()
+                i, j = (int(rng.integers(d)) for d in entry.shape)
+                entry[i, j] = (entry[i, j] + int(rng.integers(1, p))) % p
+                comps[e] = entry
+                candidates.append(comps)
+            for comps in candidates:
+                g = ModuleMorphism(m, n, comps, validate=False)
+                want = _naturality_verdict(lambda: _naturality_by_loop(g))
+                assert _naturality_verdict(g._check_naturality) == want
+                assert _naturality_verdict(lambda: ModuleMorphism(m, n, comps)) == want
+                seen["accepted" if want is None else "rejected"] += 1
+    assert all(seen.values()), seen

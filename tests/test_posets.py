@@ -350,22 +350,23 @@ def test_cover_pairs_within_matches_comparable_pair_scan():
 
 def test_local_spans_relate_each_top_to_the_first_above_d(diamond):
     below = diamond.down_mask("d") & ~(1 << diamond.index("d"))
-    assert diamond.local_spans(below) == (["b", "c"], [("a", "b", "c")])
+    assert diamond.local_spans(below) == (("b", "c"), (("a", "b", "c"),))
     # a fan of four tops over one bottom: one span per later top, not one
     # per pair of tops
     tops = [f"t{i}" for i in range(4)]
     p = build_poset(["z", *tops, "b"],
                     [("z", t) for t in tops] + [(t, "b") for t in tops])
     below = p.down_mask("b") & ~(1 << p.index("b"))
-    assert p.local_spans(below) == (tops, [("z", "t0", t) for t in tops[1:]])
-    assert p.local_spans(p.subset(tops).mask) == (tops, [])
+    assert p.local_spans(below) == (tuple(tops), tuple(("z", "t0", t) for t in tops[1:]))
+    assert p.local_spans(p.subset(tops).mask) == (tuple(tops), ())
 
 
 def test_local_spans_scan_only_tops_with_something_below(monkeypatch, field):
     # K_m,m: every lower element below every upper one.  Below an upper
     # element the tops are the m lower ones, none with anything under it,
-    # so no pair of tops is scanned: one maximal_of_mask call per
-    # local_spans call, also through the functoriality check
+    # so no pair of tops is scanned: one maximal_of_mask call per distinct
+    # mask local_spans computes (it memoizes by mask), also through the
+    # functoriality check
     from gpmod.linalg import identity
     from gpmod.modules import PersModule
     from gpmod.posets import Poset
@@ -374,21 +375,40 @@ def test_local_spans_scan_only_tops_with_something_below(monkeypatch, field):
     lower, upper = [f"a{i}" for i in range(m)], [f"b{i}" for i in range(m)]
     p = build_poset(lower + upper, [(a, b) for a in lower for b in upper])
     calls = {"local_spans": 0, "maximal_of_mask": 0}
+    masks = set()
+    real_spans, real_max = Poset.local_spans, Poset.maximal_of_mask
 
-    def counted(name):
-        real = getattr(Poset, name)
+    def spans(self, mask):
+        calls["local_spans"] += 1
+        masks.add(mask)
+        return real_spans(self, mask)
 
-        def wrapper(self, *args):
-            calls[name] += 1
-            return real(self, *args)
-        return wrapper
+    def maximal(self, mask):
+        calls["maximal_of_mask"] += 1
+        return real_max(self, mask)
 
-    for name in calls:
-        monkeypatch.setattr(Poset, name, counted(name))
+    monkeypatch.setattr(Poset, "local_spans", spans)
+    monkeypatch.setattr(Poset, "maximal_of_mask", maximal)
     for b in upper:
-        assert p.local_spans(p.down_mask(b) & ~(1 << p.index(b))) == (sorted(lower), [])
-    assert calls == {"local_spans": m, "maximal_of_mask": m}
+        assert p.local_spans(p.down_mask(b) & ~(1 << p.index(b))) == (tuple(sorted(lower)), ())
+    assert calls == {"local_spans": m, "maximal_of_mask": 1} and len(masks) == 1
     PersModule(p, field, {e: 1 for e in p.elements},
                {c: identity(1) for c in p.covers}, validate=True)
     assert calls["local_spans"] == 3 * m
-    assert calls["maximal_of_mask"] == calls["local_spans"]
+    assert calls["maximal_of_mask"] == len(masks) == 2
+
+
+def test_local_spans_memo_matches_a_fresh_poset():
+    """local_spans on a poset whose memo is warm returns what an equal,
+    freshly built poset computes."""
+    rng = np.random.default_rng(61)
+    posets = [random_poset(rng, 2, 10) for _ in range(40)] + [grid_poset((4, 5))]
+    for p in posets:
+        masks = [int(rng.integers(0, p.full_mask + 1)) for _ in range(20)]
+        masks += [p.down_mask(b) & ~(1 << p.index(b)) for b in p.elements]
+        masks += [0, p.full_mask]
+        cold = [p.local_spans(mask) for mask in masks]
+        warm = [p.local_spans(mask) for mask in masks]
+        fresh = build_poset(p.elements, p.covers, name=p.name)
+        assert fresh == p and fresh is not p
+        assert warm == cold == [fresh.local_spans(mask) for mask in masks]
