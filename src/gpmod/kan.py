@@ -9,8 +9,12 @@ induced on the window, which suffices because covers generate the order.
 ``window_ranks`` needs only dimensions and ranks, so it uses a smaller
 local presentation: the spaces at the window's maximal elements, related
 along the maximal common lower bounds of pairs (``Poset.local_spans``).
-All bases come from the deterministic cokernel convention in ``linalg``, so
-injections and induced maps are byte-reproducible.
+Both routes assemble their relation matrix (``_relation_matrix``) and their
+cocone into m(c) (``_cocone``) in one array, filled slice by slice:
+summands of dimension 0 are skipped without calling ``eval_map``, and an
+identity block is written in place.  All bases come from the deterministic
+cokernel convention in ``linalg``, so injections and induced maps are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -69,17 +73,36 @@ def _offsets(m: PersModule, window) -> tuple[dict[str, int], int]:
     return offsets, total
 
 
+def _fill_identity(out: np.ndarray, row: int, col: int, k: int) -> None:
+    """Write the k x k identity into out with its corner at (row, col)."""
+    for i in range(k):
+        out[row + i, col + i] = 1
+
+
 def _relation_matrix(m: PersModule, offsets, total, spans) -> np.ndarray:
-    """One block x -> m(d <= a) x - m(d <= b) x, placed at the summands a
-    and b of the direct sum, per (d, a, b) in spans."""
-    p = m.field.p
-    blocks = []
+    """The relation matrix on the direct sum of the window spaces: per span
+    (d, a, b), the columns x -> m(d <= a) x - m(d <= b) x, with the block
+    m(d <= a) at the summand a and -m(d <= b) at the summand b.
+
+    The matrix is one array, allocated at its full size and filled slice by
+    slice.  A span with dims(d) = 0 has no columns and is skipped, and so is
+    a block at a summand of dimension 0: neither calls ``eval_map``.  When
+    d == a the block at a is the identity, written in place."""
+    p, dims = m.field.p, m.dims
+    out = linalg.zeros(total, sum(dims[d] for d, _, _ in spans))
+    j = 0
     for d, a, b in spans:
-        block = linalg.zeros(total, m.dims[d])
-        block[offsets[a]:offsets[a] + m.dims[a]] = m.eval_map(d, a)
-        block[offsets[b]:offsets[b] + m.dims[b]] = (-m.eval_map(d, b)) % p
-        blocks.append(block)
-    return linalg.hstack(blocks, total)
+        k = dims[d]
+        if not k:
+            continue
+        if a == d:
+            _fill_identity(out, offsets[a], j, k)
+        elif dims[a]:
+            out[offsets[a]:offsets[a] + dims[a], j:j + k] = m.eval_map(d, a)
+        if dims[b]:
+            out[offsets[b]:offsets[b] + dims[b], j:j + k] = (-m.eval_map(d, b)) % p
+        j += k
+    return out
 
 
 def _relations(m: PersModule, mask: int):
@@ -92,8 +115,23 @@ def _relations(m: PersModule, mask: int):
 
 
 def _cocone(m: PersModule, window, c: str) -> np.ndarray:
-    """The structure maps m(d <= c) for d in the window, side by side."""
-    return linalg.hstack([m.eval_map(d, c) for d in window], m.dims[c])
+    """The structure maps m(d <= c) for d in the window, side by side, in
+    one array filled slice by slice.  Summands of dimension 0, and every
+    summand when dims(c) = 0, are skipped without calling ``eval_map``; d
+    == c gives the identity, written in place."""
+    dims = m.dims
+    out = linalg.zeros(dims[c], sum(dims[d] for d in window))
+    if not dims[c]:
+        return out
+    j = 0
+    for d in window:
+        k = dims[d]
+        if d == c:
+            _fill_identity(out, 0, j, k)
+        elif k:
+            out[:, j:j + k] = m.eval_map(d, c)
+        j += k
+    return out
 
 
 def colim_over_mask(m: PersModule, mask: int) -> ColimitResult:
@@ -167,11 +205,10 @@ def induce_with_data(n: PersModule, ambient: Poset):
     maps = {}
     for a, b in ambient.covers:
         da, db = data[a], data[b]
-        total_a = sum(n.dims[d] for d in da.window)
-        incl = linalg.zeros(sum(n.dims[d] for d in db.window), total_a)
+        # the summand inclusion of a's window sum into b's
+        incl = linalg.zeros(db.projection.shape[1], da.projection.shape[1])
         for d in da.window:
-            incl[db.offsets[d]:db.offsets[d] + n.dims[d],
-                 da.offsets[d]:da.offsets[d] + n.dims[d]] = linalg.identity(n.dims[d])
+            _fill_identity(incl, db.offsets[d], da.offsets[d], n.dims[d])
         rhs = linalg.matmul(db.projection, incl, p)
         try:
             maps[(a, b)] = linalg.solve_left(da.projection, rhs, p)

@@ -528,7 +528,10 @@ def _random_interval_sum(poset, max_dim, field, rng) -> PersModule:
 
 def _random_solved(poset, max_dim, field, rng) -> PersModule | None:
     p = field.p
-    dims = {e: int(rng.integers(0, max_dim + 1)) for e in poset.elements}
+    # one draw for every element: the values, and the generator's state
+    # after them, are those of one scalar draw per element in turn
+    draws = rng.integers(0, max_dim + 1, size=len(poset)).tolist()
+    dims = dict(zip(poset.elements, draws))
     maps = {}
     # composites[(s, c)] = structure map s -> c fixed so far, for s < c
     composites = {}

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gpmod import linalg
 from gpmod.invariants import projective_cover, splitting
@@ -29,7 +30,7 @@ from gpmod.modules import (
     random_module,
     random_morphism,
 )
-from gpmod.posets import build_poset, chain, grid_poset
+from gpmod.posets import _bits, build_poset, chain, grid_poset
 from gpmod.verify import random_poset
 
 P = 101
@@ -328,3 +329,72 @@ def test_window_ranks_share_windows_as_the_unshared_route_would(field):
                     repeats += mask in windows
                     windows.add(mask)
     assert repeats > calls // 3, (repeats, calls)
+
+
+def _relation_matrix_by_blocks(m, offsets, total, spans):
+    """kan._relation_matrix as it was: one zero block per span, every block
+    from ``eval_map``, joined by ``hstack``."""
+    p = m.field.p
+    blocks = []
+    for d, a, b in spans:
+        block = linalg.zeros(total, m.dims[d])
+        block[offsets[a]:offsets[a] + m.dims[a]] = m.eval_map(d, a)
+        block[offsets[b]:offsets[b] + m.dims[b]] = (-m.eval_map(d, b)) % p
+        blocks.append(block)
+    return linalg.hstack(blocks, total)
+
+
+def _cocone_by_blocks(m, window, c):
+    """kan._cocone as it was: one ``eval_map`` per summand, joined by
+    ``hstack``."""
+    return linalg.hstack([m.eval_map(d, c) for d in window], m.dims[c])
+
+
+def _assert_same_array(got, want, where):
+    assert got.dtype == want.dtype, where
+    assert got.shape == want.shape, where
+    assert got.tobytes() == want.tobytes(), where
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_window_assembly_matches_the_block_route(p):
+    """The one-array relation matrices and cocones against the former
+    block-and-hstack assembly, on the cover spans of ``colim_over_mask``
+    and the local spans of ``window_ranks``, for strict and non-strict
+    windows (so the cocone meets d == c), with the cocone's summands also
+    in reverse order."""
+    field = linalg.FieldSpec(p)
+    rng = np.random.default_rng(p % 997 + 60)
+    posets = [random_poset(rng, 1, 8) for _ in range(30)]
+    posets += [grid_poset((1, 4)), grid_poset((3, 3)), grid_poset((4, 4))]
+    seen = dict.fromkeys(("zero summand", "no spans", "one summand",
+                          "zero target", "d == c"), 0)
+    for poset in posets:
+        for generator in ("solve", "intervals"):
+            m = random_module(poset, 3, field, seed=int(rng.integers(2**32)),
+                              generator=generator)
+            for _ in range(3):
+                s = poset.subset_from_mask(int(rng.integers(0, poset.full_mask + 1)))
+                for c in poset.elements:
+                    for strict in (True, False):
+                        mask = IndexWindow(s, c, strict=strict).mask()
+                        window = [poset.elements[i] for i in _bits(mask)]
+                        cover = [(d, d, d2) for d, d2 in poset.cover_pairs_within(mask)]
+                        routes = [(window, cover)]
+                        if mask:
+                            routes.append(poset.local_spans(mask))
+                        for summands, spans in routes:
+                            where = (poset.elements, s.ids(), c, strict, summands, spans)
+                            offsets, total = _offsets(m, summands)
+                            _assert_same_array(
+                                _relation_matrix(m, offsets, total, spans),
+                                _relation_matrix_by_blocks(m, offsets, total, spans), where)
+                            for order in (summands, summands[::-1]):
+                                _assert_same_array(_cocone(m, order, c),
+                                                   _cocone_by_blocks(m, order, c), where)
+                            seen["zero summand"] += any(m.dims[d] == 0 for d in summands)
+                            seen["no spans"] += bool(summands) and not spans
+                            seen["one summand"] += len(summands) == 1
+                            seen["zero target"] += bool(summands) and m.dims[c] == 0
+                            seen["d == c"] += c in summands and m.dims[c] > 0
+    assert min(seen.values()) >= 300, seen

@@ -263,7 +263,7 @@ def _oracle_random_interval(poset, rng):
 
 def _oracle_random_solved(poset, max_dim, field, rng):
     """modules._random_solved as it was, with one order query per element
-    for the sources of each cover."""
+    for the sources of each cover and one dimension draw per element."""
     p = field.p
     dims = {e: int(rng.integers(0, max_dim + 1)) for e in poset.elements}
     maps = {}
@@ -315,6 +315,21 @@ def test_random_module_matches_the_order_query_generators(p, monkeypatch):
     for m, (poset, gen, seed) in zip(got, cases):
         _same_bytes(m, random_module(poset, 2, field, seed, gen))
     assert len(cases) == 2 * (20 + 15)
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 10_000])
+@pytest.mark.parametrize("bound", [2, 3, 6])
+def test_one_dimension_draw_matches_one_draw_per_element(n, bound):
+    """``_random_solved`` draws every element's dimension in one call.  That
+    gives the values of one scalar draw per element, in turn, and leaves
+    the generator where those draws leave it."""
+    vector = np.random.default_rng(n * bound)
+    scalar = np.random.default_rng(n * bound)
+    got = vector.integers(0, bound, size=n).tolist()
+    want = [int(scalar.integers(0, bound)) for _ in range(n)]
+    assert got == want
+    assert vector.bit_generator.state == scalar.bit_generator.state
+    assert vector.integers(2**32) == scalar.integers(2**32)
 
 
 def test_random_modules_ask_no_order_query(monkeypatch, field):

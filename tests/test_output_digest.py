@@ -1,11 +1,12 @@
-"""Byte-identity regression: one digest over the analysis outputs of fixed
-seeded modules.
+"""Byte-identity regression: digests over the outputs of fixed seeded
+modules.
 
-The digest covers the JSON birth/death report and, wherever the module is
+``EXPECTED`` covers the JSON birth/death report and, wherever the module is
 S-presented, the minimal presentation (generator and relation multisets,
 the two certificate flags, and the matrices of the cover and relation
-maps).  A change that alters any output byte changes the digest.  Re-record
-``EXPECTED`` only for a deliberate change of output, and say why.
+maps).  ``BASES_EXPECTED`` covers the bases route of ``kan`` (below).  A
+change that alters any output byte changes a digest.  Re-record one only
+for a deliberate change of output, and say why.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import hashlib
 import numpy as np
 
 from gpmod.invariants import birth_death_report, minimal_presentation
+from gpmod.kan import IndexWindow, canonical_mu, colim_window, induce, lambda_map, restrict
 from gpmod.linalg import FieldSpec
 from gpmod.modules import random_module
 from gpmod.posets import grid_poset
@@ -71,3 +73,72 @@ def output_digest() -> str:
 
 def test_outputs_are_byte_identical():
     assert output_digest() == EXPECTED
+
+
+# -- the bases route ---------------------------------------------------------
+#
+# A second digest over what kan's bases route prints or returns: every strict
+# and non-strict window colimit (dimension, window, presentation, projection
+# and injections, as ``gpm colim`` prints them), every ``lambda_map``, the
+# induced module ``induce(restrict(m, S))`` and every ``canonical_mu``
+# component (``gpm mu``).  Each array enters with its dtype and shape, so a
+# change of layout shows as well as a change of value.
+
+BASES_EXPECTED = "9c71a33c51fca0c61fe38c3b2d6bf908619280f91b99b2b5c0d77c3f0ec8d993"
+
+
+def _bases_cases(p: int):
+    field = FieldSpec(p)
+    rng = np.random.default_rng(20210213)
+    for k in range(16):
+        poset = random_poset(rng, 3, 7)
+        generator = ("solve", "intervals")[k % 2]
+        m = random_module(poset, 3, field, seed=int(rng.integers(2**32)),
+                          generator=generator)
+        yield m, poset.subset_from_mask(random_subset_mask(rng, poset))
+    g = grid_poset((4, 4))
+    for seed, generator in ((7, "solve"), (8, "intervals")):
+        m = random_module(g, 2, field, seed=seed, generator=generator)
+        yield m, g.whole()
+        yield m, g.subset_from_mask(int(rng.integers(0, g.full_mask + 1)))
+
+
+def _hash_array(h, key: str, a: np.ndarray):
+    h.update(f"{key}:{a.dtype.str}:{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+
+
+def _bases_digest(p: int) -> tuple[str, int]:
+    """The digest of the bases route at prime p, and how many window
+    summands of dimension 0 it presented."""
+    h = hashlib.sha256()
+    zero_summands = 0
+    for k, (m, s) in enumerate(_bases_cases(p)):
+        for c in m.poset.elements:
+            for strict in (True, False):
+                cr = colim_window(m, IndexWindow(s, c, strict=strict))
+                key = f"{k}:{c}:{strict}"
+                h.update(f"{key}:{cr.dim}:{cr.window}".encode())
+                _hash_array(h, f"{key}:presentation", cr.presentation)
+                _hash_array(h, f"{key}:projection", cr.projection)
+                for d in cr.window:
+                    _hash_array(h, f"{key}:inj:{d}", cr.injections[d])
+                    zero_summands += m.dims[d] == 0
+            _hash_array(h, f"{k}:{c}:lambda", lambda_map(m, s, c))
+        ind = induce(restrict(m, s), m.poset)
+        h.update(f"{k}:induced:{sorted(ind.dims.items())}".encode())
+        for a, b in ind.poset.covers:
+            _hash_array(h, f"{k}:induced:{a}:{b}", ind.cover_maps[(a, b)])
+        mu = canonical_mu(m, s)
+        for c in m.poset.elements:
+            _hash_array(h, f"{k}:mu:{c}", mu.components[c])
+    return h.hexdigest(), zero_summands
+
+
+def test_bases_route_is_byte_identical():
+    h = hashlib.sha256()
+    for p in (101, 2**31 - 1):
+        digest, zero_summands = _bases_digest(p)
+        assert zero_summands > 100, (p, zero_summands)
+        h.update(digest.encode())
+    assert h.hexdigest() == BASES_EXPECTED
