@@ -207,9 +207,10 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
     is the rank of the stacked structure maps.
 
     The cover is built as one free module (``free_sum``), summands in
-    canonical birth order.  Its component at c stacks, for each birth e
-    whose up-set holds c, the structure map e -> c times the section at e.
-    Sections of the splitting projections are the deterministic
+    canonical birth order.  Its component at c is one array that holds,
+    for each birth e whose up-set holds c, the structure map e -> c times
+    the section at e in e's column slice; when dims(c) = 0 nothing is
+    computed.  Sections of the splitting projections are the deterministic
     pivot-variable lifts, so the cover is byte-reproducible.
     """
     s = m.poset.subset(s)
@@ -224,9 +225,14 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
     ups = [poset._up[poset.index(e)] for e, _, _ in pieces]
     comps = {}
     for i, c in enumerate(poset.elements):
-        blocks = [linalg.matmul(m.eval_map(e, c), section, p)
-                  for (e, _, section), up in zip(pieces, ups) if up >> i & 1]
-        comps[c] = linalg.hstack(blocks, m.dims[c])
+        out = comps[c] = linalg.zeros(m.dims[c], cover.dims[c])
+        if not m.dims[c]:
+            continue
+        j = 0
+        for (e, mult, section), up in zip(pieces, ups):
+            if up >> i & 1:
+                out[:, j:j + mult] = linalg.matmul(m.eval_map(e, c), section, p)
+                j += mult
     h = ModuleMorphism(cover, m, comps, validate=True)
     if not is_epi(h):
         raise InternalError("projective cover is not pointwise surjective")

@@ -1,16 +1,15 @@
 """Colimits of vector-space diagrams over poset windows, restriction and
 induction along a subset inclusion, and the canonical comparison maps.
 
-A window colimit is presented as the cokernel of a relation matrix on a
-direct sum of window spaces.  The bases route (``colim_over_mask``, and
-through it ``lambda_with_window``, ``induce`` and ``canonical_mu``) sums
-every window space and takes relations only from the covers of the order
-induced on the window, which suffices because covers generate the order.
-``window_ranks`` needs only dimensions and ranks, so it uses a smaller
-local presentation: the spaces at the window's maximal elements, related
-along the maximal common lower bounds of pairs (``Poset.local_spans``).
-Both routes assemble their relation matrix (``_relation_matrix``) and their
-cocone into m(c) (``_cocone``) in one array, filled slice by slice:
+A window colimit has one presentation (``_local_presentation``): the
+cokernel of a relation matrix on the direct sum of the spaces at the
+window's maximal elements (its tops), related along the maximal common
+lower bounds of pairs of tops (``Poset.local_spans``).  ``window_ranks``
+reads only ranks from it; ``colim_over_mask`` (and through it
+``lambda_with_window``, ``induce`` and ``canonical_mu``) also returns
+bases, with the injection of a window element below the tops read through
+the first top above it.  The relation matrix (``_relation_matrix``) and the
+cocone into m(c) (``_cocone``) are each one array, filled slice by slice:
 summands of dimension 0 are skipped without calling ``eval_map``, and an
 identity block is written in place.  All bases come from the deterministic
 cokernel convention in ``linalg``, so injections and induced maps are
@@ -49,45 +48,43 @@ class IndexWindow:
 class ColimitResult:
     """A presented colimit of the diagram on a window.
 
-    ``projection`` maps the direct sum of the window spaces onto the
-    colimit; ``injections[d]`` is the structure injection of the summand at
-    d, and ``presentation`` is the relation matrix whose cokernel was taken.
+    The colimit is presented on the window's tops (``_local_presentation``).
+    ``presentation`` is the relation matrix on the direct sum of the spaces
+    at the tops, ``offsets`` are their summand offsets in it, and
+    ``projection`` maps that sum onto the colimit.  ``injections[d]`` is the
+    structure injection of m(d) for every d in the window: for a top, its
+    slice of the projection; below the tops, the injection of the first top
+    above d composed with m(d <= that top).
     """
 
     dim: int
     window: tuple[str, ...]
+    tops: tuple[str, ...]
     offsets: dict[str, int]
     injections: dict[str, np.ndarray]
     presentation: np.ndarray
     projection: np.ndarray
 
 
-def _offsets(m: PersModule, window) -> tuple[dict[str, int], int]:
-    """Summand offsets of the window spaces in their direct sum, and its
+def _offsets(m: PersModule, summands) -> tuple[dict[str, int], int]:
+    """Offsets of the spaces at summands in their direct sum, and its
     dimension."""
     offsets = {}
     total = 0
-    for d in window:
+    for d in summands:
         offsets[d] = total
         total += m.dims[d]
     return offsets, total
 
 
-def _fill_identity(out: np.ndarray, row: int, col: int, k: int) -> None:
-    """Write the k x k identity into out with its corner at (row, col)."""
-    for i in range(k):
-        out[row + i, col + i] = 1
-
-
 def _relation_matrix(m: PersModule, offsets, total, spans) -> np.ndarray:
-    """The relation matrix on the direct sum of the window spaces: per span
+    """The relation matrix on the direct sum of the summand spaces: per span
     (d, a, b), the columns x -> m(d <= a) x - m(d <= b) x, with the block
     m(d <= a) at the summand a and -m(d <= b) at the summand b.
 
     The matrix is one array, allocated at its full size and filled slice by
     slice.  A span with dims(d) = 0 has no columns and is skipped, and so is
-    a block at a summand of dimension 0: neither calls ``eval_map``.  When
-    d == a the block at a is the identity, written in place."""
+    a block at a summand of dimension 0: neither calls ``eval_map``."""
     p, dims = m.field.p, m.dims
     out = linalg.zeros(total, sum(dims[d] for d, _, _ in spans))
     j = 0
@@ -95,9 +92,7 @@ def _relation_matrix(m: PersModule, offsets, total, spans) -> np.ndarray:
         k = dims[d]
         if not k:
             continue
-        if a == d:
-            _fill_identity(out, offsets[a], j, k)
-        elif dims[a]:
+        if dims[a]:
             out[offsets[a]:offsets[a] + dims[a], j:j + k] = m.eval_map(d, a)
         if dims[b]:
             out[offsets[b]:offsets[b] + dims[b], j:j + k] = (-m.eval_map(d, b)) % p
@@ -105,44 +100,72 @@ def _relation_matrix(m: PersModule, offsets, total, spans) -> np.ndarray:
     return out
 
 
-def _relations(m: PersModule, mask: int):
-    """The window on mask, its summand offsets and the relation matrix on
-    the direct sum: one block x - m(d <= d2) x per cover d < d2 inside."""
-    window = [m.poset.elements[i] for i in _bits(mask)]
-    offsets, total = _offsets(m, window)
-    spans = [(d, d, d2) for d, d2 in m.poset.cover_pairs_within(mask)]
-    return window, offsets, _relation_matrix(m, offsets, total, spans)
-
-
-def _cocone(m: PersModule, window, c: str) -> np.ndarray:
-    """The structure maps m(d <= c) for d in the window, side by side, in
+def _cocone(m: PersModule, summands, c: str) -> np.ndarray:
+    """The structure maps m(d <= c) for d in summands, side by side, in
     one array filled slice by slice.  Summands of dimension 0, and every
     summand when dims(c) = 0, are skipped without calling ``eval_map``; d
     == c gives the identity, written in place."""
     dims = m.dims
-    out = linalg.zeros(dims[c], sum(dims[d] for d in window))
+    out = linalg.zeros(dims[c], sum(dims[d] for d in summands))
     if not dims[c]:
         return out
     j = 0
-    for d in window:
+    for d in summands:
         k = dims[d]
         if d == c:
-            _fill_identity(out, 0, j, k)
+            for i in range(k):
+                out[i, j + i] = 1
         elif k:
             out[:, j:j + k] = m.eval_map(d, c)
         j += k
     return out
 
 
+def _local_presentation(m: PersModule, mask: int):
+    """The presentation of the colimit of m over the window on mask: its
+    tops, their summand offsets, and the relation matrix on their direct
+    sum.
+
+    Let W be the window and T its maximal elements, from
+    ``Poset.local_spans``.  The generators are the sum of m(t) over t in T,
+    with one relation block m(d <= t0) - m(d <= t) per span (d, t0, t).
+    This presents the colimit of the diagram on W: every d in W lies below
+    some t in T, so a cocone on W is fixed by its legs at T; those legs
+    extend to a cocone exactly when each two agree on their common lower
+    set.  Agreement at d' implies agreement at every d <= d', so the
+    maximal common lower bounds d suffice, and at each of them it is enough
+    that every top above d agrees with the first one.  The relations
+    involve only the diagram on W, never anything outside it.
+    """
+    tops, spans = m.poset.local_spans(mask)
+    offsets, total = _offsets(m, tops)
+    return tops, offsets, _relation_matrix(m, offsets, total, spans)
+
+
 def colim_over_mask(m: PersModule, mask: int) -> ColimitResult:
-    """Colimit of m restricted to the subset given as a bitmask."""
-    window, offsets, presentation = _relations(m, mask)
-    dim, projection = linalg.cokernel(presentation, m.field.p)
-    injections = {d: projection[:, offsets[d]:offsets[d] + m.dims[d]].copy()
-                  for d in window}
-    return ColimitResult(dim=dim, window=tuple(window), offsets=offsets,
-                         injections=injections, presentation=presentation,
-                         projection=projection)
+    """Colimit of m restricted to the subset given as a bitmask, with the
+    bases described in ``ColimitResult``.  A summand of dimension 0, or any
+    summand of a zero colimit, gets its zero injection without an
+    ``eval_map`` call."""
+    p, dims, poset = m.field.p, m.dims, m.poset
+    tops, offsets, presentation = _local_presentation(m, mask)
+    dim, projection = linalg.cokernel(presentation, p)
+    injections = {}
+    rest = mask
+    for t in tops:
+        inj_t = projection[:, offsets[t]:offsets[t] + dims[t]].copy()
+        for d in (poset.elements[i] for i in _bits(poset.down_mask(t) & rest)):
+            if d == t:
+                injections[d] = inj_t
+            elif dim and dims[d]:
+                injections[d] = linalg.matmul(inj_t, m.eval_map(d, t), p)
+            else:
+                injections[d] = linalg.zeros(dim, dims[d])
+        rest &= ~poset.down_mask(t)
+    window = tuple(poset.elements[i] for i in _bits(mask))
+    return ColimitResult(dim=dim, window=window, tops=tops, offsets=offsets,
+                         injections={d: injections[d] for d in window},
+                         presentation=presentation, projection=projection)
 
 
 def colim_window(m: PersModule, w: IndexWindow) -> ColimitResult:
@@ -160,44 +183,45 @@ def restrict(m: PersModule, s) -> PersModule:
                       name=f"res({m.name})", validate=False)
 
 
-def _embeds_as_full_subposet(sub: Poset, ambient: Poset) -> bool:
-    for a in sub.elements:
-        ambient.index(a)
-    for a in sub.elements:
-        for b in sub.elements:
-            if sub.leq(a, b) != ambient.leq(a, b):
-                return False
-    return True
+def _windows_in_sub(sub: Poset, ambient: Poset) -> dict[str, int]:
+    """For each c in ambient, the mask in sub of {e in sub : e <= c}.
+
+    One sweep over ambient in canonical order, where lower covers come
+    first: c's own bit if c is in sub, or-ed with the masks of its lower
+    covers.  Raises UnknownElement for an element of sub that ambient
+    lacks, and InternalError unless sub is a full subposet of ambient,
+    which holds exactly when every e in sub gets its down mask in sub."""
+    for e in sub.elements:
+        ambient.index(e)
+    own = {e: 1 << i for i, e in enumerate(sub.elements)}
+    windows = {}
+    for c in ambient.elements:
+        mask = own.get(c, 0)
+        for b in ambient.covers_below(c):
+            mask |= windows[b]
+        windows[c] = mask
+    if any(windows[e] != sub.down_mask(e) for e in sub.elements):
+        raise InternalError("subposet does not embed fully in the ambient poset")
+    return windows
 
 
 def induce_with_data(n: PersModule, ambient: Poset):
     """Left Kan extension along the subset inclusion, with colimit data.
 
     Returns (module over ambient, {element: ColimitResult}).  The colimit
-    at c indexes over {t in S : t <= c}; the structure map along a cover
-    c <= c' is solved from the compatibility of the two projections.
+    at c indexes over {t in S : t <= c}, masked inside the subposet so that
+    ambient elements with equal windows share one colimit.  The structure
+    map along a cover a <= b is the map out of a's colimit that sends the
+    summand at each top t of a's window to b's injection at t, solved
+    through a's projection.
     """
-    sub = n.poset
-    if not _embeds_as_full_subposet(sub, ambient):
-        raise InternalError("subposet does not embed fully in the ambient poset")
     p = n.field.p
-    s_mask_ambient = 0
-    for e in sub.elements:
-        s_mask_ambient |= 1 << ambient.index(e)
-
-    # Window masks are expressed inside the subposet so colimits can be
-    # shared between ambient elements with equal windows.
-    def sub_mask_of(c: str) -> int:
-        mask = 0
-        for i in _bits(ambient.down_mask(c) & s_mask_ambient):
-            mask |= 1 << sub.index(ambient.elements[i])
-        return mask
-
+    windows = _windows_in_sub(n.poset, ambient)
     cache: dict[int, ColimitResult] = {}
     data = {}
     dims = {}
     for c in ambient.elements:
-        mask = sub_mask_of(c)
+        mask = windows[c]
         if mask not in cache:
             cache[mask] = colim_over_mask(n, mask)
         data[c] = cache[mask]
@@ -205,11 +229,7 @@ def induce_with_data(n: PersModule, ambient: Poset):
     maps = {}
     for a, b in ambient.covers:
         da, db = data[a], data[b]
-        # the summand inclusion of a's window sum into b's
-        incl = linalg.zeros(db.projection.shape[1], da.projection.shape[1])
-        for d in da.window:
-            _fill_identity(incl, db.offsets[d], da.offsets[d], n.dims[d])
-        rhs = linalg.matmul(db.projection, incl, p)
+        rhs = linalg.hstack([db.injections[t] for t in da.tops], db.dim)
         try:
             maps[(a, b)] = linalg.solve_left(da.projection, rhs, p)
         except linalg.NoSolution as exc:  # pragma: no cover - cocone property
@@ -228,7 +248,7 @@ def _factor_cocone(m: PersModule, cr: ColimitResult, c: str, what: str):
     factors; raises InternalError if the cocone does not kill the
     relations."""
     p = m.field.p
-    cocone = _cocone(m, cr.window, c)
+    cocone = _cocone(m, cr.tops, c)
     if np.any(linalg.matmul(cocone, cr.presentation, p)):
         raise InternalError(f"{what} at {c!r} does not kill relations")
     try:
@@ -268,20 +288,12 @@ def lambda_map(m: PersModule, s, c: str) -> np.ndarray:
 def window_ranks(m: PersModule, s, c: str) -> tuple[int, int, int]:
     """(rank of lambda, colimit dimension, dims(c)) for the strict window.
 
-    Uses the local presentation of the colimit over W = {d in s : d < c}
-    from ``Poset.local_spans``.  Let T be the maximal elements of W.  The
-    generators are the sum of m(t) over t in T, with one relation block
-    m(d <= t0) - m(d <= t) per span (d, t0, t).  This presents the same
-    colimit as the cover presentation of ``colim_over_mask``: every d in W
-    lies below some t in T, so a cocone on W is fixed by its legs at T;
-    those legs extend to a cocone exactly when each two agree on their
-    common lower set.  Agreement at d' implies agreement at every d <= d',
-    so the maximal common lower bounds d suffice, and at each of them it
-    is enough that every top above d agrees with the first one.  Hence the
-    colimit dimension is sum dims(T) - rank(relations).  The projection is
-    surjective and m(d <= c) factors through m(t <= c), so rank(lambda) is
-    the rank of the structure maps m(t <= c), t in T, side by side.  Both
-    numbers are ranks, so they do not depend on a choice of basis.
+    The colimit over W = {d in s : d < c} is presented on W's tops T
+    (``_local_presentation``), so its dimension is sum dims(T) -
+    rank(relations).  The projection is surjective and m(d <= c) factors
+    through m(t <= c), so rank(lambda) is the rank of the structure maps
+    m(t <= c), t in T, side by side.  Both numbers are ranks, so they do
+    not depend on a choice of basis.
 
     The relations involve only the diagram on W, never c or S beyond W, so
     the colimit dimension is a function of W's local presentation (tops
@@ -296,10 +308,9 @@ def window_ranks(m: PersModule, s, c: str) -> tuple[int, int, int]:
         return 0, 0, m.dims[c]
     p = m.field.p
     local = m.poset.local_spans(mask)
-    tops, spans = local
     colim_dim = m._colim_dims.get(local)
     if colim_dim is None:
-        offsets, total = _offsets(m, tops)
-        relations = _relation_matrix(m, offsets, total, spans)
-        colim_dim = m._colim_dims[local] = total - linalg.rank(relations, p)
-    return linalg.rank(_cocone(m, tops, c), p), colim_dim, m.dims[c]
+        _, _, relations = _local_presentation(m, mask)
+        colim_dim = relations.shape[0] - linalg.rank(relations, p)
+        m._colim_dims[local] = colim_dim
+    return linalg.rank(_cocone(m, local[0], c), p), colim_dim, m.dims[c]

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from gpmod import linalg
+from gpmod.errors import InternalError, UnknownElement
 from gpmod.invariants import projective_cover, splitting
 from gpmod.kan import (
+    ColimitResult,
     IndexWindow,
     _cocone,
+    _factor_cocone,
     _offsets,
     _relation_matrix,
     canonical_mu,
     colim_over_mask,
     colim_window,
     induce,
+    induce_with_data,
     lambda_map,
     lambda_with_window,
     restrict,
@@ -21,6 +25,7 @@ from gpmod.modules import (
     ModuleMorphism,
     cokernel_module,
     free_module,
+    free_sum,
     interval_module,
     is_epi,
     is_iso,
@@ -210,8 +215,8 @@ def _window_ranks_cases(field):
 
 
 def test_window_ranks_match_lambda(field):
-    """The local presentation in window_ranks against the full cover
-    presentation behind lambda_with_window and splitting."""
+    """The ranks in window_ranks against the colimit and the lambda matrix
+    behind lambda_with_window and splitting."""
     for m, s in _window_ranks_cases(field):
         p = m.poset
         for c in p.elements:
@@ -244,7 +249,7 @@ def test_right_exactness_of_window_colimit(field):
         mask = int(rng.integers(0, p.full_mask + 1))
         cr_n = colim_over_mask(n, mask)
         cr_m = colim_over_mask(m, mask)
-        total_f = linalg.block_diag([f.components[d] for d in cr_n.window])
+        total_f = linalg.block_diag([f.components[d] for d in cr_n.tops])
         rhs = linalg.matmul(cr_m.projection, total_f, P)
         induced = linalg.solve_left(cr_n.projection, rhs, P)
         assert linalg.rank(induced, P) == cr_m.dim
@@ -398,3 +403,159 @@ def test_window_assembly_matches_the_block_route(p):
                             seen["zero target"] += bool(summands) and m.dims[c] == 0
                             seen["d == c"] += c in summands and m.dims[c] > 0
     assert min(seen.values()) >= 300, seen
+
+
+def test_induce_refuses_a_subposet_that_does_not_embed(field):
+    """The order on the subposet must be the one induced by the ambient
+    poset, in both directions, and every element must exist there."""
+    ambient = chain(2)
+    antichain = build_poset(["0", "1"], [])
+    with pytest.raises(InternalError):
+        induce(new_module(antichain, field, {"0": 1, "1": 1}, {}), ambient)
+    with pytest.raises(InternalError):
+        induce(new_module(ambient, field, {"0": 1, "1": 1}, {("0", "1"): [[1]]}),
+               antichain)
+    missing = build_poset(["0", "x"], [])
+    with pytest.raises(UnknownElement):
+        induce(new_module(missing, field, {"0": 1, "x": 1}, {}), ambient)
+    whole = new_module(ambient, field, {"0": 1, "1": 1}, {("0", "1"): [[1]]})
+    assert induce(restrict(whole, ["1"]), ambient).dims == {"0": 0, "1": 1}
+
+
+# -- the former cover route, kept as the oracle ------------------------------
+#
+# Every window colimit used to be presented on the sum of all window spaces,
+# related along every cover inside the window.  The two presentations give
+# isomorphic colimits with different bases; the helpers below keep that
+# route, and the test checks the canonical isomorphism between them.
+
+
+def _relations(m, mask):
+    """The window on mask, its summand offsets and the relation matrix on
+    the direct sum: one block x - m(d <= d2) x per cover d < d2 inside."""
+    window = [m.poset.elements[i] for i in _bits(mask)]
+    offsets, total = _offsets(m, window)
+    spans = [(d, d, d2) for d, d2 in m.poset.cover_pairs_within(mask)]
+    return window, offsets, _relation_matrix(m, offsets, total, spans)
+
+
+def _cover_colim(m, mask):
+    """``colim_over_mask`` as it was: every window element is a summand (a
+    top, for ``_factor_cocone``) and its injection is its slice of the
+    full-window projection."""
+    window, offsets, presentation = _relations(m, mask)
+    dim, projection = linalg.cokernel(presentation, m.field.p)
+    injections = {d: projection[:, offsets[d]:offsets[d] + m.dims[d]].copy()
+                  for d in window}
+    return ColimitResult(dim=dim, window=tuple(window), tops=tuple(window),
+                         offsets=offsets, injections=injections,
+                         presentation=presentation, projection=projection)
+
+
+def _cover_induce_with_data(n, ambient):
+    """``induce_with_data`` as it was: each cover map is solved from the
+    summand inclusion of a's window sum into b's."""
+    sub, p = n.poset, n.field.p
+    s_mask_ambient = 0
+    for e in sub.elements:
+        s_mask_ambient |= 1 << ambient.index(e)
+
+    def sub_mask_of(c):
+        mask = 0
+        for i in _bits(ambient.down_mask(c) & s_mask_ambient):
+            mask |= 1 << sub.index(ambient.elements[i])
+        return mask
+
+    data = {c: _cover_colim(n, sub_mask_of(c)) for c in ambient.elements}
+    maps = {}
+    for a, b in ambient.covers:
+        da, db = data[a], data[b]
+        incl = linalg.zeros(db.projection.shape[1], da.projection.shape[1])
+        for d in da.window:
+            k = n.dims[d]
+            incl[db.offsets[d]:db.offsets[d] + k, da.offsets[d]:da.offsets[d] + k] = \
+                linalg.identity(k)
+        maps[(a, b)] = linalg.solve_left(da.projection,
+                                         linalg.matmul(db.projection, incl, p), p)
+    return {c: data[c].dim for c in ambient.elements}, maps, data
+
+
+def _comparison(old, new, p):
+    """The map T from the cover-route colimit to the local one with
+    T P_cover = Q, Q the new injections side by side over the window.  It
+    exists when the new injections kill the cover relations, and it must be
+    invertible."""
+    assert old.window == new.window and old.dim == new.dim
+    q = linalg.hstack([new.injections[d] for d in new.window], new.dim)
+    t = linalg.solve_left(old.projection, q, p)  # NoSolution if none
+    assert linalg.is_isomorphism(t, p)
+    for d in new.window:
+        assert np.array_equal(linalg.matmul(t, old.injections[d], p),
+                              new.injections[d])
+    return t
+
+
+def _oracle_cases(field):
+    """Random modules on random posets and on grids from 1x4 to 4x4, and on
+    the grids also a free sum and the kernel of a projective cover, whose
+    windows meet relations with non-zero spaces; each with S the whole
+    poset and a random S."""
+    rng = np.random.default_rng(field.p % 997 + 70)
+    grids = [grid_poset(shape) for shape in ((1, 4), (2, 3), (3, 3), (3, 4), (4, 4))]
+    for poset in [random_poset(rng, 2, 8) for _ in range(40)] + grids:
+        modules = [random_module(poset, 3, field, seed=int(rng.integers(2**32)),
+                                 generator=generator)
+                   for generator in ("solve", "intervals")]
+        if poset in grids:
+            pieces = [(poset.elements[0], 2)]
+            pieces += [(poset.elements[int(rng.integers(len(poset)))], 1) for _ in range(2)]
+            modules.append(free_sum(poset, pieces, field))
+            modules.append(kernel_module(projective_cover(modules[0], poset.whole())[1])[0])
+        for m in modules:
+            yield m, poset.whole()
+            yield m, poset.subset_from_mask(int(rng.integers(0, poset.full_mask + 1)))
+    m = _two_meet_module(field)
+    yield m, m.poset.whole()
+    for seed in range(6):
+        yield random_module(m.poset, 3, field, seed=seed), m.poset.whole()
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_local_presentation_matches_the_cover_route(p):
+    """Every strict and non-strict window colimit, every lambda, the induced
+    module and every counit component against the former cover route, up to
+    the canonical isomorphism T between the two colimits."""
+    field = linalg.FieldSpec(p)
+    seen = dict.fromkeys(("several tops", "relations", "injection below the tops",
+                          "zero summand", "induced cover map", "mu at c"), 0)
+    for m, s in _oracle_cases(field):
+        poset = m.poset
+        for c in poset.elements:
+            for strict in (True, False):
+                mask = IndexWindow(s, c, strict=strict).mask()
+                new, old = colim_over_mask(m, mask), _cover_colim(m, mask)
+                t = _comparison(old, new, p)
+                seen["several tops"] += len(new.tops) > 1
+                seen["relations"] += new.presentation.shape[1] > 0
+                seen["injection below the tops"] += any(
+                    m.dims[d] and d not in new.tops for d in new.window) and new.dim > 0
+                seen["zero summand"] += any(m.dims[d] == 0 for d in new.window)
+                if strict:
+                    lam, cr = lambda_with_window(m, s, c)
+                    assert cr.dim == new.dim
+                    old_lam = _factor_cocone(m, old, c, "lambda")
+                    assert np.array_equal(linalg.matmul(lam, t, p), old_lam)
+        ind, data = induce_with_data(restrict(m, s), poset)
+        old_dims, old_maps, old_data = _cover_induce_with_data(restrict(m, s), poset)
+        assert ind.dims == old_dims
+        iso = {c: _comparison(old_data[c], data[c], p) for c in poset.elements}
+        for a, b in poset.covers:
+            assert np.array_equal(linalg.matmul(ind.cover_maps[(a, b)], iso[a], p),
+                                  linalg.matmul(iso[b], old_maps[(a, b)], p)), (a, b)
+            seen["induced cover map"] += old_dims[a] > 0 and old_dims[b] > 0
+        mu = canonical_mu(m, s)
+        for c in poset.elements:
+            old_mu = _factor_cocone(m, old_data[c], c, "mu component")
+            assert np.array_equal(linalg.matmul(mu.components[c], iso[c], p), old_mu)
+            seen["mu at c"] += old_dims[c] > 0 and m.dims[c] > 0
+    assert min(seen.values()) >= 60, seen

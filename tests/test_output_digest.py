@@ -84,7 +84,7 @@ def test_outputs_are_byte_identical():
 # component (``gpm mu``).  Each array enters with its dtype and shape, so a
 # change of layout shows as well as a change of value.
 
-BASES_EXPECTED = "9c71a33c51fca0c61fe38c3b2d6bf908619280f91b99b2b5c0d77c3f0ec8d993"
+BASES_EXPECTED = "863629378254b4eb0eebc0b51b88c378c73508c41762c5cc56823202831b912b"
 
 
 def _bases_cases(p: int):
