@@ -70,6 +70,7 @@ from .kan import (
     ColimitResult,
     IndexWindow,
     canonical_mu,
+    colim_injection,
     colim_window,
     induce,
     lambda_map,

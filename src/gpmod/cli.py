@@ -18,12 +18,12 @@ import numpy as np
 from . import graded as gr
 from . import invariants as inv
 from .errors import GpmodError
-from .kan import IndexWindow, canonical_mu, colim_window
+from .kan import IndexWindow, canonical_mu, colim_injection, colim_window
 from .linalg import FieldSpec
 from .modules import is_epi, is_iso
 from .posets import PROPERTY_M, hat, mub
 from .textio import Workspace, parse_path, to_json
-from .verify import GRADED_CHECKS, SUITES, VerifyConfig, run_config
+from .verify import GRADED_CHECKS, SUITES, VerifyConfig, run_cases, run_config
 
 
 def _load(files, default_field) -> Workspace:
@@ -39,6 +39,13 @@ def _parse_set(poset, text):
     # grid ids such as "(1,1)" carry commas, so split only outside parentheses
     ids = [t for t in re.split(r",(?![^(]*\))", text) if t]
     return poset.subset(ids)
+
+
+def _module_and_set(args):
+    """The module named by --module (or the only one) in the loaded files,
+    and the subset of its poset named by --set (default: the whole poset)."""
+    m = _load(args.files, args.field).single("module", args.module)
+    return m, _parse_set(m.poset, args.set)
 
 
 def _emit(payload, as_text: bool) -> None:
@@ -69,18 +76,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    ws = _load(args.files, args.field)
-    m = ws.single("module", args.module)
-    s = _parse_set(m.poset, args.set)
+    m, s = _module_and_set(args)
     report = inv.birth_death_report(m, s, module_id=args.module or m.name)
     _emit(report, args.text)
     return 0
 
 
 def cmd_present(args) -> int:
-    ws = _load(args.files, args.field)
-    m = ws.single("module", args.module)
-    s = _parse_set(m.poset, args.set)
+    m, s = _module_and_set(args)
     pres = inv.minimal_presentation(m, s)
     idx = m.poset.index
     payload = {
@@ -96,8 +99,7 @@ def cmd_present(args) -> int:
 
 
 def cmd_fsp(args) -> int:
-    ws = _load(args.files, args.field)
-    m = ws.single("module", args.module)
+    m, s = _module_and_set(args)
     if args.set is None:
         report = inv.finitely_presented_witness(m)
         payload = {
@@ -107,7 +109,6 @@ def cmd_fsp(args) -> int:
             "property_m": PROPERTY_M,
         }
     else:
-        s = _parse_set(m.poset, args.set)
         fr = inv.fsp_from_determined(m, s)
         payload = {
             "module_id": args.module or m.name,
@@ -121,9 +122,7 @@ def cmd_fsp(args) -> int:
 
 
 def cmd_colim(args) -> int:
-    ws = _load(args.files, args.field)
-    m = ws.single("module", args.module)
-    s = _parse_set(m.poset, args.set)
+    m, s = _module_and_set(args)
     w = IndexWindow(s, args.at, strict=not args.non_strict)
     m.poset.index(args.at)
     cr = colim_window(m, w)
@@ -134,16 +133,14 @@ def cmd_colim(args) -> int:
         "S": s.ids(),
         "dim": cr.dim,
         "window": list(cr.window),
-        "injections": {d: _matrix_lists(cr.injections[d]) for d in cr.window},
+        "injections": {d: _matrix_lists(colim_injection(m, cr, d)) for d in cr.window},
     }
     _emit(payload, args.text)
     return 0
 
 
 def cmd_mu(args) -> int:
-    ws = _load(args.files, args.field)
-    m = ws.single("module", args.module)
-    s = _parse_set(m.poset, args.set)
+    m, s = _module_and_set(args)
     mu = canonical_mu(m, s)
     payload = {
         "module_id": args.module or m.name,
@@ -157,20 +154,12 @@ def cmd_mu(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    ws = _load(args.files, args.field)
-    p = ws.single("poset", args.poset)
-    if args.query == "mub":
-        s = _parse_set(p, args.set if args.set is not None else "")
-        result = mub(p, s).ids()
-        _emit_raw(result, args.text)
-    elif args.query == "hat":
-        s = _parse_set(p, args.set if args.set is not None else "")
-        result = hat(p, s).ids()
-        _emit_raw(result, args.text)
-    elif args.query == "propm":
+    p = _load(args.files, args.field).single("poset", args.poset)
+    if args.query == "propm":
         _emit(PROPERTY_M, args.text)
-    else:  # pragma: no cover - argparse restricts choices
-        raise GpmodError(f"unknown poset query {args.query!r}")
+    else:
+        query = {"mub": mub, "hat": hat}[args.query]
+        _emit_raw(query(p, _parse_set(p, args.set or "")).ids(), args.text)
     return 0
 
 
@@ -190,12 +179,7 @@ def cmd_graded(args) -> int:
         alg = ws.single("algebra", args.algebra)
         act = ws.single("act", args.act)
         check = GRADED_CHECKS[args.action]
-        failures = []
-        for i in range(args.cases):
-            try:
-                check(alg, act, np.random.default_rng(args.seed + i))
-            except (AssertionError, GpmodError):
-                failures.append(args.seed + i)
+        failures, _ = run_cases(lambda rng: check(alg, act, rng), args.seed, args.cases)
         payload = {"suite": args.action, "cases": args.cases, "seed": args.seed,
                    "failures": failures}
         _emit(payload, args.text)
@@ -345,13 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GpmodError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (GpmodError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -5,14 +5,14 @@ A window colimit has one presentation (``_local_presentation``): the
 cokernel of a relation matrix on the direct sum of the spaces at the
 window's maximal elements (its tops), related along the maximal common
 lower bounds of pairs of tops (``Poset.local_spans``).  ``window_ranks``
-reads only ranks from it; ``colim_over_mask`` (and through it
-``lambda_with_window``, ``induce`` and ``canonical_mu``) also returns
-bases, with the injection of a window element below the tops read through
-the first top above it.  The relation matrix (``_relation_matrix``) and the
-cocone into m(c) (``_cocone``) are each one array, filled slice by slice:
-summands of dimension 0 are skipped without calling ``eval_map``, and an
-identity block is written in place.  All bases come from the deterministic
-cokernel convention in ``linalg``, so injections and induced maps are
+reads only ranks from it; ``colim_over_mask`` (behind ``lambda_map``,
+``induce`` and ``canonical_mu``) returns that presentation alone, with no
+``injections`` field: ``colim_injection`` derives an injection where it is
+read.  The relation matrix (``_relation_matrix``) and the cocone into m(c)
+(``_cocone``) are each one array, filled slice by slice: summands of
+dimension 0 are skipped without calling ``eval_map``, and an identity block
+is written in place.  All bases come from the deterministic cokernel
+convention in ``linalg``, so injections and induced maps are
 byte-reproducible.
 """
 
@@ -51,17 +51,16 @@ class ColimitResult:
     The colimit is presented on the window's tops (``_local_presentation``).
     ``presentation`` is the relation matrix on the direct sum of the spaces
     at the tops, ``offsets`` are their summand offsets in it, and
-    ``projection`` maps that sum onto the colimit.  ``injections[d]`` is the
-    structure injection of m(d) for every d in the window: for a top, its
-    slice of the projection; below the tops, the injection of the first top
-    above d composed with m(d <= that top).
+    ``projection`` maps that sum onto the colimit.  The former
+    ``injections`` field, one injection per window element, is gone:
+    ``colim_injection`` derives the injection of an element from these
+    fields when it is read.
     """
 
     dim: int
     window: tuple[str, ...]
     tops: tuple[str, ...]
     offsets: dict[str, int]
-    injections: dict[str, np.ndarray]
     presentation: np.ndarray
     projection: np.ndarray
 
@@ -143,29 +142,29 @@ def _local_presentation(m: PersModule, mask: int):
 
 
 def colim_over_mask(m: PersModule, mask: int) -> ColimitResult:
-    """Colimit of m restricted to the subset given as a bitmask, with the
-    bases described in ``ColimitResult``.  A summand of dimension 0, or any
-    summand of a zero colimit, gets its zero injection without an
-    ``eval_map`` call."""
-    p, dims, poset = m.field.p, m.dims, m.poset
+    """Colimit of m restricted to the subset given as a bitmask, presented
+    on the window's tops as described in ``ColimitResult``."""
     tops, offsets, presentation = _local_presentation(m, mask)
-    dim, projection = linalg.cokernel(presentation, p)
-    injections = {}
-    rest = mask
-    for t in tops:
-        inj_t = projection[:, offsets[t]:offsets[t] + dims[t]].copy()
-        for d in (poset.elements[i] for i in _bits(poset.down_mask(t) & rest)):
-            if d == t:
-                injections[d] = inj_t
-            elif dim and dims[d]:
-                injections[d] = linalg.matmul(inj_t, m.eval_map(d, t), p)
-            else:
-                injections[d] = linalg.zeros(dim, dims[d])
-        rest &= ~poset.down_mask(t)
-    window = tuple(poset.elements[i] for i in _bits(mask))
+    dim, projection = linalg.cokernel(presentation, m.field.p)
+    window = tuple(m.poset.elements[i] for i in _bits(mask))
     return ColimitResult(dim=dim, window=window, tops=tops, offsets=offsets,
-                         injections={d: injections[d] for d in window},
                          presentation=presentation, projection=projection)
+
+
+def colim_injection(m: PersModule, cr: ColimitResult, d: str) -> np.ndarray:
+    """The structure injection of m(d) into the colimit cr, d in its window.
+
+    For a top, its slice of the projection; below the tops, the injection
+    of the first top t0 above d composed with m(d <= t0).  A summand of
+    dimension 0, or any summand of a zero colimit, gets its zero injection
+    without an ``eval_map`` call."""
+    dims, poset = m.dims, m.poset
+    if d in cr.offsets:
+        return cr.projection[:, cr.offsets[d]:cr.offsets[d] + dims[d]].copy()
+    if not (cr.dim and dims[d]):
+        return linalg.zeros(cr.dim, dims[d])
+    t0 = next(t for t in cr.tops if poset.leq(d, t))
+    return linalg.matmul(colim_injection(m, cr, t0), m.eval_map(d, t0), m.field.p)
 
 
 def colim_window(m: PersModule, w: IndexWindow) -> ColimitResult:
@@ -212,8 +211,8 @@ def induce_with_data(n: PersModule, ambient: Poset):
     at c indexes over {t in S : t <= c}, masked inside the subposet so that
     ambient elements with equal windows share one colimit.  The structure
     map along a cover a <= b is the map out of a's colimit that sends the
-    summand at each top t of a's window to b's injection at t, solved
-    through a's projection.
+    summand at each top t of a's window to b's injection at t
+    (``colim_injection``), solved through a's projection.
     """
     p = n.field.p
     windows = _windows_in_sub(n.poset, ambient)
@@ -229,7 +228,7 @@ def induce_with_data(n: PersModule, ambient: Poset):
     maps = {}
     for a, b in ambient.covers:
         da, db = data[a], data[b]
-        rhs = linalg.hstack([db.injections[t] for t in da.tops], db.dim)
+        rhs = linalg.hstack([colim_injection(n, db, t) for t in da.tops], db.dim)
         try:
             maps[(a, b)] = linalg.solve_left(da.projection, rhs, p)
         except linalg.NoSolution as exc:  # pragma: no cover - cocone property

@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import NoSolution, ShapeError
 
+# The most cells of one parsed input (``textio``) or one hom system (``modules``)
+CELL_LIMIT = 2**24
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:

@@ -19,6 +19,7 @@ from .errors import (
     NotAnInterval,
     NotComparable,
     ShapeError,
+    TooLargeError,
     ValidationError,
 )
 from .linalg import FieldSpec
@@ -428,6 +429,8 @@ def hom_basis(m: PersModule, n: PersModule) -> list[ModuleMorphism]:
 
     Solves the naturality constraints over all covers as one linear system;
     each kernel vector is reshaped into per-element component matrices.
+    Its cells are counted from the dims first, and a system past
+    ``linalg.CELL_LIMIT`` raises TooLargeError before anything is allocated.
     """
     if m.poset != n.poset or m.field != n.field:
         raise MismatchedBase("hom over different bases")
@@ -438,6 +441,10 @@ def hom_basis(m: PersModule, n: PersModule) -> list[ModuleMorphism]:
     for e in poset.elements:
         offsets[e] = total
         total += n.dims[e] * m.dims[e]
+    cells = total * sum(n.dims[b] * m.dims[a] for a, b in poset.covers)
+    if cells > linalg.CELL_LIMIT:
+        raise TooLargeError(f"hom system needs {cells} cells, more than "
+                            f"{linalg.CELL_LIMIT}")
     rows = []
     for a, b in poset.covers:
         block_rows = n.dims[b] * m.dims[a]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GpmodError, InputTooLarge, ParseError, UnknownElement
 from .graded import GAct, GradedAlgebra, Monoid
-from .linalg import FieldSpec, NoSolution, solve, zeros
+from .linalg import CELL_LIMIT, FieldSpec, NoSolution, solve, zeros
 from .modules import PersModule
 from .posets import POSET_SIZE_LIMIT, Poset, build_poset
 
@@ -35,11 +35,10 @@ BLOCK_KINDS = ("poset", "module", "monoid", "act", "algebra")
 # Parse-time size guards, checked line by line before anything is
 # allocated: elements of one poset (``posets.POSET_SIZE_LIMIT``), the
 # dimension at one element (validation builds its identity matrix), and
-# the cells of one module's cover maps together.  CELL_LIMIT also bounds
-# the n**3 cells of a monoid's associativity check, the |G|**2 * |A| of an
-# act's and the 2 * d**3 of an algebra's unit system.
+# the cells of one module's cover maps together (``linalg.CELL_LIMIT``).
+# That limit also bounds the n**3 cells of a monoid's associativity check,
+# the |G|**2 * |A| of an act's and the 2 * d**3 of an algebra's unit system.
 DIM_LIMIT = 4096
-CELL_LIMIT = 2**24
 
 
 @dataclass

@@ -341,25 +341,29 @@ class VerifyConfig:
         return merged
 
 
+def run_cases(check, seed: int, cases: int) -> tuple[list[int], dict]:
+    """Run check(rng) with one generator per case seed in seed, ..., seed +
+    cases - 1: the failing seeds, and their messages keyed by str(seed)."""
+    failures = []
+    messages = {}
+    for case_seed in range(seed, seed + cases):
+        try:
+            check(np.random.default_rng(case_seed))
+        except (AssertionError, GpmodError) as exc:
+            failures.append(case_seed)
+            messages[str(case_seed)] = (str(exc) if isinstance(exc, AssertionError)
+                                        else f"{type(exc).__name__}: {exc}")
+    return failures, messages
+
+
 def run_config(config: VerifyConfig) -> dict:
     """Run a configured suite; the report is a deterministic function of the
     configuration."""
     field = FieldSpec(config.field)
     body = SUITES[config.suite]
     caps = config.merged_caps()
-    failures = []
-    messages = {}
-    for i in range(config.cases):
-        case_seed = config.seed + i
-        rng = np.random.default_rng(case_seed)
-        try:
-            body(rng, field, caps)
-        except AssertionError as exc:
-            failures.append(case_seed)
-            messages[str(case_seed)] = str(exc)
-        except GpmodError as exc:
-            failures.append(case_seed)
-            messages[str(case_seed)] = f"{type(exc).__name__}: {exc}"
+    failures, messages = run_cases(lambda rng: body(rng, field, caps),
+                                   config.seed, config.cases)
     return {"suite": config.suite, "cases": config.cases, "seed": config.seed,
             "field": config.field, "failures": failures, "messages": messages}
 

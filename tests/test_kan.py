@@ -12,6 +12,7 @@ from gpmod.kan import (
     _offsets,
     _relation_matrix,
     canonical_mu,
+    colim_injection,
     colim_over_mask,
     colim_window,
     induce,
@@ -23,6 +24,7 @@ from gpmod.kan import (
 )
 from gpmod.modules import (
     ModuleMorphism,
+    PersModule,
     cokernel_module,
     free_module,
     free_sum,
@@ -67,7 +69,7 @@ def test_colim_singleton(chain3, field):
     m = interval_module(chain3, ["0", "1", "2"], field)
     cr = colim_over_mask(m, 1 << chain3.index("1"))
     assert cr.dim == 1
-    assert np.array_equal(cr.injections["1"], linalg.identity(1))
+    assert np.array_equal(colim_injection(m, cr, "1"), linalg.identity(1))
 
 
 def test_colim_empty_window(chain3, field):
@@ -114,9 +116,48 @@ def test_colim_matches_all_pairs_oracle(field):
         for d in cr.window:
             for d2 in cr.window:
                 if d != d2 and p.leq(d, d2):
-                    lhs = cr.injections[d]
-                    rhs = linalg.matmul(cr.injections[d2], m.eval_map(d, d2), P)
+                    lhs = colim_injection(m, cr, d)
+                    rhs = linalg.matmul(colim_injection(m, cr, d2), m.eval_map(d, d2), P)
                     assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_colimit_reads_structure_maps_only_at_span_sources(p, monkeypatch):
+    """Every ``eval_map`` call inside ``colim_over_mask`` starts at the d of
+    a span (d, t0, t) of ``Poset.local_spans(mask)``: the colimit builds its
+    relations and nothing more, in particular no injection of an element
+    below the tops.  Strict and non-strict windows over S the whole poset
+    and a random S, on random posets and a 4x4 grid."""
+    field = linalg.FieldSpec(p)
+    rng = np.random.default_rng(p % 997 + 80)
+    posets = [random_poset(rng, 3, 9) for _ in range(40)] + [grid_poset((4, 4))] * 4
+    modules = [random_module(poset, 3, field, seed=int(rng.integers(2**32)),
+                             generator=generator)
+               for poset in posets for generator in ("solve", "intervals")]
+    sources = []
+    eval_map = PersModule.eval_map
+
+    def recording(self, a, b):
+        sources.append(a)
+        return eval_map(self, a, b)
+
+    monkeypatch.setattr(PersModule, "eval_map", recording)
+    calls = below = 0
+    for m in modules:
+        poset = m.poset
+        for s in (poset.whole(),
+                  poset.subset_from_mask(int(rng.integers(0, poset.full_mask + 1)))):
+            for c in poset.elements:
+                for strict in (True, False):
+                    mask = IndexWindow(s, c, strict=strict).mask()
+                    sources.clear()
+                    cr = colim_over_mask(m, mask)
+                    spans = poset.local_spans(mask)[1]
+                    assert set(sources) <= {d for d, _, _ in spans}, (poset.elements, mask)
+                    calls += len(sources)
+                    below += cr.dim > 0 and any(
+                        m.dims[d] and d not in cr.tops for d in cr.window)
+    assert calls >= 80 and below >= 300, (calls, below)
 
 
 def test_restrict(chain3, field):
@@ -441,15 +482,16 @@ def _relations(m, mask):
 
 def _cover_colim(m, mask):
     """``colim_over_mask`` as it was: every window element is a summand (a
-    top, for ``_factor_cocone``) and its injection is its slice of the
-    full-window projection."""
+    top, for ``_factor_cocone``).  Returns the colimit and its own record of
+    the injections, each window element's slice of the full-window
+    projection."""
     window, offsets, presentation = _relations(m, mask)
     dim, projection = linalg.cokernel(presentation, m.field.p)
     injections = {d: projection[:, offsets[d]:offsets[d] + m.dims[d]].copy()
                   for d in window}
     return ColimitResult(dim=dim, window=tuple(window), tops=tuple(window),
-                         offsets=offsets, injections=injections,
-                         presentation=presentation, projection=projection)
+                         offsets=offsets, presentation=presentation,
+                         projection=projection), injections
 
 
 def _cover_induce_with_data(n, ambient):
@@ -469,7 +511,7 @@ def _cover_induce_with_data(n, ambient):
     data = {c: _cover_colim(n, sub_mask_of(c)) for c in ambient.elements}
     maps = {}
     for a, b in ambient.covers:
-        da, db = data[a], data[b]
+        (da, _), (db, _) = data[a], data[b]
         incl = linalg.zeros(db.projection.shape[1], da.projection.shape[1])
         for d in da.window:
             k = n.dims[d]
@@ -477,21 +519,23 @@ def _cover_induce_with_data(n, ambient):
                 linalg.identity(k)
         maps[(a, b)] = linalg.solve_left(da.projection,
                                          linalg.matmul(db.projection, incl, p), p)
-    return {c: data[c].dim for c in ambient.elements}, maps, data
+    return {c: data[c][0].dim for c in ambient.elements}, maps, data
 
 
-def _comparison(old, new, p):
-    """The map T from the cover-route colimit to the local one with
-    T P_cover = Q, Q the new injections side by side over the window.  It
-    exists when the new injections kill the cover relations, and it must be
-    invertible."""
+def _comparison(m, old, new, p):
+    """The map T from the cover-route colimit old = (colimit, injections) to
+    the local one new with T P_cover = Q, Q the injections of new
+    (``colim_injection``) side by side over the window.  It exists when
+    those injections kill the cover relations, and it must be invertible."""
+    old, old_injections = old
     assert old.window == new.window and old.dim == new.dim
-    q = linalg.hstack([new.injections[d] for d in new.window], new.dim)
+    new_injections = {d: colim_injection(m, new, d) for d in new.window}
+    q = linalg.hstack([new_injections[d] for d in new.window], new.dim)
     t = linalg.solve_left(old.projection, q, p)  # NoSolution if none
     assert linalg.is_isomorphism(t, p)
     for d in new.window:
-        assert np.array_equal(linalg.matmul(t, old.injections[d], p),
-                              new.injections[d])
+        assert np.array_equal(linalg.matmul(t, old_injections[d], p),
+                              new_injections[d])
     return t
 
 
@@ -534,7 +578,7 @@ def test_local_presentation_matches_the_cover_route(p):
             for strict in (True, False):
                 mask = IndexWindow(s, c, strict=strict).mask()
                 new, old = colim_over_mask(m, mask), _cover_colim(m, mask)
-                t = _comparison(old, new, p)
+                t = _comparison(m, old, new, p)
                 seen["several tops"] += len(new.tops) > 1
                 seen["relations"] += new.presentation.shape[1] > 0
                 seen["injection below the tops"] += any(
@@ -543,19 +587,20 @@ def test_local_presentation_matches_the_cover_route(p):
                 if strict:
                     lam, cr = lambda_with_window(m, s, c)
                     assert cr.dim == new.dim
-                    old_lam = _factor_cocone(m, old, c, "lambda")
+                    old_lam = _factor_cocone(m, old[0], c, "lambda")
                     assert np.array_equal(linalg.matmul(lam, t, p), old_lam)
-        ind, data = induce_with_data(restrict(m, s), poset)
-        old_dims, old_maps, old_data = _cover_induce_with_data(restrict(m, s), poset)
+        n = restrict(m, s)
+        ind, data = induce_with_data(n, poset)
+        old_dims, old_maps, old_data = _cover_induce_with_data(n, poset)
         assert ind.dims == old_dims
-        iso = {c: _comparison(old_data[c], data[c], p) for c in poset.elements}
+        iso = {c: _comparison(n, old_data[c], data[c], p) for c in poset.elements}
         for a, b in poset.covers:
             assert np.array_equal(linalg.matmul(ind.cover_maps[(a, b)], iso[a], p),
                                   linalg.matmul(iso[b], old_maps[(a, b)], p)), (a, b)
             seen["induced cover map"] += old_dims[a] > 0 and old_dims[b] > 0
         mu = canonical_mu(m, s)
         for c in poset.elements:
-            old_mu = _factor_cocone(m, old_data[c], c, "mu component")
+            old_mu = _factor_cocone(m, old_data[c][0], c, "mu component")
             assert np.array_equal(linalg.matmul(mu.components[c], iso[c], p), old_mu)
             seen["mu at c"] += old_dims[c] > 0 and m.dims[c] > 0
     assert min(seen.values()) >= 60, seen

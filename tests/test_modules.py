@@ -8,6 +8,7 @@ from gpmod.errors import (
     NotAnInterval,
     NotComparable,
     ShapeError,
+    TooLargeError,
     ValidationError,
 )
 from gpmod.modules import (
@@ -354,6 +355,27 @@ def test_hom_basis_matches_interval_rule(chain3, field):
     assert hom_space_dim(m, n) == 0
     for f in hom_basis(n, m):
         ModuleMorphism(n, m, f.components)  # naturality revalidated
+
+
+def test_hom_basis_refuses_an_oversized_system_before_allocating(field, monkeypatch):
+    """Free sums of 40 generators at the bottom of an 8x8 grid: the
+    naturality system has 112 * 40**2 rows and 64 * 40**2 columns, about
+    1.8e10 cells, far past ``linalg.CELL_LIMIT``; it is refused from the
+    dims alone, before any matrix is allocated."""
+    grid = grid_poset((8, 8))
+    m = free_sum(grid, [(grid.elements[0], 40)], field)
+    cells = 112 * 40**2 * 64 * 40**2
+    assert cells > 1000 * linalg.CELL_LIMIT
+    rng = np.random.default_rng(0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size guard fired")
+
+    monkeypatch.setattr(linalg, "zeros", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    for call in (hom_basis, hom_space_dim, lambda a, b: random_morphism(a, b, rng)):
+        with pytest.raises(TooLargeError, match=f"needs {cells} cells"):
+            call(m, m)
 
 
 def _check_by_propagation(m):

@@ -14,7 +14,8 @@ import hashlib
 import numpy as np
 
 from gpmod.invariants import birth_death_report, minimal_presentation
-from gpmod.kan import IndexWindow, canonical_mu, colim_window, induce, lambda_map, restrict
+from gpmod.kan import (IndexWindow, canonical_mu, colim_injection, colim_window, induce,
+                       lambda_map, restrict)
 from gpmod.linalg import FieldSpec
 from gpmod.modules import random_module
 from gpmod.posets import grid_poset
@@ -122,7 +123,7 @@ def _bases_digest(p: int) -> tuple[str, int]:
                 _hash_array(h, f"{key}:presentation", cr.presentation)
                 _hash_array(h, f"{key}:projection", cr.projection)
                 for d in cr.window:
-                    _hash_array(h, f"{key}:inj:{d}", cr.injections[d])
+                    _hash_array(h, f"{key}:inj:{d}", colim_injection(m, cr, d))
                     zero_summands += m.dims[d] == 0
             _hash_array(h, f"{k}:{c}:lambda", lambda_map(m, s, c))
         ind = induce(restrict(m, s), m.poset)
