@@ -126,14 +126,15 @@ def cmd_colim(args) -> int:
     w = IndexWindow(s, args.at, strict=not args.non_strict)
     m.poset.index(args.at)
     cr = colim_window(m, w)
+    window = m.poset.subset_from_mask(cr.mask).ids()
     payload = {
         "module_id": args.module or m.name,
         "at": args.at,
         "strict": not args.non_strict,
         "S": s.ids(),
         "dim": cr.dim,
-        "window": list(cr.window),
-        "injections": {d: _matrix_lists(colim_injection(m, cr, d)) for d in cr.window},
+        "window": window,
+        "injections": {d: _matrix_lists(colim_injection(m, cr, d)) for d in window},
     }
     _emit(payload, args.text)
     return 0

@@ -6,14 +6,14 @@ cokernel of a relation matrix on the direct sum of the spaces at the
 window's maximal elements (its tops), related along the maximal common
 lower bounds of pairs of tops (``Poset.local_spans``).  ``window_ranks``
 reads only ranks from it; ``colim_over_mask`` (behind ``lambda_map``,
-``induce`` and ``canonical_mu``) returns that presentation alone, with no
-``injections`` field: ``colim_injection`` derives an injection where it is
-read.  The relation matrix (``_relation_matrix``) and the cocone into m(c)
-(``_cocone``) are each one array, filled slice by slice: summands of
-dimension 0 are skipped without calling ``eval_map``, and an identity block
-is written in place.  All bases come from the deterministic cokernel
-convention in ``linalg``, so injections and induced maps are
-byte-reproducible.
+``induce`` and ``canonical_mu``) returns that presentation and the window's
+mask alone: the window's elements, and each injection (``colim_injection``),
+are derived where they are read.  The relation matrix (``_relation_matrix``)
+and the cocone into m(c) (``_cocone``) are each one array, filled slice by
+slice: summands of dimension 0 are skipped without calling ``eval_map``,
+and an identity block is written in place.  All bases come from the
+deterministic cokernel convention in ``linalg``, so injections and induced
+maps are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import InternalError
 from .modules import ModuleMorphism, PersModule
-from .posets import ElementSet, Poset, build_poset, _bits
+from .posets import ElementSet, Poset, build_poset
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,17 @@ class ColimitResult:
     """A presented colimit of the diagram on a window.
 
     The colimit is presented on the window's tops (``_local_presentation``).
+    ``mask`` is the window as a bitmask of the poset's elements,
     ``presentation`` is the relation matrix on the direct sum of the spaces
     at the tops, ``offsets`` are their summand offsets in it, and
-    ``projection`` maps that sum onto the colimit.  The former
-    ``injections`` field, one injection per window element, is gone:
-    ``colim_injection`` derives the injection of an element from these
-    fields when it is read.
+    ``projection`` maps that sum onto the colimit.  Nothing per window
+    element is stored: the window's elements are
+    ``poset.subset_from_mask(mask).members``, and ``colim_injection``
+    derives the injection of an element, each where it is read.
     """
 
     dim: int
-    window: tuple[str, ...]
+    mask: int
     tops: tuple[str, ...]
     offsets: dict[str, int]
     presentation: np.ndarray
@@ -146,8 +147,7 @@ def colim_over_mask(m: PersModule, mask: int) -> ColimitResult:
     on the window's tops as described in ``ColimitResult``."""
     tops, offsets, presentation = _local_presentation(m, mask)
     dim, projection = linalg.cokernel(presentation, m.field.p)
-    window = tuple(m.poset.elements[i] for i in _bits(mask))
-    return ColimitResult(dim=dim, window=window, tops=tops, offsets=offsets,
+    return ColimitResult(dim=dim, mask=mask, tops=tops, offsets=offsets,
                          presentation=presentation, projection=projection)
 
 

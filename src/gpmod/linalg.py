@@ -217,16 +217,30 @@ def rank(a: np.ndarray, p: int) -> int:
 
 def kernel_basis(a: np.ndarray, p: int) -> SubspaceBasis:
     """Basis of {v : a v = 0}, one column per free variable of the rref."""
-    reduced, pivots, rk = rref(a, p)
+    return kernel_basis_with_free(a, p)[0]
+
+
+def kernel_basis_with_free(a: np.ndarray,
+                           p: int) -> tuple[SubspaceBasis, tuple[int, ...]]:
+    """``kernel_basis`` and the free column indices of a's rref, from one
+    elimination.
+
+    Column k of the basis is the solution with free variable free[k] set to
+    1 and the other free variables to 0, so the basis restricted to the
+    free rows is the identity.  A vector v of the kernel is therefore the
+    basis times v's entries at the free rows, and a matrix x with basis @ x
+    = y, if there is one, is y's rows at the free indices.
+    """
+    reduced, pivots, _ = rref(a, p)
     cols = a.shape[1]
     pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
+    free = tuple(j for j in range(cols) if j not in pivot_set)
     basis = zeros(cols, len(free))
     for k, j in enumerate(free):
         basis[j, k] = 1
         for i, pc in enumerate(pivots):
             basis[pc, k] = (-int(reduced[i, j])) % p
-    return SubspaceBasis(cols, basis)
+    return SubspaceBasis(cols, basis), free
 
 
 def image_basis(a: np.ndarray, p: int) -> SubspaceBasis:

@@ -382,19 +382,48 @@ def zero_module(poset: Poset, field: FieldSpec) -> PersModule:
 
 
 def kernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
-    """Pointwise kernel with induced structure maps and its inclusion."""
+    """Pointwise kernel with induced structure maps and its inclusion.
+
+    The kernel basis at each element (``linalg.kernel_basis_with_free``)
+    is the identity on its free rows.  On a cover (a, b), with S the
+    source, the map x solves bases[b] @ x = S(a <= b) @ bases[a] =: moved.
+    The free rows of bases[b] @ x are x itself, so the one candidate is
+    moved's rows at b's free indices, read off without a solve.  It is
+    the solution exactly when bases[b] @ x == moved, which holds when f
+    is natural.  That check runs in stacked products
+    (``linalg.matmul_stack``): covers with equal (dims_S(b), dims_S(a),
+    dims_ker(a), dims_ker(b)) form one stack.  A cover with dims_S(b) = 0
+    or dims_ker(a) = 0 has an empty map, which PersModule fills in.  A
+    failing check raises InternalError at the first failing cover in
+    canonical order.
+    """
     p = f.source.field.p
     src = f.source
-    bases = {e: linalg.kernel_basis(f.components[e], p).basis
-             for e in src.poset.elements}
+    covers = src.poset.covers
+    bases, free = {}, {}
+    for e in src.poset.elements:
+        kernel, free[e] = linalg.kernel_basis_with_free(f.components[e], p)
+        bases[e] = kernel.basis
     dims = {e: bases[e].shape[1] for e in src.poset.elements}
-    maps = {}
-    for a, b in src.poset.covers:
-        moved = linalg.matmul(src.cover_maps[(a, b)], bases[a], p)
-        try:
-            maps[(a, b)] = linalg.solve(bases[b], moved, p)
-        except linalg.NoSolution as exc:  # pragma: no cover - naturality guards this
-            raise InternalError(f"kernel map at cover {(a, b)!r}") from exc
+    groups = {}  # shape key -> indices into covers
+    for k, (a, b) in enumerate(covers):
+        key = (src.dims[b], src.dims[a], dims[a], dims[b])
+        if key[0] and key[2]:  # otherwise the map is empty
+            groups.setdefault(key, []).append(k)
+    maps, failed = {}, []
+    for ks in groups.values():
+        pairs = [covers[k] for k in ks]
+        moved = linalg.matmul_stack(np.stack([src.cover_maps[c] for c in pairs]),
+                                    np.stack([bases[a] for a, _ in pairs]), p)
+        rows = np.array([free[b] for _, b in pairs], dtype=np.intp)
+        x = moved[np.arange(len(pairs))[:, None], rows]
+        back = linalg.matmul_stack(np.stack([bases[b] for _, b in pairs]), x, p)
+        bad = (back != moved).any(axis=(1, 2))
+        if bad.any():
+            failed.append(ks[int(bad.argmax())])
+        maps.update(zip(pairs, x))
+    if failed:
+        raise InternalError(f"kernel map at cover {covers[min(failed)]!r}")
     ker = PersModule(src.poset, src.field, dims, maps,
                      name=f"ker({f.source.name})", validate=False)
     incl = ModuleMorphism(ker, src, bases, validate=False)

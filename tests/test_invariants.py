@@ -368,6 +368,30 @@ def test_presentation_asks_no_order_query_per_pair(monkeypatch, field):
     assert pres.exact and pres.verho_equal
 
 
+def test_presentation_solves_no_kernel_map_and_checks_each_cover_once(monkeypatch, field):
+    # kernel maps are read off the kernel basis, and the only epi checks
+    # are the one in each projective_cover call
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError("linalg.solve called")
+
+    def counting(f):
+        calls.append(f)
+        return is_epi(f)
+
+    grid = grid_poset((6, 6))
+    m = random_module(grid, 2, field, 3)
+    _, h = projective_cover(m, grid.whole())
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "solve", refuse)
+        ker, _ = kernel_module(h)
+    assert ker.total_dim > 0
+    monkeypatch.setattr(invariants, "is_epi", counting)
+    pres = minimal_presentation(m, grid.whole())
+    assert pres.exact and len(calls) == 2
+
+
 def test_xi_multiplicities_against_grid_oracle(field):
     # one-step generator count at c over the whole poset: dim minus the
     # rank of the stacked incoming cover maps

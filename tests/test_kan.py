@@ -113,8 +113,9 @@ def test_colim_matches_all_pairs_oracle(field):
         cr = colim_over_mask(m, mask)
         assert cr.dim == colim_dim_all_pairs(m, mask)
         # cocone commutes over every comparable pair of the window
-        for d in cr.window:
-            for d2 in cr.window:
+        window = p.subset_from_mask(cr.mask).members
+        for d in window:
+            for d2 in window:
                 if d != d2 and p.leq(d, d2):
                     lhs = colim_injection(m, cr, d)
                     rhs = linalg.matmul(colim_injection(m, cr, d2), m.eval_map(d, d2), P)
@@ -156,7 +157,8 @@ def test_colimit_reads_structure_maps_only_at_span_sources(p, monkeypatch):
                     assert set(sources) <= {d for d, _, _ in spans}, (poset.elements, mask)
                     calls += len(sources)
                     below += cr.dim > 0 and any(
-                        m.dims[d] and d not in cr.tops for d in cr.window)
+                        m.dims[d] and d not in cr.tops
+                        for d in poset.subset_from_mask(mask))
     assert calls >= 80 and below >= 300, (calls, below)
 
 
@@ -489,7 +491,7 @@ def _cover_colim(m, mask):
     dim, projection = linalg.cokernel(presentation, m.field.p)
     injections = {d: projection[:, offsets[d]:offsets[d] + m.dims[d]].copy()
                   for d in window}
-    return ColimitResult(dim=dim, window=tuple(window), tops=tuple(window),
+    return ColimitResult(dim=dim, mask=mask, tops=tuple(window),
                          offsets=offsets, presentation=presentation,
                          projection=projection), injections
 
@@ -513,7 +515,7 @@ def _cover_induce_with_data(n, ambient):
     for a, b in ambient.covers:
         (da, _), (db, _) = data[a], data[b]
         incl = linalg.zeros(db.projection.shape[1], da.projection.shape[1])
-        for d in da.window:
+        for d in sub.subset_from_mask(da.mask):
             k = n.dims[d]
             incl[db.offsets[d]:db.offsets[d] + k, da.offsets[d]:da.offsets[d] + k] = \
                 linalg.identity(k)
@@ -528,12 +530,13 @@ def _comparison(m, old, new, p):
     (``colim_injection``) side by side over the window.  It exists when
     those injections kill the cover relations, and it must be invertible."""
     old, old_injections = old
-    assert old.window == new.window and old.dim == new.dim
-    new_injections = {d: colim_injection(m, new, d) for d in new.window}
-    q = linalg.hstack([new_injections[d] for d in new.window], new.dim)
+    assert old.mask == new.mask and old.dim == new.dim
+    window = m.poset.subset_from_mask(new.mask).members
+    new_injections = {d: colim_injection(m, new, d) for d in window}
+    q = linalg.hstack([new_injections[d] for d in window], new.dim)
     t = linalg.solve_left(old.projection, q, p)  # NoSolution if none
     assert linalg.is_isomorphism(t, p)
-    for d in new.window:
+    for d in window:
         assert np.array_equal(linalg.matmul(t, old_injections[d], p),
                               new_injections[d])
     return t
@@ -581,9 +584,10 @@ def test_local_presentation_matches_the_cover_route(p):
                 t = _comparison(m, old, new, p)
                 seen["several tops"] += len(new.tops) > 1
                 seen["relations"] += new.presentation.shape[1] > 0
+                window = poset.subset_from_mask(mask).members
                 seen["injection below the tops"] += any(
-                    m.dims[d] and d not in new.tops for d in new.window) and new.dim > 0
-                seen["zero summand"] += any(m.dims[d] == 0 for d in new.window)
+                    m.dims[d] and d not in new.tops for d in window) and new.dim > 0
+                seen["zero summand"] += any(m.dims[d] == 0 for d in window)
                 if strict:
                     lam, cr = lambda_with_window(m, s, c)
                     assert cr.dim == new.dim

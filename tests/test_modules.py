@@ -4,6 +4,7 @@ import pytest
 from gpmod import linalg, modules
 from gpmod.errors import (
     FunctorialityError,
+    InternalError,
     MismatchedBase,
     NotAnInterval,
     NotComparable,
@@ -30,6 +31,7 @@ from gpmod.modules import (
     summand_inclusions,
     zero_module,
 )
+from gpmod.invariants import projective_cover
 from gpmod.linalg import FieldSpec
 from gpmod.posets import Poset, chain, grid_poset, up_set
 from gpmod.verify import random_poset, run_suite
@@ -537,3 +539,120 @@ def test_stacked_naturality_matches_the_per_cover_loop(p):
                 assert _naturality_verdict(lambda: ModuleMorphism(m, n, comps)) == want
                 seen["accepted" if want is None else "rejected"] += 1
     assert all(seen.values()), seen
+
+
+def _oracle_kernel_module(f):
+    """``kernel_module`` as it was: one ``linalg.solve`` per cover, in
+    canonical order, raising at the first cover with no solution."""
+    p = f.source.field.p
+    src = f.source
+    bases = {e: linalg.kernel_basis(f.components[e], p).basis
+             for e in src.poset.elements}
+    dims = {e: bases[e].shape[1] for e in src.poset.elements}
+    maps = {}
+    for a, b in src.poset.covers:
+        moved = linalg.matmul(src.cover_maps[(a, b)], bases[a], p)
+        try:
+            maps[(a, b)] = linalg.solve(bases[b], moved, p)
+        except linalg.NoSolution as exc:
+            raise InternalError(f"kernel map at cover {(a, b)!r}") from exc
+    ker = PersModule(src.poset, src.field, dims, maps,
+                     name=f"ker({f.source.name})", validate=False)
+    incl = ModuleMorphism(ker, src, bases, validate=False)
+    return ker, incl
+
+
+def _kernel_verdict(route, f):
+    """(error message, None) when route raises InternalError, else (None,
+    (kernel, inclusion))."""
+    try:
+        return None, route(f)
+    except InternalError as exc:
+        return str(exc), None
+
+
+def _assert_same_arrays(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_kernel(got, want):
+    (ker, incl), (old_ker, old_incl) = got, want
+    poset = ker.poset
+    assert ker.dims == old_ker.dims and ker.name == old_ker.name
+    for c in poset.covers:
+        _assert_same_arrays(ker.cover_maps[c], old_ker.cover_maps[c])
+    for e in poset.elements:
+        _assert_same_arrays(incl.components[e], old_incl.components[e])
+
+
+def _kernel_cases(p):
+    """(morphism, kind): projective covers of random modules on random
+    posets and on every grid from 1x1 to 6x6, and random morphisms between
+    random modules on random posets."""
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p % 991 + 18)
+    posets = [random_poset(rng, 2, 8) for _ in range(30)]
+    posets += [grid_poset((r, c)) for r in range(1, 7) for c in range(1, 7)]
+    for poset in posets:
+        for generator in ("solve", "intervals"):
+            m = random_module(poset, 3, field, seed=int(rng.integers(2**32)),
+                              generator=generator)
+            yield projective_cover(m, poset.whole())[1], "cover"
+    for _ in range(40):
+        poset = random_poset(rng, 2, 6)
+        a, b = (random_module(poset, 2, field, seed=int(rng.integers(2**32)))
+                for _ in range(2))
+        yield random_morphism(a, b, rng), "morphism"
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_kernel_module_matches_the_per_cover_solve(p):
+    """The kernel maps read off the free rows, and the inclusion, against
+    the per-cover solve: the same dims, and every cover map and inclusion
+    component with the same dtype, shape and bytes."""
+    seen = {"cover": 0, "morphism": 0, "checked map": 0, "empty map": 0}
+    for f, kind in _kernel_cases(p):
+        got, want = kernel_module(f), _oracle_kernel_module(f)
+        _assert_same_kernel(got, want)
+        ker = got[0]
+        seen[kind] += 1
+        for a, b in ker.poset.covers:
+            checked = ker.dims[a] and f.source.dims[b]
+            seen["checked map" if checked else "empty map"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_kernel_module_of_a_non_natural_map_names_the_oracles_cover(p):
+    """Morphisms built with validate=False and one component entry
+    changed: where the per-cover solve fails, kernel_module raises
+    InternalError naming the same first cover; elsewhere both return the
+    same kernel."""
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p % 989 + 19)
+    posets = [random_poset(rng, 2, 8) for _ in range(30)]
+    posets += [grid_poset(shape) for shape in ((1, 4), (2, 3), (3, 3), (4, 4))]
+    raised = returned = 0
+    for poset in posets:
+        m = random_module(poset, 3, field, seed=int(rng.integers(2**32)))
+        h = projective_cover(m, poset.whole())[1]
+        filled = [e for e in poset.elements if h.components[e].size]
+        for _ in range(min(3, len(filled))):
+            e = filled[int(rng.integers(len(filled)))]
+            comps = dict(h.components)
+            entry = comps[e].copy()
+            i, j = (int(rng.integers(d)) for d in entry.shape)
+            entry[i, j] = (entry[i, j] + int(rng.integers(1, p))) % p
+            comps[e] = entry
+            g = ModuleMorphism(h.source, h.target, comps, validate=False)
+            (msg, got), (want_msg, want) = (_kernel_verdict(kernel_module, g),
+                                            _kernel_verdict(_oracle_kernel_module, g))
+            assert msg == want_msg
+            if msg is None:
+                _assert_same_kernel(got, want)
+                returned += 1
+            else:
+                assert msg.startswith("kernel map at cover ")
+                raised += 1
+    assert raised >= 10 and returned >= 1, (raised, returned)

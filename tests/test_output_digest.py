@@ -119,10 +119,11 @@ def _bases_digest(p: int) -> tuple[str, int]:
             for strict in (True, False):
                 cr = colim_window(m, IndexWindow(s, c, strict=strict))
                 key = f"{k}:{c}:{strict}"
-                h.update(f"{key}:{cr.dim}:{cr.window}".encode())
+                window = m.poset.subset_from_mask(cr.mask).members
+                h.update(f"{key}:{cr.dim}:{window}".encode())
                 _hash_array(h, f"{key}:presentation", cr.presentation)
                 _hash_array(h, f"{key}:projection", cr.projection)
-                for d in cr.window:
+                for d in window:
                     _hash_array(h, f"{key}:inj:{d}", colim_injection(m, cr, d))
                     zero_summands += m.dims[d] == 0
             _hash_array(h, f"{k}:{c}:lambda", lambda_map(m, s, c))
