@@ -870,22 +870,16 @@ def fm_cokernel(target: FunctorModule, components: dict) -> FunctorModule:
     component matrices; arrows are induced on the quotients."""
     alg, act = target.algebra, target.act
     p = alg.field.p
-    projs = {}
-    spaces = []
-    for a in range(len(act)):
-        _, proj = linalg.cokernel(components[a], p)
-        projs[a] = proj
-        spaces.append(proj.shape[0])
+    coks = [linalg.cokernel(components[a], p) for a in range(len(act))]
     arrows = {}
     for i in range(alg.dim):
         for a in range(len(act)):
             b = act.act(alg.degs[i], a)
-            rhs = linalg.matmul(projs[b], target.arrows[(i, a)], p)
-            try:
-                arrows[(i, a)] = linalg.solve_left(projs[a], rhs, p)
-            except linalg.NoSolution as exc:  # pragma: no cover
-                raise InternalError("cokernel arrow is not induced") from exc
-    return FunctorModule(alg, act, spaces, arrows, validate=False)
+            rhs = linalg.matmul(coks[b][1], target.arrows[(i, a)], p)
+            _, proj, free = coks[a]
+            arrows[(i, a)] = linalg.factor(proj, free, rhs, p,
+                                           "cokernel arrow is not induced")
+    return FunctorModule(alg, act, [d for d, _, _ in coks], arrows, validate=False)
 
 
 def random_functor_module(alg: GradedAlgebra, act: GAct, rng,

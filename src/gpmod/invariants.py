@@ -70,6 +70,7 @@ def deaths(m: PersModule, s) -> ElementSet:
 class SplittingResult:
     dim: int
     projection: np.ndarray
+    free: tuple[int, ...]
 
 
 def _split_dim(m: PersModule, s, c: str) -> int:
@@ -82,18 +83,15 @@ def _split_dim(m: PersModule, s, c: str) -> int:
 def splitting(m: PersModule, s, c: str) -> SplittingResult:
     """The splitting quotient at c: M(c) modulo the window image."""
     lam, _ = lambda_with_window(m, s, c)
-    dim, proj = linalg.cokernel(lam, m.field.p)
-    return SplittingResult(dim, proj)
+    return SplittingResult(*linalg.cokernel(lam, m.field.p))
 
 
 def splitting_map(f: ModuleMorphism, s, c: str) -> np.ndarray:
     """The map induced by f between the splitting quotients at c."""
     p = f.source.field.p
     rhs = linalg.matmul(splitting(f.target, s, c).projection, f.components[c], p)
-    try:
-        return linalg.solve_left(splitting(f.source, s, c).projection, rhs, p)
-    except linalg.NoSolution as exc:  # pragma: no cover - naturality guards this
-        raise InternalError(f"splitting map at {c!r}") from exc
+    src = splitting(f.source, s, c)
+    return linalg.factor(src.projection, src.free, rhs, p, f"splitting map at {c!r}")
 
 
 def is_generated(m: PersModule, s) -> bool:

@@ -51,8 +51,11 @@ class ColimitResult:
     The colimit is presented on the window's tops (``_local_presentation``).
     ``mask`` is the window as a bitmask of the poset's elements,
     ``presentation`` is the relation matrix on the direct sum of the spaces
-    at the tops, ``offsets`` are their summand offsets in it, and
-    ``projection`` maps that sum onto the colimit.  Nothing per window
+    at the tops, ``offsets`` are their summand offsets in it,
+    ``projection`` maps that sum onto the colimit, and ``free`` are the
+    projection's identity columns (``linalg.cokernel``): a map out of the
+    colimit is the map out of the sum read at those columns
+    (``linalg.factor``).  Nothing per window
     element is stored: the window's elements are
     ``poset.subset_from_mask(mask).members``, and ``colim_injection``
     derives the injection of an element, each where it is read.
@@ -64,6 +67,7 @@ class ColimitResult:
     offsets: dict[str, int]
     presentation: np.ndarray
     projection: np.ndarray
+    free: tuple[int, ...]
 
 
 def _offsets(m: PersModule, summands) -> tuple[dict[str, int], int]:
@@ -146,9 +150,10 @@ def colim_over_mask(m: PersModule, mask: int) -> ColimitResult:
     """Colimit of m restricted to the subset given as a bitmask, presented
     on the window's tops as described in ``ColimitResult``."""
     tops, offsets, presentation = _local_presentation(m, mask)
-    dim, projection = linalg.cokernel(presentation, m.field.p)
+    dim, projection, free = linalg.cokernel(presentation, m.field.p)
     return ColimitResult(dim=dim, mask=mask, tops=tops, offsets=offsets,
-                         presentation=presentation, projection=projection)
+                         presentation=presentation, projection=projection,
+                         free=free)
 
 
 def colim_injection(m: PersModule, cr: ColimitResult, d: str) -> np.ndarray:
@@ -212,7 +217,7 @@ def induce_with_data(n: PersModule, ambient: Poset):
     ambient elements with equal windows share one colimit.  The structure
     map along a cover a <= b is the map out of a's colimit that sends the
     summand at each top t of a's window to b's injection at t
-    (``colim_injection``), solved through a's projection.
+    (``colim_injection``), read off a's projection (``linalg.factor``).
     """
     p = n.field.p
     windows = _windows_in_sub(n.poset, ambient)
@@ -229,10 +234,8 @@ def induce_with_data(n: PersModule, ambient: Poset):
     for a, b in ambient.covers:
         da, db = data[a], data[b]
         rhs = linalg.hstack([colim_injection(n, db, t) for t in da.tops], db.dim)
-        try:
-            maps[(a, b)] = linalg.solve_left(da.projection, rhs, p)
-        except linalg.NoSolution as exc:  # pragma: no cover - cocone property
-            raise InternalError(f"induced map at cover {(a, b)!r}") from exc
+        maps[(a, b)] = linalg.factor(da.projection, da.free, rhs, p,
+                                     f"induced map at cover {(a, b)!r}")
     mod = PersModule(ambient, n.field, dims, maps,
                      name=f"ind({n.name})", validate=False)
     return mod, data
@@ -244,16 +247,11 @@ def induce(n: PersModule, ambient: Poset) -> PersModule:
 
 def _factor_cocone(m: PersModule, cr: ColimitResult, c: str, what: str):
     """The map out of the colimit cr through which the cocone into m(c)
-    factors; raises InternalError if the cocone does not kill the
-    relations."""
-    p = m.field.p
-    cocone = _cocone(m, cr.tops, c)
-    if np.any(linalg.matmul(cocone, cr.presentation, p)):
-        raise InternalError(f"{what} at {c!r} does not kill relations")
-    try:
-        return linalg.solve_left(cr.projection, cocone, p)
-    except linalg.NoSolution as exc:  # pragma: no cover - cocone property
-        raise InternalError(f"{what} at {c!r}") from exc
+    factors: its columns at the colimit's free indices.  It factors
+    exactly when it kills the relations, since the projection's rows span
+    their left null space; otherwise raises InternalError."""
+    return linalg.factor(cr.projection, cr.free, _cocone(m, cr.tops, c),
+                         m.field.p, f"{what} at {c!r} does not kill relations")
 
 
 def canonical_mu(m: PersModule, s) -> ModuleMorphism:
@@ -261,7 +259,8 @@ def canonical_mu(m: PersModule, s) -> ModuleMorphism:
 
     The component at c sends the class of x in m(d), d in the window, to
     the structure map m(d <= c) applied to x; well-definedness is certified
-    by checking that the component annihilates the colimit relations.
+    by checking that the component, read off the colimit's free indices,
+    gives back the cocone (``_factor_cocone``).
     """
     s = m.poset.subset(s)
     ind, data = induce_with_data(restrict(m, s), m.poset)
@@ -273,7 +272,9 @@ def canonical_mu(m: PersModule, s) -> ModuleMorphism:
 def lambda_with_window(m: PersModule, s, c: str):
     """The natural map from the strict-window colimit into m(c).
 
-    Returns (matrix of shape dims(c) x colim_dim, ColimitResult).
+    Returns (matrix of shape dims(c) x colim_dim, ColimitResult).  The
+    matrix is the cocone into m(c) (the maps m(t <= c), t a top, side by
+    side) at the colimit's free indices.
     """
     s = m.poset.subset(s)
     cr = colim_window(m, IndexWindow(s, c, strict=True))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSolution, ShapeError
+from .errors import InternalError, NoSolution, ShapeError
 
 # The most cells of one parsed input (``textio``) or one hom system (``modules``)
 CELL_LIMIT = 2**24
@@ -69,6 +69,23 @@ def as_matrix(data, p: int) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={a.ndim}")
     return np.mod(a, p)
+
+
+def as_shaped(m, shape: tuple[int, int], p: int, what: str) -> np.ndarray:
+    """m as an int64 matrix of the given shape reduced mod p: None gives
+    zeros, nested sequences go through ``as_matrix``, and an array with no
+    cells is only cast.  Raises ShapeError("<what> has shape ...")."""
+    if m is None:
+        return zeros(*shape)
+    if not isinstance(m, np.ndarray):
+        m = as_matrix(m, p)
+    else:
+        m = m.astype(np.int64, copy=False)
+        if m.size:
+            m = np.mod(m, p)
+    if m.shape != shape:
+        raise ShapeError(f"{what} has shape {m.shape}, expected {shape}")
+    return m
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -249,15 +266,32 @@ def image_basis(a: np.ndarray, p: int) -> SubspaceBasis:
     return SubspaceBasis(a.shape[0], np.mod(a[:, list(pivots)], p))
 
 
-def cokernel(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+def cokernel(a: np.ndarray, p: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
     """Quotient by the column space of a.
 
-    Returns (dim, projection) where projection has full row rank
-    rows(a) - rank(a) and projection @ a = 0.
+    Returns (dim, projection, free).  The projection has full row rank
+    rows(a) - rank(a) and projection @ a = 0; it is the transposed kernel
+    basis of a.T (``kernel_basis_with_free``), so its columns at the free
+    indices form the identity.  ``factor`` reads every map out of the
+    quotient off those columns.
     """
-    left_null = kernel_basis(a.T % p, p)
+    left_null, free = kernel_basis_with_free(a.T % p, p)
     projection = left_null.basis.T.copy()
-    return projection.shape[0], projection
+    return projection.shape[0], projection, free
+
+
+def factor(projection: np.ndarray, free: tuple[int, ...], b: np.ndarray,
+           p: int, message: str) -> np.ndarray:
+    """The x with x @ projection = b, for a projection and free indices
+    from ``cokernel``; raises InternalError(message) if there is none.
+
+    projection[:, free] is the identity, so b[:, free] is the only
+    candidate, and full row rank makes the solution unique when it exists.
+    """
+    x = b[:, list(free)].copy()
+    if not np.array_equal(matmul(x, projection, p), b):
+        raise InternalError(message)
+    return x
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -273,11 +307,6 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     for i, pc in enumerate(pivots):
         x[pc] = reduced[i, na:]
     return x
-
-
-def solve_left(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Solve x @ a = b (same pivot-variable convention, via transposes)."""
-    return solve(a.T % p, b.T % p, p).T.copy()
 
 
 def is_isomorphism(a: np.ndarray, p: int) -> bool:

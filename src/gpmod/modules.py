@@ -66,25 +66,15 @@ class PersModule:
                 raise ShapeError(f"negative dimension at {e!r}")
             full[e] = int(d)
         self.dims = {e: full.get(e, 0) for e in poset.elements}
-        maps = {}
         cover_maps = dict(cover_maps)
         cover_set = set(poset.covers)
         for pair in cover_maps:
             if pair not in cover_set:
                 raise ValidationError(f"{pair!r} is not a cover of {poset.name!r}")
-        for a, b in poset.covers:
-            m = cover_maps.get((a, b))
-            shape = (self.dims[b], self.dims[a])
-            if m is None:
-                m = linalg.zeros(*shape)
-            else:
-                m = linalg.as_matrix(m, p) if not isinstance(m, np.ndarray) else np.mod(
-                    m.astype(np.int64, copy=False), p)
-                if m.shape != shape:
-                    raise ShapeError(
-                        f"map {a!r}->{b!r} has shape {m.shape}, expected {shape}")
-            maps[(a, b)] = m
-        self.cover_maps = maps
+        self.cover_maps = {
+            (a, b): linalg.as_shaped(cover_maps.get((a, b)), (self.dims[b], self.dims[a]),
+                                     p, f"map {a!r}->{b!r}")
+            for a, b in poset.covers}
         self._eval_cache = {}
         self._window_cache = {}
         self._colim_dims = {}
@@ -186,21 +176,11 @@ class ModuleMorphism:
         self.source = source
         self.target = target
         p = source.field.p
-        comps = {}
         components = dict(components)
-        for e in source.poset.elements:
-            m = components.get(e)
-            shape = (target.dims[e], source.dims[e])
-            if m is None:
-                m = linalg.zeros(*shape)
-            else:
-                m = linalg.as_matrix(m, p) if not isinstance(m, np.ndarray) else np.mod(
-                    m.astype(np.int64, copy=False), p)
-                if m.shape != shape:
-                    raise ShapeError(f"component at {e!r} has shape {m.shape}, "
-                                     f"expected {shape}")
-            comps[e] = m
-        self.components = comps
+        self.components = {
+            e: linalg.as_shaped(components.get(e), (target.dims[e], source.dims[e]),
+                                p, f"component at {e!r}")
+            for e in source.poset.elements}
         if validate:
             self._check_naturality()
 
@@ -434,19 +414,14 @@ def cokernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
     """Pointwise cokernel with induced structure maps and its projection."""
     p = f.source.field.p
     tgt = f.target
-    projs = {}
-    dims = {}
+    dims, projs, free = {}, {}, {}
     for e in tgt.poset.elements:
-        d, proj = linalg.cokernel(f.components[e], p)
-        dims[e] = d
-        projs[e] = proj
+        dims[e], projs[e], free[e] = linalg.cokernel(f.components[e], p)
     maps = {}
     for a, b in tgt.poset.covers:
         rhs = linalg.matmul(projs[b], tgt.cover_maps[(a, b)], p)
-        try:
-            maps[(a, b)] = linalg.solve_left(projs[a], rhs, p)
-        except linalg.NoSolution as exc:  # pragma: no cover
-            raise InternalError(f"cokernel map at cover {(a, b)!r}") from exc
+        maps[(a, b)] = linalg.factor(projs[a], free[a], rhs, p,
+                                     f"cokernel map at cover {(a, b)!r}")
     cok = PersModule(tgt.poset, tgt.field, dims, maps,
                      name=f"coker({f.source.name})", validate=False)
     proj = ModuleMorphism(tgt, cok, projs, validate=False)

@@ -943,3 +943,14 @@ def test_free_module_builder_matches_the_sum_of_representables(p):
             _same_functor_bytes(free_functor_module(alg, act, points), total)
         cases += 1
     assert cases == 764
+
+
+def test_fm_cokernel_of_a_non_submodule_is_refused(field):
+    # the free dual-numbers module on one point has basis (1, eps), and eps
+    # sends 1 to eps: the span of eps is a submodule, the span of 1 is not
+    alg = dual_numbers_algebra(field)
+    free = free_functor_module(alg, trivial_act(alg.monoid), [0])
+    cok = graded.fm_cokernel(free, {0: np.array([[0], [1]])})
+    assert cok.spaces == (1,)
+    with pytest.raises(InternalError, match="^cokernel arrow is not induced$"):
+        graded.fm_cokernel(free, {0: np.array([[1], [0]])})

@@ -31,6 +31,7 @@ from gpmod.invariants import (
 )
 from gpmod.kan import induce, lambda_with_window, restrict
 from gpmod.modules import (
+    ModuleMorphism,
     direct_sum,
     free_module,
     free_sum,
@@ -38,6 +39,7 @@ from gpmod.modules import (
     is_epi,
     is_iso,
     kernel_module,
+    new_module,
     cokernel_module,
     random_module,
     random_morphism,
@@ -619,3 +621,19 @@ def test_report_on_determined_module_past_the_hat_guard(field):
     assert len(hat(grid, HAT_GUARD_SET)) == 21
     rep = birth_death_report(m, HAT_GUARD_SET)
     assert rep["determined"] and rep["fsp"] is None
+
+
+def test_splitting_map_of_a_non_natural_map_is_refused(field):
+    # on the chain 0 < 1 with S = {0}, the splitting quotient at 1 is 0 for
+    # the identity module and all of m(1) for the zero map; f(1) = 1 is
+    # not natural (0 = n(0 <= 1) f(0) != f(1) m(0 <= 1) = 1) and sends the
+    # zero quotient onto a non-zero one
+    p = chain(2)
+    m = new_module(p, field, {"0": 1, "1": 1}, {("0", "1"): [[1]]})
+    n = new_module(p, field, {"0": 1, "1": 1}, {("0", "1"): [[0]]})
+    f = ModuleMorphism(m, n, {"0": [[1]], "1": [[1]]}, validate=False)
+    assert splitting(m, ["0"], "1").dim == 0 and splitting(n, ["0"], "1").dim == 1
+    with pytest.raises(InternalError, match=r"^splitting map at '1'$"):
+        splitting_map(f, ["0"], "1")
+    g = ModuleMorphism(m, n, {"0": [[1]], "1": [[0]]})
+    assert splitting_map(g, ["0"], "1").shape == (1, 0)

@@ -39,6 +39,7 @@ from gpmod.modules import (
 )
 from gpmod.posets import _bits, build_poset, chain, grid_poset
 from gpmod.verify import random_poset
+from test_linalg import _oracle_solve_left
 
 P = 101
 
@@ -294,8 +295,21 @@ def test_right_exactness_of_window_colimit(field):
         cr_m = colim_over_mask(m, mask)
         total_f = linalg.block_diag([f.components[d] for d in cr_n.tops])
         rhs = linalg.matmul(cr_m.projection, total_f, P)
-        induced = linalg.solve_left(cr_n.projection, rhs, P)
+        induced = linalg.factor(cr_n.projection, cr_n.free, rhs, P, "not induced")
         assert linalg.rank(induced, P) == cr_m.dim
+
+
+def test_a_non_functorial_module_is_refused_where_a_cocone_is_factored(diamond, field):
+    # a <= b <= d is 1 and a <= c <= d is 2: the cocone into d does not
+    # kill the relation of the window {a, b, c} along a
+    maps = {("a", "b"): [[1]], ("a", "c"): [[1]], ("b", "d"): [[1]], ("c", "d"): [[2]]}
+    m = PersModule(diamond, field, {e: 1 for e in "abcd"}, maps, validate=False)
+    assert lambda_map(m, diamond.whole(), "b").tolist() == [[1]]
+    with pytest.raises(InternalError, match=r"^lambda at 'd' does not kill relations$"):
+        lambda_map(m, diamond.whole(), "d")
+    with pytest.raises(InternalError,
+                       match=r"^mu component at 'd' does not kill relations$"):
+        canonical_mu(m, ["a", "b", "c"])
 
 
 def test_mu_components_kill_relations(field):
@@ -488,12 +502,12 @@ def _cover_colim(m, mask):
     the injections, each window element's slice of the full-window
     projection."""
     window, offsets, presentation = _relations(m, mask)
-    dim, projection = linalg.cokernel(presentation, m.field.p)
+    dim, projection, free = linalg.cokernel(presentation, m.field.p)
     injections = {d: projection[:, offsets[d]:offsets[d] + m.dims[d]].copy()
                   for d in window}
     return ColimitResult(dim=dim, mask=mask, tops=tuple(window),
                          offsets=offsets, presentation=presentation,
-                         projection=projection), injections
+                         projection=projection, free=free), injections
 
 
 def _cover_induce_with_data(n, ambient):
@@ -519,8 +533,8 @@ def _cover_induce_with_data(n, ambient):
             k = n.dims[d]
             incl[db.offsets[d]:db.offsets[d] + k, da.offsets[d]:da.offsets[d] + k] = \
                 linalg.identity(k)
-        maps[(a, b)] = linalg.solve_left(da.projection,
-                                         linalg.matmul(db.projection, incl, p), p)
+        maps[(a, b)] = _oracle_solve_left(da.projection,
+                                          linalg.matmul(db.projection, incl, p), p)
     return {c: data[c][0].dim for c in ambient.elements}, maps, data
 
 
@@ -534,7 +548,7 @@ def _comparison(m, old, new, p):
     window = m.poset.subset_from_mask(new.mask).members
     new_injections = {d: colim_injection(m, new, d) for d in window}
     q = linalg.hstack([new_injections[d] for d in window], new.dim)
-    t = linalg.solve_left(old.projection, q, p)  # NoSolution if none
+    t = _oracle_solve_left(old.projection, q, p)  # NoSolution if none
     assert linalg.is_isomorphism(t, p)
     for d in window:
         assert np.array_equal(linalg.matmul(t, old_injections[d], p),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmod import linalg
-from gpmod.errors import NoSolution, ShapeError
+from gpmod.errors import InternalError, NoSolution, ShapeError
 from gpmod.linalg import FieldSpec
 
 P = 101
@@ -44,10 +44,10 @@ def test_kernel_of_sum_functional():
 
 
 def test_cokernel_of_zero_and_identity():
-    dim, proj = linalg.cokernel(linalg.zeros(2, 2), P)
-    assert dim == 2 and np.array_equal(proj, linalg.identity(2))
-    dim, proj = linalg.cokernel(linalg.identity(4), P)
-    assert dim == 0 and proj.shape == (0, 4)
+    dim, proj, free = linalg.cokernel(linalg.zeros(2, 2), P)
+    assert dim == 2 and np.array_equal(proj, linalg.identity(2)) and free == (0, 1)
+    dim, proj, free = linalg.cokernel(linalg.identity(4), P)
+    assert dim == 0 and proj.shape == (0, 4) and free == ()
 
 
 def test_solve_identity_and_inconsistent():
@@ -87,7 +87,7 @@ def test_cokernel_annihilates_image():
     rng = np.random.default_rng(12)
     for _ in range(100):
         a = _random_matrix(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        dim, proj = linalg.cokernel(a, P)
+        dim, proj, _ = linalg.cokernel(a, P)
         assert dim == a.shape[0] - linalg.rank(a, P)
         assert not np.any(linalg.matmul(proj, a, P))
         img = linalg.image_basis(a, P)
@@ -103,6 +103,55 @@ def test_solve_recovers_consistent_systems():
         b = linalg.matmul(a, x0, P)
         x = linalg.solve(a, b, P)
         assert np.array_equal(linalg.matmul(a, x, P), b)
+
+
+def _oracle_solve_left(a, b, p):
+    """Solve x @ a = b through ``solve`` on the transposes: the general
+    solve that maps out of a cokernel used before ``linalg.factor``.
+    Raises NoSolution."""
+    return linalg.solve(a.T % p, b.T % p, p).T.copy()
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+def test_factor_matches_the_general_left_solve(p):
+    """``factor`` through a cokernel projection against the general left
+    solve: equal bytes and dtype wherever the solve succeeds, InternalError
+    exactly where it raises NoSolution.  Relation matrices have 0 to 5 rows
+    and columns and a drawn rank; right-hand sides are in the projection's
+    row space, changed there at one entry, or uniform."""
+    rng = np.random.default_rng(p % 997 + 19)
+    solved = refused = empty = 0
+    for _ in range(400):
+        rows, cols = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        inner = int(rng.integers(0, min(rows, cols) + 1))
+        left = rng.integers(0, p, size=(rows, inner)).astype(object)
+        right = rng.integers(0, p, size=(inner, cols)).astype(object)
+        a = (left.dot(right) % p).astype(np.int64).reshape(rows, cols)
+        empty += a.size == 0
+        dim, proj, free = linalg.cokernel(a, p)
+        assert proj.shape == (dim, rows) and len(free) == dim
+        assert np.array_equal(proj[:, list(free)], linalg.identity(dim))
+        k = int(rng.integers(0, 4))
+        kind = rng.integers(3)
+        if kind == 2:
+            b = _random_matrix(rng, k, rows, p)
+        else:
+            b = linalg.matmul(_random_matrix(rng, k, dim, p), proj, p)
+            if kind == 1 and b.size:
+                b[int(rng.integers(k)), int(rng.integers(rows))] += 1
+                b %= p
+        try:
+            want = _oracle_solve_left(proj, b, p)
+        except NoSolution:
+            with pytest.raises(InternalError, match="^no factor$"):
+                linalg.factor(proj, free, b, p, "no factor")
+            refused += 1
+            continue
+        got = linalg.factor(proj, free, b, p, "no factor")
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        solved += 1
+    assert solved >= 150 and refused >= 40 and empty >= 40
 
 
 def test_matmul_chunked_agrees_with_python_ints():

@@ -35,6 +35,7 @@ from gpmod.invariants import projective_cover
 from gpmod.linalg import FieldSpec
 from gpmod.posets import Poset, chain, grid_poset, up_set
 from gpmod.verify import random_poset, run_suite
+from test_linalg import _oracle_solve_left
 
 
 def test_new_module_chain(chain3, field):
@@ -63,6 +64,25 @@ def test_zero_module_is_valid(diamond, field):
 def test_shape_error(chain3, field):
     with pytest.raises(ShapeError):
         PersModule(chain3, field, {"0": 1, "1": 2}, {("0", "1"): [[1]]})
+
+
+def test_constructors_reduce_and_shape_check_every_matrix(chain3, field):
+    """Lists and arrays of any integer dtype are reduced mod p to int64; an
+    array with no cells is cast; a wrong shape names the map."""
+    dims = {"0": 1, "1": 2, "2": 0}
+    maps = {("0", "1"): np.array([[-1], [203]], dtype=np.int32),
+            ("1", "2"): np.zeros((0, 2), dtype=np.int8)}
+    m = PersModule(chain3, field, dims, maps)
+    assert m.cover_maps[("0", "1")].tolist() == [[100], [1]]
+    assert all(a.dtype == np.int64 for a in m.cover_maps.values())
+    f = ModuleMorphism(m, m, {"0": [[102]], "1": np.array([[-100, 0], [0, 203]])})
+    assert f.components["0"].tolist() == [[1]]
+    assert f.components["1"].tolist() == [[1, 0], [0, 1]]
+    assert f.components["2"].shape == (0, 0) and f.components["2"].dtype == np.int64
+    with pytest.raises(ShapeError, match=r"^map '0'->'1' has shape \(1, 2\), expected \(2, 1\)$"):
+        PersModule(chain3, field, dims, {("0", "1"): np.array([[1, 1]])})
+    with pytest.raises(ShapeError, match=r"^component at '1' has shape \(1, 1\), expected \(2, 2\)$"):
+        ModuleMorphism(m, m, {"1": [[1]]})
 
 
 def test_interval_module(chain3, diamond, field):
@@ -562,9 +582,10 @@ def _oracle_kernel_module(f):
     return ker, incl
 
 
-def _kernel_verdict(route, f):
+def _verdict(route, f):
     """(error message, None) when route raises InternalError, else (None,
-    (kernel, inclusion))."""
+    route(f)): a kernel and its inclusion, or a cokernel and its
+    projection."""
     try:
         return None, route(f)
     except InternalError as exc:
@@ -576,7 +597,9 @@ def _assert_same_arrays(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def _assert_same_kernel(got, want):
+def _assert_same_pair(got, want):
+    """The same module (dims, name, cover map bytes) and the same map
+    between it and f's endpoint (component bytes)."""
     (ker, incl), (old_ker, old_incl) = got, want
     poset = ker.poset
     assert ker.dims == old_ker.dims and ker.name == old_ker.name
@@ -614,7 +637,7 @@ def test_kernel_module_matches_the_per_cover_solve(p):
     seen = {"cover": 0, "morphism": 0, "checked map": 0, "empty map": 0}
     for f, kind in _kernel_cases(p):
         got, want = kernel_module(f), _oracle_kernel_module(f)
-        _assert_same_kernel(got, want)
+        _assert_same_pair(got, want)
         ker = got[0]
         seen[kind] += 1
         for a, b in ker.poset.covers:
@@ -646,13 +669,88 @@ def test_kernel_module_of_a_non_natural_map_names_the_oracles_cover(p):
             entry[i, j] = (entry[i, j] + int(rng.integers(1, p))) % p
             comps[e] = entry
             g = ModuleMorphism(h.source, h.target, comps, validate=False)
-            (msg, got), (want_msg, want) = (_kernel_verdict(kernel_module, g),
-                                            _kernel_verdict(_oracle_kernel_module, g))
+            (msg, got), (want_msg, want) = (_verdict(kernel_module, g),
+                                            _verdict(_oracle_kernel_module, g))
             assert msg == want_msg
             if msg is None:
-                _assert_same_kernel(got, want)
+                _assert_same_pair(got, want)
                 returned += 1
             else:
                 assert msg.startswith("kernel map at cover ")
                 raised += 1
     assert raised >= 10 and returned >= 1, (raised, returned)
+
+
+def _oracle_cokernel_module(f):
+    """``cokernel_module`` as it was: one general left solve per cover, in
+    canonical order, raising at the first cover with no solution."""
+    p = f.source.field.p
+    tgt = f.target
+    projs = {e: linalg.cokernel(f.components[e], p)[1] for e in tgt.poset.elements}
+    maps = {}
+    for a, b in tgt.poset.covers:
+        rhs = linalg.matmul(projs[b], tgt.cover_maps[(a, b)], p)
+        try:
+            maps[(a, b)] = _oracle_solve_left(projs[a], rhs, p)
+        except linalg.NoSolution as exc:
+            raise InternalError(f"cokernel map at cover {(a, b)!r}") from exc
+    dims = {e: projs[e].shape[0] for e in tgt.poset.elements}
+    cok = PersModule(tgt.poset, tgt.field, dims, maps,
+                     name=f"coker({f.source.name})", validate=False)
+    return cok, ModuleMorphism(tgt, cok, projs, validate=False)
+
+
+def _cokernel_failures(f):
+    """The covers (a, b) whose cokernel map the general left solve cannot
+    find, each checked on its own."""
+    p = f.source.field.p
+    projs = {e: linalg.cokernel(c, p)[1] for e, c in f.components.items()}
+    failed = []
+    for a, b in f.target.poset.covers:
+        try:
+            _oracle_solve_left(projs[a], linalg.matmul(
+                projs[b], f.target.cover_maps[(a, b)], p), p)
+        except linalg.NoSolution:
+            failed.append((a, b))
+    return failed
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_cokernel_module_matches_the_per_cover_left_solve(p):
+    """Random morphisms, and the same with one component entry changed
+    (validate=False): cokernel_module returns the oracle's cokernel and
+    projection byte for byte, or raises InternalError naming the oracle's
+    first failing cover in canonical order."""
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p % 983 + 19)
+    seen = {"returned": 0, "raised": 0, "raised, several covers fail": 0}
+    for _ in range(60):
+        poset = random_poset(rng, 2, 6)
+        a, b = (random_module(poset, 2, field, seed=int(rng.integers(2**32)))
+                for _ in range(2))
+        f = random_morphism(a, b, rng)
+        candidates = [f.components]
+        filled = [e for e in poset.elements if f.components[e].size]
+        for _ in range(min(3, len(filled))):
+            e = filled[int(rng.integers(len(filled)))]
+            comps = dict(f.components)
+            entry = comps[e].copy()
+            i, j = (int(rng.integers(d)) for d in entry.shape)
+            entry[i, j] = (entry[i, j] + int(rng.integers(1, p))) % p
+            comps[e] = entry
+            candidates.append(comps)
+        for comps in candidates:
+            g = ModuleMorphism(a, b, comps, validate=False)
+            (msg, got), (want_msg, want) = (_verdict(cokernel_module, g),
+                                            _verdict(_oracle_cokernel_module, g))
+            assert msg == want_msg
+            if msg is None:
+                _assert_same_pair(got, want)
+                seen["returned"] += 1
+            else:
+                failed = _cokernel_failures(g)
+                assert msg == f"cokernel map at cover {failed[0]!r}"
+                seen["raised"] += 1
+                seen["raised, several covers fail"] += len(failed) > 1
+    assert seen["returned"] >= 40 and seen["raised"] >= 10, seen
+    assert seen["raised, several covers fail"] >= 3, seen
