@@ -783,14 +783,18 @@ def lambda_functor(q: SmashModule):
     """Split a unital smash module into per-point spaces and arrows.
 
     Returns (FunctorModule, inclusion matrices per point).  Point spaces
-    are the images of the point idempotents with deterministic bases.
+    are the images of the point idempotents p_a, taken as the kernels of
+    I - p_a: each basis is the identity at its free rows, where every arrow
+    is read off and then checked in one product.
     """
     if not is_unital(q):
         raise NotUnital("smash module is not unital")
     sm = q.smash
     p = sm.algebra.field.p
-    projs = point_projectors(q)
-    bases = [linalg.image_basis(pi, p).basis for pi in projs]
+    ident = linalg.identity(q.dim)
+    kernels = [linalg.kernel_basis_with_free((ident - pa) % p, p)
+               for pa in point_projectors(q)]
+    bases = [k.basis for k, _ in kernels]
     spaces = [b.shape[1] for b in bases]
     arrows = {}
     for i in range(sm.algebra.dim):
@@ -798,10 +802,8 @@ def lambda_functor(q: SmashModule):
         for a in range(len(sm.act)):
             b = sm.act.act(g, a)
             moved = linalg.matmul(q.action[sm.index[(i, a)]], bases[a], p)
-            try:
-                arrows[(i, a)] = linalg.solve(bases[b], moved, p)
-            except linalg.NoSolution as exc:  # pragma: no cover
-                raise InternalError("graded piece escapes its block") from exc
+            arrows[(i, a)] = linalg.factor(bases[b].T, kernels[b][1], moved.T, p,
+                                           "graded piece escapes its block").T
     fm = FunctorModule(sm.algebra, sm.act, spaces, arrows, validate=False)
     return fm, bases
 
@@ -954,31 +956,32 @@ def enumerate_monoids(max_order: int = 4) -> tuple[Monoid, ...]:
     with the unit normalized to index 0."""
     out = []
     for n in range(1, max_order + 1):
-        tables = _associative_tables(n)
-        seen = {}
-        for t in tables:
-            canon = _canonical_monoid_bytes(t, n)
-            if canon not in seen:
-                seen[canon] = t
-        for i, t in enumerate(sorted(seen, key=lambda b: b)):
-            table = np.frombuffer(t, dtype=np.int8).reshape(n, n).astype(np.int64)
+        t = _associative_tables(n)
+        sigma = np.array([(0,) + perm for perm in itertools.permutations(range(1, n))],
+                         dtype=np.int8)
+        inv = np.argsort(sigma, axis=1)
+        # cands[r, s, x, y] = sigma_s(t_r[sigma_s^-1(x), sigma_s^-1(y)])
+        cands = sigma[np.arange(len(sigma))[:, None, None],
+                      t[:, inv[:, :, None], inv[:, None, :]]]
+        canon = _least_relabellings(cands.reshape(len(t), len(sigma), n * n))
+        for i, table in enumerate(canon.reshape(-1, n, n)):
             names = ["1", "a", "b", "c"][:n]
-            out.append(Monoid(names, table, name=f"G{n}.{i}", validate=False))
+            out.append(Monoid(names, table.astype(np.int64), name=f"G{n}.{i}",
+                              validate=False))
     return tuple(out)
 
 
-def _associative_tables(n: int) -> list[bytes]:
-    if n == 1:
-        return [np.zeros((1, 1), dtype=np.int8).tobytes()]
+def _associative_tables(n: int) -> np.ndarray:
+    """Every associative n x n table with two-sided unit 0, as an int8
+    array of shape (rows, n, n) in lexicographic order."""
     free = n - 1
     cells = free * free
-    grids = np.array(list(itertools.product(range(n), repeat=cells)),
-                     dtype=np.int8)
-    batch = grids.shape[0]
+    batch = n ** cells
     tables = np.zeros((batch, n, n), dtype=np.int8)
     tables[:, 0, :] = np.arange(n, dtype=np.int8)
     tables[:, :, 0] = np.arange(n, dtype=np.int8)
-    tables[:, 1:, 1:] = grids.reshape(batch, free, free)
+    tables[:, 1:, 1:] = np.indices((n,) * cells, dtype=np.int8).reshape(
+        cells, batch).T.reshape(batch, free, free)
     ok = np.ones(batch, dtype=bool)
     rows = np.arange(batch)
     for g in range(1, n):
@@ -988,20 +991,16 @@ def _associative_tables(n: int) -> list[bytes]:
                 left = tables[rows, gh, k]
                 right = tables[rows, g, tables[rows, h, k]]
                 ok &= left == right
-    return [tables[i].tobytes() for i in np.nonzero(ok)[0]]
+    return tables[ok]
 
 
-def _canonical_monoid_bytes(table_bytes: bytes, n: int) -> bytes:
-    t = np.frombuffer(table_bytes, dtype=np.int8).reshape(n, n)
-    best = None
-    for perm in itertools.permutations(range(1, n)):
-        sigma = np.array((0,) + perm, dtype=np.int8)
-        inv = np.empty(n, dtype=np.int8)
-        inv[sigma] = np.arange(n, dtype=np.int8)
-        permuted = sigma[t[np.ix_(inv, inv)]].tobytes()
-        if best is None or permuted < best:
-            best = permuted
-    return best
+def _transformations(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m**m self-maps of range(m), one int16 row each in lexicographic
+    order, and comp[i, j], the row of f_i o f_j (apply f_j first)."""
+    funcs = np.indices((m,) * m, dtype=np.int16).reshape(m, m ** m).T
+    encode = m ** np.arange(m - 1, -1, -1, dtype=np.int64)  # a row's digits
+    comp = (funcs[:, funcs] @ encode).astype(np.int32)
+    return funcs, comp
 
 
 @lru_cache(maxsize=None)
@@ -1011,25 +1010,19 @@ def enumerate_acts(mon: Monoid, max_size: int = 4) -> tuple[GAct, ...]:
     out = []
     n = len(mon)
     for m in range(1, max_size + 1):
-        funcs = np.array(list(itertools.product(range(m), repeat=m)),
-                         dtype=np.int16)
-        n_funcs = funcs.shape[0]
-        # comp[i, j] = index of f_i o f_j (apply f_j first); tuple encoding
-        # matches the lexicographic order of itertools.product.
-        encode = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        comp = np.empty((n_funcs, n_funcs), dtype=np.int32)
-        for i in range(n_funcs):
-            composed = funcs[i][funcs]  # row j holds f_i(f_j(x)) for all x
-            comp[i] = (composed.astype(np.int64) @ encode).astype(np.int32)
-        id_idx = int(np.arange(m, dtype=np.int64) @ encode)
+        funcs, comp = _transformations(m)
         assign = np.full((1, n), -1, dtype=np.int32)
-        assign[0, mon.unit] = id_idx
-        order = [g for g in range(n) if g != mon.unit]
-        for g in order:
-            assign = _extend_assignments(assign, g, mon, comp, n_funcs)
-            if assign.shape[0] == 0:
-                break
-        for table in _canonical_act_tables(funcs[assign], m):
+        assign[0, mon.unit] = np.ravel_multi_index(np.arange(m), (m,) * m)
+        for g in range(n):
+            if g != mon.unit:
+                assign = _extend_assignments(assign, g, mon, comp, len(funcs))
+        tables = funcs[assign]
+        sigma = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+        # cands[r, s, x, y] = sigma_s(t_r[x, sigma_s^-1(y)])
+        cands = sigma[np.arange(len(sigma))[:, None],
+                      tables[:, :, np.argsort(sigma, axis=1)]].transpose(0, 2, 1, 3)
+        canon = _least_relabellings(cands.reshape(len(tables), len(sigma), n * m))
+        for table in canon.reshape(-1, n, m):
             points = [f"p{i}" for i in range(m)]
             out.append(GAct(mon, points, table.astype(np.int64),
                             name=f"act{m}", validate=False))
@@ -1065,27 +1058,23 @@ def _extend_assignments(assign: np.ndarray, g: int, mon: Monoid,
     return np.concatenate(survivors, axis=0)
 
 
-def _canonical_act_tables(tables: np.ndarray, m: int) -> np.ndarray:
-    """The distinct canonical forms of a batch of act tables, sorted.
+def _least_relabellings(cands: np.ndarray) -> np.ndarray:
+    """The distinct least rows of a batch of relabelled tables, sorted.
 
-    ``tables`` has shape (rows, |G|, m).  A table's canonical form is its
-    lexicographically least relabelling ``sigma[t[:, sigma^-1]]`` over all
-    point permutations sigma; all rows are relabelled at once.
+    ``cands`` has shape (tables, relabellings, cells): every relabelling of
+    every table, flattened.  A table's canonical form is its
+    lexicographically least relabelling; entries lie below the dtype's
+    maximum, which marks the relabellings already ruled out.
     """
-    rows, n = tables.shape[0], tables.shape[1]
-    sigma = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-    n_perms = sigma.shape[0]
-    # cands[r, s, x, y] = sigma_s(t_r[x, sigma_s^-1(y)])
-    cands = sigma[np.arange(n_perms)[:, None],
-                  tables[:, :, np.argsort(sigma, axis=1)]].transpose(0, 2, 1, 3)
-    cands = cands.reshape(rows, n_perms, n * m)
+    rows = cands.shape[0]
+    ruled_out = np.iinfo(cands.dtype).max
     # narrow each row's candidates cell by cell to its least relabelling
-    least = np.ones((rows, n_perms), dtype=bool)
-    for cell in range(n * m):
-        vals = np.where(least, cands[:, :, cell], m)
+    least = np.ones(cands.shape[:2], dtype=bool)
+    for cell in range(cands.shape[2]):
+        vals = np.where(least, cands[:, :, cell], ruled_out)
         least &= vals == vals.min(axis=1, keepdims=True)
     canon = cands[np.arange(rows), least.argmax(axis=1)]
     canon = canon[np.lexsort(canon.T[::-1])]
     fresh = np.ones(rows, dtype=bool)
     fresh[1:] = np.any(canon[1:] != canon[:-1], axis=1)
-    return canon[fresh].reshape(-1, n, m)
+    return canon[fresh]

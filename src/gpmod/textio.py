@@ -82,8 +82,6 @@ def _parse_matrix_tokens(tokens: list[str], line_no: int, p: int) -> list[list[i
             except ValueError:
                 raise ParseError(line_no, f"bad matrix entry {tok!r}") from None
         rows.append(entries)
-    if rows == [[]]:
-        rows = [[]]
     return rows
 
 
@@ -310,7 +308,7 @@ def _parse_act(block, ws: Workspace) -> GAct:
         if g not in g_index:
             raise ParseError(line_no, f"unknown monoid element {g!r}")
         if a not in p_index or b not in p_index:
-            raise ParseError(line_no, f"unknown point in apply")
+            raise ParseError(line_no, "unknown point in apply")
         table[g_index[g], p_index[a]] = p_index[b]
     missing = np.argwhere(table < 0)
     if missing.size:
@@ -347,7 +345,7 @@ def _parse_algebra(block, ws: Workspace, default_field: int) -> GradedAlgebra:
             raise ParseError(line_no, "mul needs two basis symbols")
         _, a, b = parts
         if a not in s_index or b not in s_index:
-            raise ParseError(line_no, f"unknown basis symbol in mul")
+            raise ParseError(line_no, "unknown basis symbol in mul")
         mult[s_index[a], s_index[b]] = _parse_lin_combo(combo, s_index, d, line_no,
                                                         field.p)
     unit = _solve_unit(mult, d, field.p, block.line_no)

@@ -202,7 +202,7 @@ def _case_gamma_lambda(rng, field, caps):
 
 def _case_smash_iso(rng, field, caps):
     mon = _draw_monoid(rng, caps)
-    act = _draw_act(rng, mon, caps)
+    act = _draw_act(rng, mon)
     rep = gr.category_algebra_iso(field, mon, act)
     assert rep["ring_hom"], f"table mismatch at {rep['witness']}"
     assert rep["sum_pa_is_unit"], "sum of point idempotents is not a unit"
@@ -270,8 +270,8 @@ def _draw_monoid(rng, caps) -> gr.Monoid:
     return mons[int(rng.integers(0, len(mons)))]
 
 
-def _draw_act(rng, mon, caps) -> gr.GAct:
-    acts = gr.enumerate_acts(mon, caps["max_act"])
+def _draw_act(rng, mon) -> gr.GAct:
+    acts = gr.enumerate_acts(mon, 4)
     return acts[int(rng.integers(0, len(acts)))]
 
 
@@ -288,7 +288,7 @@ def _draw_graded_setting(rng, field, caps):
         act = gr.regular_act(mon) if rng.integers(0, 2) else gr.trivial_act(mon, 2)
     else:
         mon = _draw_monoid(rng, caps)
-        act = _draw_act(rng, mon, caps)
+        act = _draw_act(rng, mon)
         alg = gr.monoid_algebra(mon, field)
     return alg, act
 
@@ -309,8 +309,8 @@ SUITES = {
     "induktio-apu": _case_induktio_apu,
 }
 
-DEFAULT_CAPS = {"max_poset": 6, "max_dim": 3, "max_monoid": 4, "max_act": 4}
-HARD_CAPS = {"max_poset": 10, "max_dim": 5, "max_monoid": 4, "max_act": 4}
+DEFAULT_CAPS = {"max_poset": 6, "max_dim": 3, "max_monoid": 4}
+HARD_CAPS = {"max_poset": 10, "max_dim": 5, "max_monoid": 4}
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,6 +530,102 @@ def test_catalog_digest(field):
                                 sort_keys=True).encode())
     assert h.hexdigest() == ("9b3155cf21944cfef3aeb58417dad050"
                              "13542c91ddbe550af0348ed9fd3a6af5")
+
+
+# ---------------------------------------------------------------------------
+# oracles for the catalog builders: the former per-table and per-row loops
+
+
+def _oracle_canonical_monoid(table_bytes: bytes, n: int) -> bytes:
+    """The least relabelling of a monoid table over the permutations fixing
+    the unit 0, one permutation at a time."""
+    t = np.frombuffer(table_bytes, dtype=np.int8).reshape(n, n)
+    best = None
+    for perm in itertools.permutations(range(1, n)):
+        sigma = np.array((0,) + perm, dtype=np.int8)
+        inv = np.empty(n, dtype=np.int8)
+        inv[sigma] = np.arange(n, dtype=np.int8)
+        permuted = sigma[t[np.ix_(inv, inv)]].tobytes()
+        if best is None or permuted < best:
+            best = permuted
+    return best
+
+
+def _oracle_composition(m: int) -> tuple[np.ndarray, np.ndarray]:
+    funcs = np.array(list(itertools.product(range(m), repeat=m)), dtype=np.int16)
+    encode = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    comp = np.empty((len(funcs), len(funcs)), dtype=np.int32)
+    for i in range(len(funcs)):
+        composed = funcs[i][funcs]  # row j holds f_i(f_j(x)) for all x
+        comp[i] = (composed.astype(np.int64) @ encode).astype(np.int32)
+    return funcs, comp
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_least_relabelling_matches_the_per_table_loop(n):
+    tables = graded._associative_tables(n)
+    assert all(validate_monoid(Monoid(range(n), t, validate=False)) is None
+               for t in tables)
+    if n <= 3:
+        # exactly the unital candidates that pass validate_monoid, in
+        # lexicographic order (at order 4 there are 262,144 candidates)
+        lawful = []
+        for grid in itertools.product(range(n), repeat=(n - 1) ** 2):
+            t = np.zeros((n, n), dtype=np.int8)
+            t[0], t[:, 0] = np.arange(n), np.arange(n)
+            t[1:, 1:] = np.reshape(grid, (n - 1, n - 1))
+            if validate_monoid(Monoid(range(n), t, validate=False)) is None:
+                lawful.append(t.tobytes())
+        assert [t.tobytes() for t in tables] == lawful
+    sigmas = [np.array((0,) + perm, dtype=np.int8)
+              for perm in itertools.permutations(range(1, n))]
+    for t in tables:
+        cands = np.array([s[t[np.argsort(s)][:, np.argsort(s)]].reshape(-1)
+                          for s in sigmas])
+        least = graded._least_relabellings(cands[None])
+        assert least.shape == (1, n * n)
+        assert least.tobytes() == _oracle_canonical_monoid(t.tobytes(), n)
+    classes = sorted({_oracle_canonical_monoid(t.tobytes(), n) for t in tables})
+    catalog = [m.table.astype(np.int8).tobytes()
+               for m in enumerate_monoids(4) if len(m) == n]
+    assert catalog == classes
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_composition_table_matches_the_per_row_loop(m):
+    funcs, comp = graded._transformations(m)
+    old_funcs, old_comp = _oracle_composition(m)
+    assert funcs.dtype == old_funcs.dtype and comp.dtype == old_comp.dtype
+    assert np.array_equal(funcs, old_funcs)
+    assert np.array_equal(comp, old_comp)
+
+
+def test_monoid_catalog_stays_small_in_memory():
+    # the 262,144 order-4 candidates take about 40 MB as a Python list of
+    # tuples and under 8 MB as int8 arrays
+    tracemalloc.start()
+    try:
+        graded.enumerate_monoids.__wrapped__(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_lambda_refuses_a_piece_outside_its_block(field):
+    # a free module on both points of the regular Z2 act; moving the
+    # g-pair's image at x into the wrong block leaves the point idempotents,
+    # which come from the unit pairs only, untouched
+    alg = monoid_algebra(cyclic_monoid(2), field)
+    act = regular_act(alg.monoid)
+    q = gamma(free_functor_module(alg, act, [0, 1]))
+    t = q.smash.index[(1, 0)]
+    action = q.action.copy()
+    action[t] = action[t][::-1]
+    bent = SmashModule(q.smash, q.dim, action, validate=False)
+    assert is_unital(bent)
+    with pytest.raises(InternalError, match="^graded piece escapes its block$"):
+        lambda_functor(bent)
 
 
 # ---------------------------------------------------------------------------

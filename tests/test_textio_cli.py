@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gpmod import cli
 from gpmod import graded as gr
-from gpmod.errors import ParseError, TooLargeError
+from gpmod.errors import GpmodError, ParseError, TooLargeError
 from gpmod.graded import regular_act, cyclic_monoid, monoid_algebra
 from gpmod.modules import direct_sum, free_module, new_module, random_module
 from gpmod.posets import PROPERTY_M, chain, grid_poset
@@ -28,7 +28,7 @@ from gpmod.textio import (
     serialize_poset,
     to_json,
 )
-from gpmod.verify import random_poset
+from gpmod.verify import HARD_CAPS, VerifyConfig, random_poset
 
 POSET_TEXT = """
 # a diamond
@@ -571,6 +571,13 @@ def test_cli_verify_refuses_a_zero_cap(cap):
     rc, out = _main_in_process(["verify", "--suite", "verho", "--cases", "1",
                                 cap, "0"])
     assert (rc, out) == (2, "")
+
+
+def test_verify_config_refuses_an_act_size_cap():
+    # acts are always drawn from the catalog on at most 4 points
+    assert "max_act" not in HARD_CAPS
+    with pytest.raises(GpmodError, match="^unknown size cap 'max_act'$"):
+        VerifyConfig(suite="smash-iso", caps={"max_act": 4})
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])
