@@ -973,50 +973,65 @@ def enumerate_monoids(max_order: int = 4) -> tuple[Monoid, ...]:
 
 def _associative_tables(n: int) -> np.ndarray:
     """Every associative n x n table with two-sided unit 0, as an int8
-    array of shape (rows, n, n) in lexicographic order."""
-    free = n - 1
-    cells = free * free
-    batch = n ** cells
-    tables = np.zeros((batch, n, n), dtype=np.int8)
-    tables[:, 0, :] = np.arange(n, dtype=np.int8)
-    tables[:, :, 0] = np.arange(n, dtype=np.int8)
-    tables[:, 1:, 1:] = np.indices((n,) * cells, dtype=np.int8).reshape(
-        cells, batch).T.reshape(batch, free, free)
-    ok = np.ones(batch, dtype=bool)
-    rows = np.arange(batch)
-    for g in range(1, n):
-        for h in range(1, n):
-            gh = tables[rows, g, h]
-            for k in range(1, n):
-                left = tables[rows, gh, k]
-                right = tables[rows, g, tables[rows, h, k]]
-                ok &= left == right
-    return tables[ok]
+    array of shape (rows, n, n) in lexicographic order.
+
+    The (n-1)**2 cells off the unit row and column are filled one at a time
+    in row-major order: each row is repeated n times and the new cell takes
+    the values 0..n-1 in turn, so the rows stay in lexicographic order.
+    After each cell, every row is dropped that breaks an associativity
+    constraint (a b) c = a (b c) whose four cells (a, b), (b, c),
+    (ab, c) and (a, bc) are all filled; ``filled`` marks those cells,
+    and the last two are looked up from each row's own entries.  A row
+    survives to the end exactly when every constraint holds."""
+    ids = np.arange(n, dtype=np.int8)
+    tables = np.zeros((1, n, n), dtype=np.int8)
+    tables[:, 0, :] = ids
+    tables[:, :, 0] = ids
+    filled = np.zeros((n, n), dtype=bool)
+    filled[0, :] = filled[:, 0] = True
+    for g, h in itertools.product(range(1, n), repeat=2):
+        tables = np.repeat(tables, n, axis=0)
+        tables[:, g, h] = np.tile(ids, len(tables) // n)
+        filled[g, h] = True
+        # the triples (a, b, c) whose (a, b) and (b, c) are filled
+        a, b, c = np.nonzero(filled[:, :, None] & filled[None])
+        rows = np.arange(len(tables))[:, None]
+        ab, bc = tables[:, a, b], tables[:, b, c]
+        broken = (filled[ab, c] & filled[a, bc]
+                  & (tables[rows, ab, c] != tables[rows, a, bc]))
+        tables = tables[~broken.any(axis=1)]
+    return tables
 
 
+@lru_cache(maxsize=None)
 def _transformations(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m**m self-maps of range(m), one int16 row each in lexicographic
-    order, and comp[i, j], the row of f_i o f_j (apply f_j first)."""
+    order, and comp[i, j], the row of f_i o f_j (apply f_j first).  Both
+    are cached and read-only."""
     funcs = np.indices((m,) * m, dtype=np.int16).reshape(m, m ** m).T
     encode = m ** np.arange(m - 1, -1, -1, dtype=np.int64)  # a row's digits
     comp = (funcs[:, funcs] @ encode).astype(np.int32)
+    funcs.flags.writeable = False
+    comp.flags.writeable = False
     return funcs, comp
 
 
 @lru_cache(maxsize=None)
 def enumerate_acts(mon: Monoid, max_size: int = 4) -> tuple[GAct, ...]:
     """All acts of the monoid on at most max_size points, one per act
-    isomorphism class (bijections of the point set)."""
+    isomorphism class (bijections of the point set).
+
+    Each act on m points is a hom into the maps of range(m), found by
+    _hom_assignments in closure order: an element that is a product of
+    elements already assigned gets its image forced, and any other draws
+    only the maps its square allows.  The hom rows come out in an order
+    that depends on how they were drawn, which does not reach the output:
+    _least_relabellings sorts and dedupes the canonical forms."""
     out = []
     n = len(mon)
     for m in range(1, max_size + 1):
-        funcs, comp = _transformations(m)
-        assign = np.full((1, n), -1, dtype=np.int32)
-        assign[0, mon.unit] = np.ravel_multi_index(np.arange(m), (m,) * m)
-        for g in range(n):
-            if g != mon.unit:
-                assign = _extend_assignments(assign, g, mon, comp, len(funcs))
-        tables = funcs[assign]
+        funcs, _ = _transformations(m)
+        tables = funcs[_hom_assignments(mon, m)]
         sigma = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
         # cands[r, s, x, y] = sigma_s(t_r[x, sigma_s^-1(y)])
         cands = sigma[np.arange(len(sigma))[:, None],
@@ -1029,33 +1044,70 @@ def enumerate_acts(mon: Monoid, max_size: int = 4) -> tuple[GAct, ...]:
     return tuple(out)
 
 
-def _extend_assignments(assign: np.ndarray, g: int, mon: Monoid,
-                        comp: np.ndarray, n_funcs: int) -> np.ndarray:
-    """Extend partial hom assignments by all choices for element g, keeping
-    rows consistent with every fully determined product constraint.  Works
-    in chunks so the intermediate blow-up stays bounded."""
-    if assign.shape[0] == 0:
-        return assign
-    determined = [int(x) for x in np.nonzero(assign[0] >= 0)[0]] + [g]
-    constraints = []
-    for x in determined:
-        for y in determined:
-            prod = mon.mul(x, y)
-            if prod in determined or prod == g:
-                constraints.append((x, y, prod))
-    survivors = []
-    chunk = max(1, 2**20 // n_funcs)
-    candidates = np.arange(n_funcs, dtype=np.int32)
-    for start in range(0, assign.shape[0], chunk):
-        part = assign[start:start + chunk]
-        reps = np.repeat(part, n_funcs, axis=0)
-        reps[:, g] = np.tile(candidates, part.shape[0])
-        keep = np.ones(reps.shape[0], dtype=bool)
-        for x, y, prod in constraints:
-            expected = comp[reps[:, x], reps[:, y]]
-            keep &= reps[:, prod] == expected
-        survivors.append(reps[keep])
-    return np.concatenate(survivors, axis=0)
+def _hom_assignments(mon: Monoid, m: int) -> np.ndarray:
+    """Every monoid hom from mon into the maps of range(m), as one int32
+    row of _transformations(m) indices per hom, indexed by element.
+
+    The elements get their images in closure order: the unit first, then
+    the least element that is a product x y of elements already assigned,
+    or if there is none the least unassigned element.  A product's image
+    is forced, so only the generators met in this order branch."""
+    _, comp = _transformations(m)
+    n = len(mon)
+    assign = np.full((1, n), -1, dtype=np.int32)
+    assign[0, mon.unit] = np.ravel_multi_index(np.arange(m), (m,) * m)
+    assigned = [mon.unit]
+    while len(assigned) < n:
+        products = {mon.mul(x, y) for x in assigned for y in assigned}
+        g = min(products - set(assigned) or set(range(n)) - set(assigned))
+        assign = _extend_assignments(assign, assigned, g, mon, comp)
+        assigned.append(g)
+    return assign
+
+
+def _extend_assignments(assign: np.ndarray, assigned, g: int, mon: Monoid,
+                        comp: np.ndarray) -> np.ndarray:
+    """Give element g an image in every partial hom assignment, whose
+    columns ``assigned`` are filled, and keep the rows that respect every
+    product x y = z among the assigned elements and g.
+
+    If g = x y for assigned x and y, its image is forced: one gather of
+    comp, with no new rows.  Otherwise each row is repeated once per
+    candidate map: the idempotent maps when g g = g; the square roots of
+    the row's image of h when g g = h is assigned, found by a binary
+    search in the sorted diagonal of comp; all maps when g g is not yet
+    assigned.  A hom must send g to a candidate, so no hom is lost, and
+    every constraint is still checked on every row afterwards."""
+    t = mon.table
+    forced = [(x, y) for x in assigned for y in assigned if t[x, y] == g]
+    square = np.diagonal(comp)  # square[f] is the index of f o f
+    rows = len(assign)
+    if forced:
+        x, y = forced[0]
+        pool, first = np.arange(len(comp)), comp[assign[:, x], assign[:, y]]
+        counts = np.ones(rows, dtype=np.intp)
+    elif t[g, g] in assigned:
+        pool = np.argsort(square, kind="stable")
+        target = assign[:, t[g, g]]
+        first = np.searchsorted(square[pool], target, side="left")
+        counts = np.searchsorted(square[pool], target, side="right") - first
+    else:
+        pool = np.arange(len(comp))
+        if t[g, g] == g:
+            pool = pool[square == pool]
+        first = np.zeros(rows, dtype=np.intp)
+        counts = np.full(rows, len(pool))
+    assign = np.repeat(assign, counts, axis=0)
+    # the k-th copy of a row draws pool[first + k]
+    offset = np.arange(len(assign)) - np.repeat(np.cumsum(counts) - counts, counts)
+    assign[:, g] = pool[np.repeat(first, counts) + offset]
+    done = list(assigned) + [g]
+    keep = np.ones(len(assign), dtype=bool)
+    for x in done:
+        for y in done:
+            if t[x, y] in done:
+                keep &= assign[:, t[x, y]] == comp[assign[:, x], assign[:, y]]
+    return assign[keep]
 
 
 def _least_relabellings(cands: np.ndarray) -> np.ndarray:

@@ -612,6 +612,147 @@ def test_monoid_catalog_stays_small_in_memory():
     assert peak < 16 * 2**20
 
 
+def _oracle_associative_tables(n: int) -> np.ndarray:
+    """The former builder: all n**((n-1)**2) unital tables at once, then
+    27 full-batch associativity gathers at order 4."""
+    free = n - 1
+    cells = free * free
+    batch = n ** cells
+    tables = np.zeros((batch, n, n), dtype=np.int8)
+    tables[:, 0, :] = np.arange(n, dtype=np.int8)
+    tables[:, :, 0] = np.arange(n, dtype=np.int8)
+    tables[:, 1:, 1:] = np.indices((n,) * cells, dtype=np.int8).reshape(
+        cells, batch).T.reshape(batch, free, free)
+    ok = np.ones(batch, dtype=bool)
+    rows = np.arange(batch)
+    for g in range(1, n):
+        for h in range(1, n):
+            gh = tables[rows, g, h]
+            for k in range(1, n):
+                left = tables[rows, gh, k]
+                right = tables[rows, g, tables[rows, h, k]]
+                ok &= left == right
+    return tables[ok]
+
+
+def _oracle_extend_assignments(assign, g, mon, comp, n_funcs):
+    """The former step: extend by all m**m maps, then filter."""
+    if assign.shape[0] == 0:
+        return assign
+    determined = [int(x) for x in np.nonzero(assign[0] >= 0)[0]] + [g]
+    constraints = []
+    for x in determined:
+        for y in determined:
+            prod = mon.mul(x, y)
+            if prod in determined or prod == g:
+                constraints.append((x, y, prod))
+    survivors = []
+    chunk = max(1, 2**20 // n_funcs)
+    candidates = np.arange(n_funcs, dtype=np.int32)
+    for start in range(0, assign.shape[0], chunk):
+        part = assign[start:start + chunk]
+        reps = np.repeat(part, n_funcs, axis=0)
+        reps[:, g] = np.tile(candidates, part.shape[0])
+        keep = np.ones(reps.shape[0], dtype=bool)
+        for x, y, prod in constraints:
+            expected = comp[reps[:, x], reps[:, y]]
+            keep &= reps[:, prod] == expected
+        survivors.append(reps[keep])
+    return np.concatenate(survivors, axis=0)
+
+
+def _oracle_hom_assignments(mon: Monoid, m: int) -> np.ndarray:
+    """The former loop: elements in index order, each by all maps."""
+    funcs, comp = graded._transformations(m)
+    assign = np.full((1, len(mon)), -1, dtype=np.int32)
+    assign[0, mon.unit] = np.ravel_multi_index(np.arange(m), (m,) * m)
+    for g in range(len(mon)):
+        if g != mon.unit:
+            assign = _oracle_extend_assignments(assign, g, mon, comp, len(funcs))
+    return assign
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_associative_tables_match_the_full_batch_filter(n):
+    tables, old = graded._associative_tables(n), _oracle_associative_tables(n)
+    assert tables.dtype == old.dtype and tables.shape == old.shape
+    assert tables.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_hom_assignments_match_the_index_order_loop(m):
+    for mon in enumerate_monoids(4):
+        rows = graded._hom_assignments(mon, m)
+        old = _oracle_hom_assignments(mon, m)
+        assert rows.dtype == old.dtype and rows.shape == old.shape, mon.name
+        assert set(map(tuple, rows.tolist())) == set(map(tuple, old.tolist())), mon.name
+
+
+@pytest.mark.parametrize("mon", enumerate_monoids(3),
+                         ids=lambda mon: mon.name)
+def test_act_catalog_matches_brute_force(mon):
+    # every one of the m**(n*m) tables, kept when validate_act passes and
+    # reduced to its least relabelling over all bijections of the points
+    n = len(mon)
+    for m in (1, 2, 3):
+        sigmas = [np.array(s, dtype=np.int8) for s in itertools.permutations(range(m))]
+        classes = set()
+        for cells in itertools.product(range(m), repeat=n * m):
+            t = np.array(cells, dtype=np.int8).reshape(n, m)
+            if validate_act(GAct(mon, range(m), t, validate=False)) is None:
+                classes.add(min(s[t[:, np.argsort(s)]].tobytes() for s in sigmas))
+        catalog = [act.table.astype(np.int8).tobytes()
+                   for act in enumerate_acts(mon, 3) if len(act) == m]
+        assert catalog == sorted(classes), (mon.name, m)
+
+
+def test_catalog_names_and_tables_digest():
+    # names and table bytes of all 45 monoids and 1205 acts, in catalog
+    # order, recorded on the full-batch builders
+    h = hashlib.sha256()
+    count = 0
+    for mon in enumerate_monoids(4):
+        h.update(json.dumps([mon.name, list(mon.names)]).encode())
+        h.update(mon.table.tobytes())
+        for act in enumerate_acts(mon, 4):
+            count += 1
+            h.update(json.dumps([act.name, list(act.points)]).encode())
+            h.update(act.table.tobytes())
+    assert (len(enumerate_monoids(4)), count) == (45, 1205)
+    assert h.hexdigest() == ("3fb50d5871dc0acd4588f09cb001a62b"
+                             "c913f0ebdbd6fe83cb76d8e2b0400270")
+
+
+def test_transformations_are_cached_and_read_only():
+    funcs, comp = graded._transformations(3)
+    with pytest.raises(ValueError):
+        funcs[0, 0] = 1
+    with pytest.raises(ValueError):
+        comp[0, 0] = 1
+    graded._transformations.cache_clear()
+    for mon in enumerate_monoids(4):
+        graded.enumerate_acts.__wrapped__(mon, 4)
+    info = graded._transformations.cache_info()
+    assert info.misses == 4 and info.currsize == 4
+
+
+def test_act_catalog_stays_small_in_memory():
+    # extending every partial hom by all m**m maps before filtering peaked
+    # at about 4.6 MB over the catalog monoids; the cached transformation
+    # tables (about 2 MB to build at m = 4) are built once per process
+    mons = enumerate_monoids(4)
+    for m in (1, 2, 3, 4):
+        graded._transformations(m)
+    tracemalloc.start()
+    try:
+        for mon in mons:
+            graded.enumerate_acts.__wrapped__(mon, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_lambda_refuses_a_piece_outside_its_block(field):
     # a free module on both points of the regular Z2 act; moving the
     # g-pair's image at x into the wrong block leaves the point idempotents,
