@@ -68,10 +68,8 @@ from .modules import (
 )
 from .kan import (
     ColimitResult,
-    IndexWindow,
     canonical_mu,
     colim_injection,
-    colim_window,
     induce,
     lambda_map,
     restrict,

@@ -18,7 +18,7 @@ import numpy as np
 from . import graded as gr
 from . import invariants as inv
 from .errors import GpmodError
-from .kan import IndexWindow, canonical_mu, colim_injection, colim_window
+from .kan import canonical_mu, colim_injection, colim_over_mask, window_mask
 from .linalg import FieldSpec
 from .modules import is_epi, is_iso
 from .posets import PROPERTY_M, hat, mub
@@ -85,12 +85,11 @@ def cmd_analyze(args) -> int:
 def cmd_present(args) -> int:
     m, s = _module_and_set(args)
     pres = inv.minimal_presentation(m, s)
-    idx = m.poset.index
     payload = {
         "module_id": args.module or m.name,
         "S": s.ids(),
-        "xi0": {e: int(k) for e, k in sorted(pres.gens.items(), key=lambda t: idx(t[0]))},
-        "xi1": {e: int(k) for e, k in sorted(pres.rels.items(), key=lambda t: idx(t[0]))},
+        "xi0": inv.degree_counts(m.poset, pres.gens),
+        "xi1": inv.degree_counts(m.poset, pres.rels),
         "verho_equal": pres.verho_equal,
         "exact": pres.exact,
     }
@@ -123,9 +122,7 @@ def cmd_fsp(args) -> int:
 
 def cmd_colim(args) -> int:
     m, s = _module_and_set(args)
-    w = IndexWindow(s, args.at, strict=not args.non_strict)
-    m.poset.index(args.at)
-    cr = colim_window(m, w)
+    cr = colim_over_mask(m, window_mask(s, args.at, strict=not args.non_strict))
     window = m.poset.subset_from_mask(cr.mask).ids()
     payload = {
         "module_id": args.module or m.name,
@@ -174,11 +171,11 @@ def _emit_raw(obj, as_text: bool) -> None:
 def cmd_graded(args) -> int:
     ws = _load(args.files, args.field)
     field = FieldSpec(args.field)
+    if args.action in GRADED_CHECKS and args.cases < 1:
+        raise GpmodError("cases must be at least 1")
+    alg = ws.single("algebra", args.algebra)
+    act = ws.single("act", args.act)
     if args.action in GRADED_CHECKS:
-        if args.cases < 1:
-            raise GpmodError("cases must be at least 1")
-        alg = ws.single("algebra", args.algebra)
-        act = ws.single("act", args.act)
         check = GRADED_CHECKS[args.action]
         failures, _ = run_cases(lambda rng: check(alg, act, rng), args.seed, args.cases)
         payload = {"suite": args.action, "cases": args.cases, "seed": args.seed,
@@ -186,8 +183,6 @@ def cmd_graded(args) -> int:
         _emit(payload, args.text)
         return 0 if not failures else 1
     if args.action == "smash":
-        alg = ws.single("algebra", args.algebra)
-        act = ws.single("act", args.act)
         sm = gr.smash_product(alg, act)
         total = sum(sm.point_idempotent(a) for a in range(len(act))) % field.p
         left_unit, _ = sm.unit_sides(total)
@@ -197,8 +192,6 @@ def cmd_graded(args) -> int:
         _emit(payload, args.text)
         return 0
     if args.action == "local-unit":
-        alg = ws.single("algebra", args.algebra)
-        act = ws.single("act", args.act)
         sm = gr.smash_product(alg, act)
         if not args.elements:
             raise GpmodError("local-unit needs --elements sym@point,...")
@@ -262,38 +255,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("analyze", help="births/deaths/splitting report")
-    common(p)
-    p.add_argument("--module", help="module name (default: the only one)")
-    p.add_argument("--set", help="comma-separated subset (default: all)")
-    p.set_defaults(func=cmd_analyze)
+    def module_command(name, func, summary):
+        """A sub-command on one module of the loaded files and a subset of
+        its poset (read by _module_and_set)."""
+        p = sub.add_parser(name, help=summary)
+        common(p)
+        p.add_argument("--module", help="module name (default: the only one)")
+        p.add_argument("--set", help="comma-separated subset (default: all)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("present", help="minimal generator/relation multisets")
-    common(p)
-    p.add_argument("--module")
-    p.add_argument("--set")
-    p.set_defaults(func=cmd_present)
-
-    p = sub.add_parser("fsp", help="finite presentation support witness")
-    common(p)
-    p.add_argument("--module")
-    p.add_argument("--set", help="certify via the double mub closure of this set")
-    p.set_defaults(func=cmd_fsp)
-
-    p = sub.add_parser("colim", help="window colimit at an element")
-    common(p)
-    p.add_argument("--module")
-    p.add_argument("--set")
+    module_command("analyze", cmd_analyze, "births/deaths/splitting report")
+    module_command("present", cmd_present, "minimal generator/relation multisets")
+    module_command("fsp", cmd_fsp, "finite presentation support witness")
+    p = module_command("colim", cmd_colim, "window colimit at an element")
     p.add_argument("--at", required=True, help="target element")
     p.add_argument("--non-strict", action="store_true",
                    help="use d <= at instead of d < at")
-    p.set_defaults(func=cmd_colim)
-
-    p = sub.add_parser("mu", help="counit of induction/restriction")
-    common(p)
-    p.add_argument("--module")
-    p.add_argument("--set")
-    p.set_defaults(func=cmd_mu)
+    module_command("mu", cmd_mu, "counit of induction/restriction")
 
     p = sub.add_parser("poset", help="order queries")
     common(p)

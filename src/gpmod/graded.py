@@ -1007,10 +1007,14 @@ def _associative_tables(n: int) -> np.ndarray:
 def _transformations(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m**m self-maps of range(m), one int16 row each in lexicographic
     order, and comp[i, j], the row of f_i o f_j (apply f_j first).  Both
-    are cached and read-only."""
+    are cached and read-only.  comp reads the digits f_i(f_j(k)) of a row
+    one k at a time by Horner's rule, in place, so no (m**m, m**m, m)
+    gather is built."""
     funcs = np.indices((m,) * m, dtype=np.int16).reshape(m, m ** m).T
-    encode = m ** np.arange(m - 1, -1, -1, dtype=np.int64)  # a row's digits
-    comp = (funcs[:, funcs] @ encode).astype(np.int32)
+    comp = np.zeros((m ** m, m ** m), dtype=np.int32)
+    for k in range(m):
+        comp *= m
+        comp += funcs[:, funcs[:, k]]
     funcs.flags.writeable = False
     comp.flags.writeable = False
     return funcs, comp

@@ -280,6 +280,12 @@ def minimal_presentation(m: PersModule, s) -> Presentation:
                         exact=True, death_set=death_set)
 
 
+def degree_counts(poset, counts: Counter) -> dict[str, int]:
+    """A multiset of degrees (xi0 or xi1) as a JSON-ready dict of ints, in
+    the poset's canonical order."""
+    return {e: int(k) for e, k in sorted(counts.items(), key=lambda t: poset.index(t[0]))}
+
+
 @dataclass(frozen=True)
 class SplitSumReport:
     quotient_dim: int
@@ -329,16 +335,14 @@ def birth_death_report(m: PersModule, s=None, *, module_id=None) -> dict:
     fsp = None
     if determined and len(s) <= 20:
         try:
-            fsp = sorted(fsp_from_determined(m, s).fsp.ids(),
-                         key=poset.index)
-        except (InternalError, TooLargeError):
+            fsp = fsp_from_determined(m, s).fsp.ids()
+        except TooLargeError:
             # hat(hat(S)) can pass the 20-element guard that S itself meets
             fsp = None
     xi0 = xi1 = None
     if presented:
         pres = minimal_presentation(m, s)
-        xi0 = {e: int(k) for e, k in sorted(pres.gens.items(), key=lambda t: poset.index(t[0]))}
-        xi1 = {e: int(k) for e, k in sorted(pres.rels.items(), key=lambda t: poset.index(t[0]))}
+        xi0, xi1 = degree_counts(poset, pres.gens), degree_counts(poset, pres.rels)
     return {
         "module_id": module_id or m.name,
         "S": s.ids(),

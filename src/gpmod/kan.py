@@ -28,20 +28,12 @@ from .modules import ModuleMorphism, PersModule
 from .posets import ElementSet, Poset, build_poset
 
 
-@dataclass(frozen=True)
-class IndexWindow:
-    """The diagram index {d in S : d < c} (strict) or {d in S : d <= c}."""
-
-    S: ElementSet
-    c: str
-    strict: bool = True
-
-    def mask(self) -> int:
-        p = self.S.poset
-        m = p.down_mask(self.c) & self.S.mask
-        if self.strict:
-            m &= ~(1 << p.index(self.c))
-        return m
+def window_mask(s: ElementSet, c: str, strict: bool = True) -> int:
+    """The diagram index {d in s : d < c} (strict) or {d in s : d <= c}, as
+    a bitmask of the poset's elements."""
+    p = s.poset
+    mask = p.down_mask(c) & s.mask
+    return mask & ~(1 << p.index(c)) if strict else mask
 
 
 @dataclass
@@ -172,10 +164,6 @@ def colim_injection(m: PersModule, cr: ColimitResult, d: str) -> np.ndarray:
     return linalg.matmul(colim_injection(m, cr, t0), m.eval_map(d, t0), m.field.p)
 
 
-def colim_window(m: PersModule, w: IndexWindow) -> ColimitResult:
-    return colim_over_mask(m, w.mask())
-
-
 def restrict(m: PersModule, s) -> PersModule:
     """The module over the full subposet on s, structure maps composed."""
     s = m.poset.subset(s)
@@ -277,7 +265,7 @@ def lambda_with_window(m: PersModule, s, c: str):
     side) at the colimit's free indices.
     """
     s = m.poset.subset(s)
-    cr = colim_window(m, IndexWindow(s, c, strict=True))
+    cr = colim_over_mask(m, window_mask(s, c))
     return _factor_cocone(m, cr, c, "lambda"), cr
 
 
@@ -303,7 +291,7 @@ def window_ranks(m: PersModule, s, c: str) -> tuple[int, int, int]:
     colimit, and lambda is the zero map.
     """
     s = m.poset.subset(s)
-    mask = IndexWindow(s, c, strict=True).mask()
+    mask = window_mask(s, c)
     if not mask:
         return 0, 0, m.dims[c]
     p = m.field.p

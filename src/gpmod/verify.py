@@ -9,6 +9,7 @@ replayed with ``--seed <case_seed> --cases 1``.  Case seeds are
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -72,44 +73,51 @@ def _case_fsp_apu(rng, field, caps):
             f"presentation mismatch at S={s.ids()}"
 
 
-def _case_syntyma_minimi(rng, field, caps):
-    p = random_poset(rng, 2, min(5, caps["max_poset"]))
+def _draw_case(rng, field, caps, n_max, holds):
+    """A random poset of at most n_max elements, a module on it and a random
+    subset S, which falls back to the whole poset unless holds(m, S)."""
+    p = random_poset(rng, 2, n_max)
     m = _draw_module(rng, p, field, caps["max_dim"])
     s = p.subset_from_mask(random_subset_mask(rng, p))
-    if not inv.is_generated(m, s):
-        s = p.whole()
-    b = inv.minimal_generating_degrees(m, s)
-    assert inv.is_generated(m, b), "birth set does not generate"
-    for mask in range(s.mask + 1):
-        t_mask = mask & s.mask
-        t = p.subset_from_mask(t_mask)
-        if inv.is_generated(m, t):
-            assert b.mask & ~t_mask == 0, \
-                f"smaller generating set {t.ids()} misses births {b.ids()}"
+    return p, m, s if holds(m, s) else p.whole()
 
 
-def _case_esitys_minimi(rng, field, caps):
-    p = random_poset(rng, 2, min(5, caps["max_poset"]))
-    m = _draw_module(rng, p, field, caps["max_dim"])
-    s = p.subset_from_mask(random_subset_mask(rng, p))
-    if not inv.is_presented(m, s):
-        s = p.whole()
-    bd = inv.minimal_presentation_support(m, s)
-    assert inv.is_presented(m, bd), "birth/death set does not present"
-    for mask in range(s.mask + 1):
-        t_mask = mask & s.mask
-        t = p.subset_from_mask(t_mask)
-        if inv.is_presented(m, t):
-            assert bd.mask & ~t_mask == 0, \
-                f"smaller presenting set {t.ids()} misses {bd.ids()}"
+def _draw_induced(rng, field, caps):
+    """A random subset S and the module induced back from the restriction
+    of a random module to S."""
+    p, m0, s = _draw_case(rng, field, caps, caps["max_poset"], lambda m, s: True)
+    return p, induce(restrict(m0, s), p), s
+
+
+def _submasks(mask: int):
+    """Every submask of mask once, in increasing order."""
+    t = 0
+    yield t
+    while t != mask:
+        t = (t - mask) & mask
+        yield t
+
+
+def _check_least(m, s, least, holds, misses):
+    """least (a subset of s) lies inside every subset T of s with holds(m,
+    T); each T is tested once, in increasing mask order."""
+    for t_mask in _submasks(s.mask):
+        t = m.poset.subset_from_mask(t_mask)
+        if holds(m, t):
+            assert least.mask & ~t_mask == 0, misses.format(t.ids(), least.ids())
+
+
+def _case_least_set(holds, find_least, fails, misses, rng, field, caps):
+    """find_least(m, S) satisfies holds and is the least subset of S that
+    does: syntyma-minimi for generation, esitys-minimi for presentation."""
+    _, m, s = _draw_case(rng, field, caps, min(5, caps["max_poset"]), holds)
+    least = find_least(m, s)
+    assert holds(m, least), fails
+    _check_least(m, s, least, holds, misses)
 
 
 def _case_verho(rng, field, caps):
-    p = random_poset(rng, 2, caps["max_poset"])
-    m = _draw_module(rng, p, field, caps["max_dim"])
-    s = p.subset_from_mask(random_subset_mask(rng, p))
-    if not inv.is_presented(m, s):
-        s = p.whole()
+    _, m, s = _draw_case(rng, field, caps, caps["max_poset"], inv.is_presented)
     pres = inv.minimal_presentation(m, s)
     assert pres.verho_equal, \
         f"kernel births {sorted(pres.rels)} != deaths {pres.death_set.ids()}"
@@ -118,10 +126,7 @@ def _case_verho(rng, field, caps):
 
 
 def _case_tuplahattu(rng, field, caps):
-    p = random_poset(rng, 2, caps["max_poset"])
-    m0 = _draw_module(rng, p, field, caps["max_dim"])
-    s = p.subset_from_mask(random_subset_mask(rng, p))
-    m = induce(restrict(m0, s), p)
+    p, m, s = _draw_induced(rng, field, caps)
     assert inv.is_determined(m, s), "induced module is not determined"
     t = hat(p, hat(p, s))
     assert inv.is_presented(m, t), \
@@ -129,10 +134,7 @@ def _case_tuplahattu(rng, field, caps):
 
 
 def _case_syntyma_vertailu(rng, field, caps):
-    p = random_poset(rng, 2, caps["max_poset"])
-    m0 = _draw_module(rng, p, field, caps["max_dim"])
-    s = p.subset_from_mask(random_subset_mask(rng, p))
-    m = induce(restrict(m0, s), p)
+    p, m, s = _draw_induced(rng, field, caps)
     assert inv.is_generated(m, s), "induced module is not generated"
     whole = inv.births(m, p.whole())
     relative = inv.births(m, s)
@@ -141,11 +143,7 @@ def _case_syntyma_vertailu(rng, field, caps):
 
 
 def _case_tchernev(rng, field, caps):
-    p = random_poset(rng, 2, min(5, caps["max_poset"]))
-    m = _draw_module(rng, p, field, caps["max_dim"])
-    s = p.subset_from_mask(random_subset_mask(rng, p))
-    if not inv.is_generated(m, s):
-        s = p.whole()
+    p, m, s = _draw_case(rng, field, caps, min(5, caps["max_poset"]), inv.is_generated)
     if rng.integers(0, 2):
         _, f = inv.projective_cover(m, s)
     else:
@@ -192,12 +190,8 @@ def check_gamma_lambda(alg, act, rng):
 GRADED_CHECKS = {"phi-psi": check_phi_psi, "gamma-lambda": check_gamma_lambda}
 
 
-def _case_phi_psi(rng, field, caps):
-    check_phi_psi(*_draw_graded_setting(rng, field, caps), rng)
-
-
-def _case_gamma_lambda(rng, field, caps):
-    check_gamma_lambda(*_draw_graded_setting(rng, field, caps), rng)
+def _case_graded(check, rng, field, caps):
+    check(*_draw_graded_setting(rng, field, caps), rng)
 
 
 def _case_smash_iso(rng, field, caps):
@@ -295,14 +289,19 @@ def _draw_graded_setting(rng, field, caps):
 
 SUITES = {
     "fsp-apu": _case_fsp_apu,
-    "syntyma-minimi": _case_syntyma_minimi,
-    "esitys-minimi": _case_esitys_minimi,
+    "syntyma-minimi": partial(_case_least_set, inv.is_generated,
+                              inv.minimal_generating_degrees,
+                              "birth set does not generate",
+                              "smaller generating set {} misses births {}"),
+    "esitys-minimi": partial(_case_least_set, inv.is_presented,
+                             inv.minimal_presentation_support,
+                             "birth/death set does not present",
+                             "smaller presenting set {} misses {}"),
     "verho": _case_verho,
     "tuplahattu": _case_tuplahattu,
     "syntyma-vertailu": _case_syntyma_vertailu,
     "tchernev": _case_tchernev,
-    "phi-psi": _case_phi_psi,
-    "gamma-lambda": _case_gamma_lambda,
+    **{name: partial(_case_graded, check) for name, check in GRADED_CHECKS.items()},
     "smash-iso": _case_smash_iso,
     "split-esim": _case_split_esim,
     "interval-ex": _case_interval_ex,

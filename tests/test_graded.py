@@ -736,6 +736,19 @@ def test_transformations_are_cached_and_read_only():
     assert info.misses == 4 and info.currsize == 4
 
 
+def test_transformations_build_no_three_way_gather():
+    # encoding comp from the (256, 256, 4) gather funcs[:, funcs] promoted
+    # it to int64 and peaked at about 3.2 MB; Horner's rule in place, one
+    # digit at a time, peaks at about 0.4 MB
+    tracemalloc.start()
+    try:
+        graded._transformations.__wrapped__(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 def test_act_catalog_stays_small_in_memory():
     # extending every partial hom by all m**m maps before filtering peaked
     # at about 4.6 MB over the catalog monoids; the cached transformation

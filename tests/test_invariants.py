@@ -623,6 +623,17 @@ def test_report_on_determined_module_past_the_hat_guard(field):
     assert rep["determined"] and rep["fsp"] is None
 
 
+def test_report_raises_when_the_double_hat_fails_to_present(monkeypatch, field):
+    # a broken certificate is an InternalError, not the fsp: null of the
+    # hat guard
+    p = chain(3)
+    m = interval_module(p, ["0", "1", "2"], field)
+    assert birth_death_report(m, ["0"])["fsp"] == ["0"]
+    monkeypatch.setattr(invariants, "is_presented", lambda m, s: False)
+    with pytest.raises(InternalError, match="double-hat closure failed"):
+        birth_death_report(m, ["0"])
+
+
 def test_splitting_map_of_a_non_natural_map_is_refused(field):
     # on the chain 0 < 1 with S = {0}, the splitting quotient at 1 is 0 for
     # the identity module and all of m(1) for the zero map; f(1) = 1 is

@@ -6,7 +6,6 @@ from gpmod.errors import InternalError, UnknownElement
 from gpmod.invariants import projective_cover, splitting
 from gpmod.kan import (
     ColimitResult,
-    IndexWindow,
     _cocone,
     _factor_cocone,
     _offsets,
@@ -14,12 +13,12 @@ from gpmod.kan import (
     canonical_mu,
     colim_injection,
     colim_over_mask,
-    colim_window,
     induce,
     induce_with_data,
     lambda_map,
     lambda_with_window,
     restrict,
+    window_mask,
     window_ranks,
 )
 from gpmod.modules import (
@@ -75,7 +74,7 @@ def test_colim_singleton(chain3, field):
 
 def test_colim_empty_window(chain3, field):
     m = interval_module(chain3, ["0", "1", "2"], field)
-    cr = colim_window(m, IndexWindow(chain3.subset([]), "0", strict=True))
+    cr = colim_over_mask(m, window_mask(chain3.subset([]), "0"))
     assert cr.dim == 0
 
 
@@ -92,7 +91,7 @@ def test_colim_free_module_window(field):
             continue
         e, c = pairs[int(rng.integers(0, len(pairs)))]
         m = free_module(p, e, 1, field)
-        cr = colim_window(m, IndexWindow(s, c, strict=True))
+        cr = colim_over_mask(m, window_mask(s, c))
         assert cr.dim == 1
         found += 1
     assert found >= 20
@@ -151,7 +150,7 @@ def test_colimit_reads_structure_maps_only_at_span_sources(p, monkeypatch):
                   poset.subset_from_mask(int(rng.integers(0, poset.full_mask + 1)))):
             for c in poset.elements:
                 for strict in (True, False):
-                    mask = IndexWindow(s, c, strict=strict).mask()
+                    mask = window_mask(s, c, strict=strict)
                     sources.clear()
                     cr = colim_over_mask(m, mask)
                     spans = poset.local_spans(mask)[1]
@@ -264,7 +263,7 @@ def test_window_ranks_match_lambda(field):
     for m, s in _window_ranks_cases(field):
         p = m.poset
         for c in p.elements:
-            mask = IndexWindow(s, c, strict=True).mask()
+            mask = window_mask(s, c)
             tops = p.maximal_of_mask(mask)
             assert tops == sum(1 << i for i in range(len(p)) if mask >> i & 1
                                and not mask & p._up[i] & ~(1 << i))
@@ -358,7 +357,7 @@ def test_restrict_and_mu_on_a_long_chain():
 def _window_ranks_unshared(m, s, c):
     """kan.window_ranks as it was: every call presents its window afresh."""
     s = m.poset.subset(s)
-    tops, spans = m.poset.local_spans(IndexWindow(s, c, strict=True).mask())
+    tops, spans = m.poset.local_spans(window_mask(s, c))
     offsets, total = _offsets(m, tops)
     relations = _relation_matrix(m, offsets, total, spans)
     colim_dim = total - linalg.rank(relations, m.field.p)
@@ -386,7 +385,7 @@ def test_window_ranks_share_windows_as_the_unshared_route_would(field):
                 for c in (p.elements[i] for i in rng.permutation(len(p))):
                     want = _window_ranks_unshared(module, s, c)
                     assert window_ranks(module, s, c) == want, (p.elements, s, c)
-                    mask = IndexWindow(s, c, strict=True).mask()
+                    mask = window_mask(s, c)
                     calls += 1
                     repeats += mask in windows
                     windows.add(mask)
@@ -439,7 +438,7 @@ def test_window_assembly_matches_the_block_route(p):
                 s = poset.subset_from_mask(int(rng.integers(0, poset.full_mask + 1)))
                 for c in poset.elements:
                     for strict in (True, False):
-                        mask = IndexWindow(s, c, strict=strict).mask()
+                        mask = window_mask(s, c, strict=strict)
                         window = [poset.elements[i] for i in _bits(mask)]
                         cover = [(d, d, d2) for d, d2 in poset.cover_pairs_within(mask)]
                         routes = [(window, cover)]
@@ -593,7 +592,7 @@ def test_local_presentation_matches_the_cover_route(p):
         poset = m.poset
         for c in poset.elements:
             for strict in (True, False):
-                mask = IndexWindow(s, c, strict=strict).mask()
+                mask = window_mask(s, c, strict=strict)
                 new, old = colim_over_mask(m, mask), _cover_colim(m, mask)
                 t = _comparison(m, old, new, p)
                 seen["several tops"] += len(new.tops) > 1

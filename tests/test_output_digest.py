@@ -14,8 +14,8 @@ import hashlib
 import numpy as np
 
 from gpmod.invariants import birth_death_report, minimal_presentation
-from gpmod.kan import (IndexWindow, canonical_mu, colim_injection, colim_window, induce,
-                       lambda_map, restrict)
+from gpmod.kan import (canonical_mu, colim_injection, colim_over_mask, induce, lambda_map,
+                       restrict, window_mask)
 from gpmod.linalg import FieldSpec
 from gpmod.modules import random_module
 from gpmod.posets import grid_poset
@@ -117,7 +117,7 @@ def _bases_digest(p: int) -> tuple[str, int]:
     for k, (m, s) in enumerate(_bases_cases(p)):
         for c in m.poset.elements:
             for strict in (True, False):
-                cr = colim_window(m, IndexWindow(s, c, strict=strict))
+                cr = colim_over_mask(m, window_mask(s, c, strict=strict))
                 key = f"{k}:{c}:{strict}"
                 window = m.poset.subset_from_mask(cr.mask).members
                 h.update(f"{key}:{cr.dim}:{window}".encode())

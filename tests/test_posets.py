@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpmod.errors import CycleError, EmptySetError, TooLargeError, UnknownElement
-from gpmod.kan import IndexWindow
+from gpmod.kan import window_mask
 from gpmod.posets import (
     POSET_SIZE_LIMIT,
     PROPERTY_M,
@@ -342,8 +342,8 @@ def test_cover_pairs_within_matches_comparable_pair_scan():
             c = g.elements[int(rng.integers(len(g)))]
             k = int(rng.integers(1, len(g) + 1))
             s = g.subset(rng.choice(g.elements, size=k, replace=False))
-            cases.append((g, IndexWindow(s, c, strict=True).mask()))
-            cases.append((g, IndexWindow(g.whole(), c, strict=False).mask()))
+            cases.append((g, window_mask(s, c)))
+            cases.append((g, window_mask(g.whole(), c, strict=False)))
     for p, mask in cases:
         assert p.cover_pairs_within(mask) == _cover_pairs_by_scan(p, mask)
 
