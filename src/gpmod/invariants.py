@@ -117,15 +117,19 @@ def is_determined(m: PersModule, s) -> bool:
     = s & down(c), so e has the same s-downset too.  Every cover in a
     maximal chain of covers from c to d therefore has equal s-downsets,
     and m(c <= d), the composite of their maps, is an isomorphism when
-    each of them is.  Conversely a cover is a comparable pair.
+    each of them is.  Conversely a cover is a comparable pair.  A cover
+    between two zero spaces is an isomorphism, so only covers with an end
+    in the support are tested.
     """
     s = m.poset.subset(s)
-    if m.support().mask & ~up_set(m.poset, s).mask:
+    poset, support = m.poset, m.support_mask
+    if support & ~up_set(poset, s).mask:
         return False
-    poset = m.poset
+    index, down = poset._index, poset._down
     return all(linalg.is_isomorphism(m.cover_maps[(a, b)], m.field.p)
                for a, b in poset.covers
-               if poset.down_mask(a) & s.mask == poset.down_mask(b) & s.mask)
+               if (support >> index[a] | support >> index[b]) & 1
+               and down[index[a]] & s.mask == down[index[b]] & s.mask)
 
 
 def minimal_generating_degrees(m: PersModule, s) -> ElementSet:
@@ -207,12 +211,16 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
     The cover is built as one free module (``free_sum``), summands in
     canonical birth order.  Its component at c is one array that holds,
     for each birth e whose up-set holds c, the structure map e -> c times
-    the section at e in e's column slice; when dims(c) = 0 nothing is
-    computed.  Sections of the splitting projections are the deterministic
-    pivot-variable lifts, so the cover is byte-reproducible.
+    the section at e in e's column slice; where either end is 0 nothing is
+    computed and ``ModuleMorphism`` fills in the zero map.  Sections of
+    the splitting projections are the deterministic pivot-variable lifts,
+    so the cover is byte-reproducible.  If the cover is not onto, which
+    no natural input allows, InternalError names the first element where
+    it is not and the S it was built for.
     """
     s = m.poset.subset(s)
     poset, p = m.poset, m.field.p
+    names = poset.elements
     pieces = []  # (element, multiplicity, section)
     for e in minimal_generating_degrees(m, s):
         res = splitting(m, s, e)
@@ -222,10 +230,9 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
                      name=f"cover({m.name})")
     ups = [poset._up[poset.index(e)] for e, _, _ in pieces]
     comps = {}
-    for i, c in enumerate(poset.elements):
+    for i in _bits(m.support_mask & cover.support_mask):
+        c = names[i]
         out = comps[c] = linalg.zeros(m.dims[c], cover.dims[c])
-        if not m.dims[c]:
-            continue
         j = 0
         for (e, mult, section), up in zip(pieces, ups):
             if up >> i & 1:
@@ -233,7 +240,8 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
                 j += mult
     h = ModuleMorphism(cover, m, comps, validate=True)
     if not is_epi(h):
-        raise InternalError("projective cover is not pointwise surjective")
+        c = next(c for c in m.support() if linalg.rank(h.components[c], p) != m.dims[c])
+        raise InternalError(f"projective cover is not onto at {c!r}, built for S = {s.ids()}")
     return cover, h
 
 

@@ -287,18 +287,23 @@ def window_ranks(m: PersModule, s, c: str) -> tuple[int, int, int]:
     the colimit dimension is a function of W's local presentation (tops
     and spans), which the poset memoizes per window mask.  The module
     keeps the dimension in ``_colim_dims``, keyed by that presentation, for
-    every S and c with the same window.  An empty window has the zero
-    colimit, and lambda is the zero map.
+    every S and c with the same window.  A window whose tops are all zero
+    spaces (an empty window, or one outside the support) has the zero
+    colimit, and lambda is the zero map: that is answered before any
+    presentation or cocone is built.
     """
     s = m.poset.subset(s)
     mask = window_mask(s, c)
-    if not mask:
-        return 0, 0, m.dims[c]
-    p = m.field.p
+    dims = m.dims
+    if not mask & m.support_mask:
+        return 0, 0, dims[c]
     local = m.poset.local_spans(mask)
+    if not any(dims[t] for t in local[0]):
+        return 0, 0, dims[c]
+    p = m.field.p
     colim_dim = m._colim_dims.get(local)
     if colim_dim is None:
         _, _, relations = _local_presentation(m, mask)
         colim_dim = relations.shape[0] - linalg.rank(relations, p)
         m._colim_dims[local] = colim_dim
-    return linalg.rank(_cocone(m, local[0], c), p), colim_dim, m.dims[c]
+    return linalg.rank(_cocone(m, local[0], c), p), colim_dim, dims[c]

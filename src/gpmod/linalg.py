@@ -6,15 +6,20 @@ from the zero space.  Every routine is a deterministic function of its
 inputs: pivots are always the leftmost nonzero column and the smallest
 eligible row, so bases, projections and solutions are byte-reproducible.
 
-Every elimination goes through ``rref``, which has two routes.  Matrices of
-at most 64 cells, nearly all of those the invariants reduce on grids, are
-row-reduced in lists of Python integers; larger ones in numpy, one array
-operation per pivot.  A matrix has exactly one reduced row-echelon form, so
-the two routes return the same bytes, pivots and rank.
+Every elimination of a matrix with cells goes through ``rref``, which has
+two routes.  Matrices of at most 64 cells, nearly all of those the
+invariants reduce on grids, are row-reduced in lists of Python integers;
+larger ones in numpy, one array operation per pivot.  A matrix has exactly
+one reduced row-echelon form, so the two routes return the same bytes,
+pivots and rank.  The passes over a module's elements meet many matrices
+with no cells, and ``rank`` and ``cokernel`` answer those without ``rref``:
+rank 0, and the identity projection with every index free, which is what
+the (empty) reduced form would give.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +78,11 @@ def as_matrix(data, p: int) -> np.ndarray:
 
 def as_shaped(m, shape: tuple[int, int], p: int, what: str) -> np.ndarray:
     """m as an int64 matrix of the given shape reduced mod p: None gives
-    zeros, nested sequences go through ``as_matrix``, and an array with no
-    cells is only cast.  Raises ShapeError("<what> has shape ...")."""
+    zeros, one shared empty block per shape when the map has a zero end;
+    nested sequences go through ``as_matrix``, and an array with no cells
+    is only cast.  Raises ShapeError("<what> has shape ...")."""
     if m is None:
-        return zeros(*shape)
+        return zeros(*shape) if shape[0] and shape[1] else _empty_block(*shape)
     if not isinstance(m, np.ndarray):
         m = as_matrix(m, p)
     else:
@@ -90,6 +96,13 @@ def as_shaped(m, shape: tuple[int, int], p: int, what: str) -> np.ndarray:
 
 def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
+
+
+@functools.cache
+def _empty_block(rows: int, cols: int) -> np.ndarray:
+    """The one shared matrix of a shape with no cells: no caller can write
+    through it."""
+    return zeros(rows, cols)
 
 
 def identity(n: int) -> np.ndarray:
@@ -229,7 +242,8 @@ def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    return rref(a, p)[2]
+    """The rank of a; 0 for a matrix with no cells, without ``rref``."""
+    return rref(a, p)[2] if a.size else 0
 
 
 def kernel_basis(a: np.ndarray, p: int) -> SubspaceBasis:
@@ -273,8 +287,11 @@ def cokernel(a: np.ndarray, p: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
     rows(a) - rank(a) and projection @ a = 0; it is the transposed kernel
     basis of a.T (``kernel_basis_with_free``), so its columns at the free
     indices form the identity.  ``factor`` reads every map out of the
-    quotient off those columns.
+    quotient off those columns.  A matrix with no cells spans nothing:
+    the projection is the identity, every index free, with no elimination.
     """
+    if not a.size:
+        return a.shape[0], identity(a.shape[0]), tuple(range(a.shape[0]))
     left_null, free = kernel_basis_with_free(a.T % p, p)
     projection = left_null.basis.T.copy()
     return projection.shape[0], projection, free

@@ -35,13 +35,20 @@ class PersModule:
         dims: mapping element id -> dimension; missing ids mean 0.
         cover_maps: mapping (lower, upper) cover pair -> matrix of shape
             (dims[upper], dims[lower]); missing covers default to zero.
+            A map with a zero end has no cells, so constructors omit it:
+            every omitted map of one shape is the same shared empty block
+            (``linalg.as_shaped``).
         name: label used in reports.
         validate: run the functoriality check (skip only for modules that
             are path-independent by construction).
 
     Instances are immutable after construction, apart from the ``name``
     label: nothing writes to ``dims`` or ``cover_maps`` outside
-    ``__init__``.  The memos depend on this:
+    ``__init__``.  ``support_mask`` is the bitmask of the elements of
+    non-zero dimension, computed once there; the passes that only have
+    work where a space is non-zero (functoriality, epi/mono/iso tests,
+    composition, kernels, window ranks, the cover) walk its bits.  The
+    memos depend on immutability too:
     ``_eval_cache`` holds composite structure maps (a cover pair's entry is
     its cover map itself), ``_window_cache`` holds the window-rank table of
     each subset S, keyed by its mask, and ``_colim_dims`` holds the
@@ -50,8 +57,8 @@ class PersModule:
     which any S and c with that window share.
     """
 
-    __slots__ = ("poset", "field", "dims", "cover_maps", "name", "_eval_cache",
-                 "_window_cache", "_colim_dims")
+    __slots__ = ("poset", "field", "dims", "support_mask", "cover_maps", "name",
+                 "_eval_cache", "_window_cache", "_colim_dims")
 
     def __init__(self, poset: Poset, field: FieldSpec, dims, cover_maps,
                  *, name="M", validate=True):
@@ -65,14 +72,15 @@ class PersModule:
             if d < 0:
                 raise ShapeError(f"negative dimension at {e!r}")
             full[e] = int(d)
-        self.dims = {e: full.get(e, 0) for e in poset.elements}
+        dims = self.dims = {e: full.get(e, 0) for e in poset.elements}
+        self.support_mask = sum(1 << i for i, e in enumerate(poset.elements) if dims[e])
         cover_maps = dict(cover_maps)
         cover_set = set(poset.covers)
         for pair in cover_maps:
             if pair not in cover_set:
                 raise ValidationError(f"{pair!r} is not a cover of {poset.name!r}")
         self.cover_maps = {
-            (a, b): linalg.as_shaped(cover_maps.get((a, b)), (self.dims[b], self.dims[a]),
+            (a, b): linalg.as_shaped(cover_maps.get((a, b)), (dims[b], dims[a]),
                                      p, f"map {a!r}->{b!r}")
             for a, b in poset.covers}
         self._eval_cache = {}
@@ -86,12 +94,16 @@ class PersModule:
     def _check_functoriality(self):
         """At each b, the routes through two lower covers t0, t of b agree
         at every span (d, t0, t) of down(b) - b.  By induction on b this
-        makes ``eval_map`` the one composite (see ``kan.window_ranks``)."""
-        poset, p = self.poset, self.field.p
-        for b in poset.elements:
+        makes ``eval_map`` the one composite (see ``kan.window_ranks``).
+        Where dims(b) = 0 or dims(d) = 0 both routes are maps with no
+        cells, so only b in the support and spans with dims(d) > 0 are
+        compared; b goes in canonical order, so the first failing (d, b)
+        is the one a walk over every span would meet first."""
+        poset, p, dims = self.poset, self.field.p, self.dims
+        for b in self.support():
             _, spans = poset.local_spans(poset.down_mask(b) & ~(1 << poset.index(b)))
             for d, t0, t in spans:
-                if not np.array_equal(
+                if dims[d] and not np.array_equal(
                         linalg.matmul(self.cover_maps[(t0, b)], self.eval_map(d, t0), p),
                         linalg.matmul(self.cover_maps[(t, b)], self.eval_map(d, t), p)):
                     raise FunctorialityError(d, b)
@@ -143,7 +155,7 @@ class PersModule:
         return m
 
     def support(self) -> ElementSet:
-        return self.poset.subset([e for e in self.poset.elements if self.dims[e] > 0])
+        return self.poset.subset_from_mask(self.support_mask)
 
     def __eq__(self, other):
         if not isinstance(other, PersModule):
@@ -164,7 +176,9 @@ class ModuleMorphism:
     (``linalg.matmul_stack``).  Each slice of a stacked product is the exact
     product of that cover's matrices, chunked as ``linalg.matmul`` chunks
     it, so the check accepts and rejects what a per-cover loop of
-    ``matmul`` calls would, for any prime below 2**31.
+    ``matmul`` calls would, for any prime below 2**31.  Omitted components
+    are zero maps; one with a zero end is the shared empty block of its
+    shape (``linalg.as_shaped``), so constructors omit those.
     """
 
     __slots__ = ("source", "target", "components")
@@ -221,18 +235,21 @@ class ModuleMorphism:
                         for e in self.source.poset.elements))
 
     def compose(self, inner: "ModuleMorphism") -> "ModuleMorphism":
-        """self after inner."""
+        """self after inner.  A component through a zero space, or between
+        zero spaces, is the zero map the constructor fills in, so products
+        are taken only where all three spaces are non-zero."""
         if inner.target is not self.source and inner.target != self.source:
             raise MismatchedBase("composition endpoints do not match")
         p = self.source.field.p
+        mask = inner.source.support_mask & self.source.support_mask & self.target.support_mask
         comps = {e: linalg.matmul(self.components[e], inner.components[e], p)
-                 for e in self.source.poset.elements}
+                 for e in self.source.poset.subset_from_mask(mask)}
         return ModuleMorphism(inner.source, self.target, comps, validate=False)
 
     @staticmethod
     def identity(m: PersModule) -> "ModuleMorphism":
-        return ModuleMorphism(m, m, {e: linalg.identity(m.dims[e])
-                                     for e in m.poset.elements}, validate=False)
+        return ModuleMorphism(m, m, {e: linalg.identity(m.dims[e]) for e in m.support()},
+                              validate=False)
 
     @staticmethod
     def zero(source: PersModule, target: PersModule) -> "ModuleMorphism":
@@ -244,22 +261,26 @@ def new_module(poset, field, dims, cover_maps, *, name="M") -> PersModule:
     return PersModule(poset, field, dims, cover_maps, name=name)
 
 
+def _full_rank_on(f: ModuleMorphism, m: PersModule) -> bool:
+    """rank f(e) == dims_m(e) at every e, for m the source or target of
+    f: true at once where dims_m(e) = 0, so only m's support is visited."""
+    return all(linalg.rank(f.components[e], m.field.p) == m.dims[e] for e in m.support())
+
+
 def is_epi(f: ModuleMorphism) -> bool:
-    p = f.source.field.p
-    return all(linalg.rank(f.components[e], p) == f.target.dims[e]
-               for e in f.source.poset.elements)
+    return _full_rank_on(f, f.target)
 
 
 def is_mono(f: ModuleMorphism) -> bool:
-    p = f.source.field.p
-    return all(linalg.rank(f.components[e], p) == f.source.dims[e]
-               for e in f.source.poset.elements)
+    return _full_rank_on(f, f.source)
 
 
 def is_iso(f: ModuleMorphism) -> bool:
-    p = f.source.field.p
-    return all(linalg.is_isomorphism(f.components[e], p)
-               for e in f.source.poset.elements)
+    """Equal supports and a full-rank square component on them: a
+    component between two zero spaces is an isomorphism, one with a
+    single zero end is not."""
+    return f.source.support_mask == f.target.support_mask and all(
+        linalg.is_isomorphism(f.components[e], f.source.field.p) for e in f.source.support())
 
 
 def interval_module(poset: Poset, interval, field: FieldSpec, *, name=None) -> PersModule:
@@ -334,8 +355,8 @@ def direct_sum(first: PersModule, *rest: PersModule, name=None) -> PersModule:
     if any(n.poset != first.poset or n.field != first.field for n in rest):
         raise MismatchedBase("direct sum over different bases")
     dims = {e: sum(n.dims[e] for n in summands) for e in first.poset.elements}
-    maps = {c: linalg.block_diag([n.cover_maps[c] for n in summands])
-            for c in first.poset.covers}
+    maps = {(a, b): linalg.block_diag([n.cover_maps[(a, b)] for n in summands])
+            for a, b in first.poset.covers if dims[a] and dims[b]}
     return PersModule(first.poset, first.field, dims, maps,
                       name=name or "+".join(n.name for n in summands),
                       validate=False)
@@ -343,16 +364,15 @@ def direct_sum(first: PersModule, *rest: PersModule, name=None) -> PersModule:
 
 def summand_inclusions(m: PersModule, n: PersModule, total: PersModule):
     """Inclusions of the two summands of ``direct_sum(m, n)`` into it."""
-    p = m.field.p
     inc_m, inc_n = {}, {}
     for e in m.poset.elements:
         dm, dn = m.dims[e], n.dims[e]
-        block = linalg.zeros(dm + dn, dm)
-        block[:dm, :] = linalg.identity(dm)
-        inc_m[e] = block
-        block = linalg.zeros(dm + dn, dn)
-        block[dm:, :] = linalg.identity(dn)
-        inc_n[e] = block
+        if dm:
+            block = inc_m[e] = linalg.zeros(dm + dn, dm)
+            block[:dm, :] = linalg.identity(dm)
+        if dn:
+            block = inc_n[e] = linalg.zeros(dm + dn, dn)
+            block[dm:, :] = linalg.identity(dn)
     return (ModuleMorphism(m, total, inc_m, validate=False),
             ModuleMorphism(n, total, inc_n, validate=False))
 
@@ -365,9 +385,11 @@ def kernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
     """Pointwise kernel with induced structure maps and its inclusion.
 
     The kernel basis at each element (``linalg.kernel_basis_with_free``)
-    is the identity on its free rows.  On a cover (a, b), with S the
-    source, the map x solves bases[b] @ x = S(a <= b) @ bases[a] =: moved.
-    The free rows of bases[b] @ x are x itself, so the one candidate is
+    is the identity on its free rows.  Where the source is 0 the kernel is
+    0, and where the target is 0 it is the whole source: the identity
+    basis, every column free, with no elimination.  On a cover (a, b), with
+    S the source, the map x solves bases[b] @ x = S(a <= b) @ bases[a] =:
+    moved.  The free rows of bases[b] @ x are x itself, so the one candidate is
     moved's rows at b's free indices, read off without a solve.  It is
     the solution exactly when bases[b] @ x == moved, which holds when f
     is natural.  That check runs in stacked products
@@ -381,13 +403,16 @@ def kernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
     src = f.source
     covers = src.poset.covers
     bases, free = {}, {}
-    for e in src.poset.elements:
-        kernel, free[e] = linalg.kernel_basis_with_free(f.components[e], p)
-        bases[e] = kernel.basis
-    dims = {e: bases[e].shape[1] for e in src.poset.elements}
+    for e in src.support():
+        if f.target.dims[e]:
+            kernel, free[e] = linalg.kernel_basis_with_free(f.components[e], p)
+            bases[e] = kernel.basis
+        else:
+            bases[e], free[e] = linalg.identity(src.dims[e]), tuple(range(src.dims[e]))
+    dims = {e: basis.shape[1] for e, basis in bases.items()}
     groups = {}  # shape key -> indices into covers
     for k, (a, b) in enumerate(covers):
-        key = (src.dims[b], src.dims[a], dims[a], dims[b])
+        key = (src.dims[b], src.dims[a], dims.get(a, 0), dims.get(b, 0))
         if key[0] and key[2]:  # otherwise the map is empty
             groups.setdefault(key, []).append(k)
     maps, failed = {}, []
