@@ -23,14 +23,16 @@ from .errors import (
     NotGenerated,
     NotPresented,
     TooLargeError,
+    ValidationError,
 )
 from .kan import lambda_with_window, window_ranks
 from .modules import (
     ModuleMorphism,
     PersModule,
-    free_sum,
+    free_sum_layout,
     is_epi,
     kernel_module,
+    summand_columns,
 )
 from .posets import (
     ElementSet,
@@ -208,37 +210,60 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
     exactly where the splitting dimension is non-zero, since rank(lambda)
     is the rank of the stacked structure maps.
 
-    The cover is built as one free module (``free_sum``), summands in
-    canonical birth order.  Its component at c is one array that holds,
-    for each birth e whose up-set holds c, the structure map e -> c times
-    the section at e in e's column slice; where either end is 0 nothing is
-    computed and ``ModuleMorphism`` fills in the zero map.  Sections of
-    the splitting projections are the deterministic pivot-variable lifts,
-    so the cover is byte-reproducible.  If the cover is not onto, which
-    no natural input allows, InternalError names the first element where
-    it is not and the S it was built for.
+    The cover F is built as one free module (``free_sum_layout``), summands
+    in canonical birth order, and its bitmasks of held summands fix the
+    columns at every element.  The component h is then filled in one sweep,
+    in canonical order, over the elements c where both m and F are
+    non-zero.  The summands born at c take the section at c.  Each lower
+    cover a with dims_F(a) > 0 gives one product m(a <= c) h_a: its columns
+    fill the summands of a not yet filled at c and are compared with the
+    ones already there.  Each fill and each comparison is the equation
+    m(a <= c) h_a == h_c F(a <= c), so together they check naturality on
+    every cover whose two sides have cells, and the morphism is built
+    without a second check.  For a natural h, the unique map with the
+    given sections, the products are exact mod p, so each column is the
+    structure map from its birth times the section.  A failing comparison
+    raises ValidationError at the first failing cover in canonical cover
+    order.  Sections of the splitting projections are the deterministic
+    pivot-variable lifts, so the cover is byte-reproducible.  If the cover
+    is not onto, which no natural input allows, InternalError names the
+    first element where it is not and the S it was built for.
     """
     s = m.poset.subset(s)
-    poset, p = m.poset, m.field.p
-    names = poset.elements
-    pieces = []  # (element, multiplicity, section)
+    poset, p, dims = m.poset, m.field.p, m.dims
+    names, index = poset.elements, poset._index
+    pieces, sections = [], {}  # (birth, multiplicity); birth index -> section
     for e in minimal_generating_degrees(m, s):
         res = splitting(m, s, e)
-        section = linalg.solve(res.projection, linalg.identity(res.dim), p)
-        pieces.append((e, res.dim, section))
-    cover = free_sum(poset, [(e, mult) for e, mult, _ in pieces], m.field,
-                     name=f"cover({m.name})")
-    ups = [poset._up[poset.index(e)] for e, _, _ in pieces]
-    comps = {}
+        sections[index[e]] = linalg.solve(res.projection, linalg.identity(res.dim), p)
+        pieces.append((e, res.dim))
+    cover, held = free_sum_layout(poset, pieces, m.field, name=f"cover({m.name})")
+    comps, failed = {}, []
     for i in _bits(m.support_mask & cover.support_mask):
-        c = names[i]
-        out = comps[c] = linalg.zeros(m.dims[c], cover.dims[c])
-        j = 0
-        for (e, mult, section), up in zip(pieces, ups):
-            if up >> i & 1:
-                out[:, j:j + mult] = linalg.matmul(m.eval_map(e, c), section, p)
-                j += mult
-    h = ModuleMorphism(cover, m, comps, validate=True)
+        c, at = names[i], held[i]
+        out = comps[c] = linalg.zeros(dims[c], cover.dims[c])
+        filled = 0
+        for a in poset.covers_below(c):
+            below = held[index[a]]
+            if not below:
+                continue
+            if dims[a]:
+                moved = linalg.matmul(m.cover_maps[(a, c)], comps[a], p)
+            else:
+                moved = linalg.zeros(dims[c], cover.dims[a])
+            new, old = below & ~filled, below & filled
+            if new:
+                out[:, summand_columns(at, new)] = moved[:, summand_columns(below, new)]
+            if old and not np.array_equal(out[:, summand_columns(at, old)],
+                                          moved[:, summand_columns(below, old)]):
+                failed.append((a, c))
+            filled |= below
+        if at & ~filled:  # the summands born at c
+            out[:, summand_columns(at, at & ~filled)] = sections[i]
+    if failed:
+        raise ValidationError(
+            f"naturality fails on cover {min(failed, key=poset.covers.index)!r}")
+    h = ModuleMorphism(cover, m, comps, validate=False)
     if not is_epi(h):
         c = next(c for c in m.support() if linalg.rank(h.components[c], p) != m.dims[c])
         raise InternalError(f"projective cover is not onto at {c!r}, built for S = {s.ids()}")

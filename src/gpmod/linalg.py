@@ -6,15 +6,18 @@ from the zero space.  Every routine is a deterministic function of its
 inputs: pivots are always the leftmost nonzero column and the smallest
 eligible row, so bases, projections and solutions are byte-reproducible.
 
-Every elimination of a matrix with cells goes through ``rref``, which has
-two routes.  Matrices of at most 64 cells, nearly all of those the
-invariants reduce on grids, are row-reduced in lists of Python integers;
-larger ones in numpy, one array operation per pivot.  A matrix has exactly
-one reduced row-echelon form, so the two routes return the same bytes,
-pivots and rank.  The passes over a module's elements meet many matrices
-with no cells, and ``rank`` and ``cokernel`` answer those without ``rref``:
-rank 0, and the identity projection with every index free, which is what
-the (empty) reduced form would give.
+Every elimination that returns a basis, a projection or a solution goes
+through ``rref``, which has two routes.  Matrices of at most 64 cells,
+nearly all of those the invariants reduce on grids, are row-reduced in
+lists of Python integers; larger ones in numpy, one array operation per
+pivot.  A matrix has exactly one reduced row-echelon form, so the two
+routes return the same bytes, pivots and rank.  ``rank`` needs no reduced
+form: on at most 64 cells it eliminates forward only, below each pivot
+(``_rank_ints``), and takes larger matrices through ``rref``.  The passes
+over a module's elements meet many matrices with no cells, and ``rank``
+and ``cokernel`` answer those without elimination: rank 0, and the
+identity projection with every index free, which is what the (empty)
+reduced form would give.
 """
 
 from __future__ import annotations
@@ -242,8 +245,45 @@ def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    """The rank of a; 0 for a matrix with no cells, without ``rref``."""
-    return rref(a, p)[2] if a.size else 0
+    """The rank of a; 0 for a matrix with no cells, without ``rref``.  One
+    of at most ``_SMALL_CELLS`` cells is reduced by forward elimination
+    only (``_rank_ints``), a larger one through ``rref``."""
+    if not a.size:
+        return 0
+    if a.size <= _SMALL_CELLS:
+        return _rank_ints(a, p)
+    return rref(a, p)[2]
+
+
+def _rank_ints(a: np.ndarray, p: int) -> int:
+    """The rank by forward elimination on lists of Python integers: each
+    pivot clears only the rows below it, and only in the trailing columns.
+    The shorter side is taken as rows (a and its transpose have one rank):
+    every row costs a Python step per pivot, and the column loop stops once
+    every row has been a pivot.  Medians of one call against the longer
+    side as rows, p = 101, 2-vCPU shared VM: 1x8 1.6 against 8.6 us, 2x8
+    5.7 against 14.4, 3x6 7.9 against 14.9, 2x32 14 against 82, 8x8 71
+    against 66."""
+    rows = [[x % p for x in line]
+            for line in (a if a.shape[0] <= a.shape[1] else a.T).tolist()]
+    rk = 0
+    for col in range(len(rows[0])):
+        for k, top in enumerate(rows):
+            if top[col]:
+                break
+        else:
+            continue
+        del rows[k]
+        rk += 1
+        if not rows:
+            break
+        inv = pow(top[col], -1, p)
+        tail = [y * inv % p for y in top[col + 1:]]
+        for line in rows:
+            f = line[col]
+            if f:
+                line[col + 1:] = [(x - f * y) % p for x, y in zip(line[col + 1:], tail)]
+    return rk
 
 
 def kernel_basis(a: np.ndarray, p: int) -> SubspaceBasis:

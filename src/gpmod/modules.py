@@ -9,6 +9,8 @@ composed on demand along one fixed route and memoized.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import linalg
@@ -23,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import FieldSpec
-from .posets import ElementSet, Poset, is_interval, up_set
+from .posets import ElementSet, Poset, _bits, is_interval, up_set
 
 
 class PersModule:
@@ -323,6 +325,15 @@ def free_sum(poset: Poset, pieces, field: FieldSpec, *, name=None) -> PersModule
     field), *(free_module(poset, e, mult, field) for e, mult in pieces))``,
     matrix bytes included.
     """
+    return free_sum_layout(poset, pieces, field, name=name)[0]
+
+
+def free_sum_layout(poset: Poset, pieces, field: FieldSpec, *,
+                    name=None) -> tuple[PersModule, list[int]]:
+    """``free_sum`` and its layout: for each element, in canonical order,
+    the bitmask of the summands held there.  Summand k is bit k, and the
+    space at c holds them in ascending order, so column j at c is the j-th
+    set bit of its mask."""
     pieces = [(e, int(mult)) for e, mult in pieces]
     held = [0] * len(poset)  # summand bitmask: born at each element, then held there
     total = 0
@@ -346,7 +357,21 @@ def free_sum(poset: Poset, pieces, field: FieldSpec, *, name=None) -> PersModule
         maps[(a, b)] = inclusions[key]
     dims = {c: h.bit_count() for c, h in zip(poset.elements, held)}
     name = name or "+".join(f"free({e},{mult})" for e, mult in pieces) or "0"
-    return PersModule(poset, field, dims, maps, name=name, validate=False)
+    return PersModule(poset, field, dims, maps, name=name, validate=False), held
+
+
+@functools.lru_cache(maxsize=4096)
+def summand_columns(held: int, sub: int):
+    """The columns, at an element of a ``free_sum_layout`` holding the
+    summand bitmask ``held``, of the summands in ``sub`` (a subset of
+    held): summand k sits at the number of held summands below k.  All of
+    held is the full slice; otherwise a read-only index array."""
+    if sub == held:
+        return slice(None)
+    cols = np.array([(held & ((1 << k) - 1)).bit_count() for k in _bits(sub)],
+                    dtype=np.intp)
+    cols.flags.writeable = False
+    return cols
 
 
 def direct_sum(first: PersModule, *rest: PersModule, name=None) -> PersModule:

@@ -10,6 +10,7 @@ from gpmod.errors import (
     NotDetermined,
     NotGenerated,
     NotPresented,
+    ValidationError,
 )
 from gpmod.invariants import (
     birth_death_report,
@@ -32,6 +33,7 @@ from gpmod.invariants import (
 from gpmod.kan import induce, lambda_with_window, restrict
 from gpmod.modules import (
     ModuleMorphism,
+    PersModule,
     direct_sum,
     free_module,
     free_sum,
@@ -270,6 +272,18 @@ def test_projective_cover_interval(diamond, field):
     cover, h = projective_cover(m, diamond.whole())
     assert cover.dims == {"a": 0, "b": 1, "c": 1, "d": 2}
     assert is_epi(h)
+
+
+def test_projective_cover_names_the_first_unnatural_cover(diamond, field):
+    # not functorial: a -> b -> d is 1 and a -> c -> d is 2.  The sweep
+    # fills d from b, its first lower cover, and the comparison on (c, d)
+    # fails: the cover the stacked check of ModuleMorphism names for the
+    # per-birth components, which take a -> d along b as well
+    m = PersModule(diamond, field, dict.fromkeys("abcd", 1),
+                   {("a", "b"): [[1]], ("a", "c"): [[1]], ("b", "d"): [[1]],
+                    ("c", "d"): [[2]]}, validate=False)
+    with pytest.raises(ValidationError, match=r"^naturality fails on cover \('c', 'd'\)$"):
+        projective_cover(m, ["a"])
 
 
 def test_projective_cover_koszul(koszul, grid33, field):

@@ -68,7 +68,29 @@ def _span_rref(vectors, p):
 oracle = settings(max_examples=60, deadline=None)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+def _rank_cases(p):
+    """Tall, wide, zero-column and repeated-row matrices, with cells on
+    both sides of ``_SMALL_CELLS``, where ``rank`` leaves ``rref``."""
+    small = linalg._SMALL_CELLS
+    rng = np.random.default_rng(p % 991 + 11)
+    shapes = [(16, 2), (32, 2), (64, 1), (2, 16), (2, 32), (1, 64), (5, 0), (0, 5),
+              (8, 8), (8, 9), (9, 7), (7, 9), (13, 5), (5, 13), (40, 3), (3, 40)]
+    assert any(r * c == small for r, c in shapes)
+    assert any(0 < r * c < small for r, c in shapes)
+    assert any(r * c > small for r, c in shapes)
+    for rows, cols in shapes:
+        a = rng.integers(0, p, size=(rows, cols)).astype(np.int64)
+        yield a
+        if rows > 1 and cols:
+            repeated = a.copy()
+            repeated[1::2] = repeated[0]  # every other row the first
+            yield repeated
+            low = np.zeros_like(a)
+            low[:, : min(rows, cols) // 2] = a[:, : min(rows, cols) // 2]
+            yield low  # trailing zero columns
+
+
+@pytest.mark.parametrize("p", [2] + PRIMES)
 def test_rref_and_rank_match_sympy(p):
     @oracle
     @given(_either_route(p))
@@ -80,6 +102,8 @@ def test_rref_and_rank_match_sympy(p):
         assert rk == linalg.rank(a, p) == _dm(a, p).rank()
 
     check()
+    for a in _rank_cases(p):
+        assert linalg.rank(a, p) == linalg.rref(a, p)[2], a.shape
 
 
 @pytest.mark.parametrize("p", PRIMES)

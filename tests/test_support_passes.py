@@ -27,6 +27,7 @@ from gpmod.linalg import FieldSpec
 from gpmod.modules import (
     ModuleMorphism,
     PersModule,
+    cokernel_module,
     direct_sum,
     free_module,
     free_sum,
@@ -276,6 +277,49 @@ def test_support_passes_match_the_every_element_routes(p):
             _same_array(composite.components[e], want)
     assert zero_spaces * 5 >= spaces * 2, (zero_spaces, spaces)
     assert verdicts == {(k, v) for k in range(3) for v in (False, True)}
+
+
+def _grid_fp_module(n, gens, rels, p, seed, rel_from=0):
+    """The cokernel of a random map from ``rels`` free summands to ``gens``
+    on the n x n grid, with a coefficient only where generator <= relation
+    (the benchmark's grid-fp recipe).  Generators are drawn anywhere,
+    relations where both coordinates are at least ``rel_from``."""
+    rng = np.random.default_rng(seed)
+    field = FieldSpec(p)
+    grid = grid_poset((n, n))
+    gen_at = [grid.elements[int(k)] for k in rng.integers(len(grid), size=gens)]
+    rel_at = [f"({x},{y})" for x, y in rng.integers(rel_from, n, size=(rels, 2))]
+    coeff = np.zeros((gens, rels), dtype=np.int64)
+    for i, g in enumerate(gen_at):
+        for j, r in enumerate(rel_at):
+            if grid.leq(g, r):
+                coeff[i, j] = int(rng.integers(1, p))
+    comps = {}
+    for c in grid.elements:
+        rows = [i for i, g in enumerate(gen_at) if grid.leq(g, c)]
+        cols = [j for j, r in enumerate(rel_at) if grid.leq(r, c)]
+        comps[c] = coeff[np.ix_(rows, cols)]
+    source = free_sum(grid, [(r, 1) for r in rel_at], field)
+    target = free_sum(grid, [(g, 1) for g in gen_at], field)
+    return cokernel_module(ModuleMorphism(source, target, comps))[0]
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+@pytest.mark.parametrize("shape", [(8, 6, 6, 0), (10, 40, 40, 5)],
+                         ids=["8x8-6-6", "10x10-40-40"])
+def test_cover_sweep_matches_the_per_birth_products_at_density(p, shape):
+    """Finitely presented modules with many summands held at each element:
+    the sweep's components, filled from lower covers, have the bytes of
+    one structure map times one section per birth and element, and the
+    naturality check the sweep replaced accepts them."""
+    n, gens, rels, rel_from = shape
+    m = _grid_fp_module(n, gens, rels, p, seed=n * gens + p % 89, rel_from=rel_from)
+    cover, h = projective_cover(m, m.poset.whole())
+    want = _cover_components_every_element(m, m.poset.whole())
+    for e in m.poset.elements:
+        _same_array(h.components[e], want[e])
+    ModuleMorphism(cover, m, h.components, validate=True)
+    assert max(cover.dims.values()) >= 3 and max(m.dims.values()) >= 2
 
 
 @pytest.mark.parametrize("p", [101, 2**31 - 1])
