@@ -49,11 +49,15 @@ def _module_and_set(args):
 
 
 def _emit(payload, as_text: bool) -> None:
-    if as_text:
+    """Canonical JSON, or under --text a dict as key/value lines and a list
+    as one space-joined line."""
+    if not as_text:
+        sys.stdout.write(to_json(payload))
+    elif isinstance(payload, list):
+        sys.stdout.write(" ".join(str(x) for x in payload) + "\n")
+    else:
         for key in sorted(payload):
             sys.stdout.write(f"{key}: {payload[key]}\n")
-    else:
-        sys.stdout.write(to_json(payload))
 
 
 def _matrix_lists(m: np.ndarray):
@@ -157,25 +161,20 @@ def cmd_poset(args) -> int:
         _emit(PROPERTY_M, args.text)
     else:
         query = {"mub": mub, "hat": hat}[args.query]
-        _emit_raw(query(p, _parse_set(p, args.set or "")).ids(), args.text)
+        _emit(query(p, _parse_set(p, args.set or "")).ids(), args.text)
     return 0
-
-
-def _emit_raw(obj, as_text: bool) -> None:
-    if as_text:
-        sys.stdout.write(" ".join(str(x) for x in obj) + "\n")
-    else:
-        sys.stdout.write(to_json(obj))
 
 
 def cmd_graded(args) -> int:
     ws = _load(args.files, args.field)
     field = FieldSpec(args.field)
-    if args.action in GRADED_CHECKS and args.cases < 1:
-        raise GpmodError("cases must be at least 1")
     alg = ws.single("algebra", args.algebra)
     act = ws.single("act", args.act)
     if args.action in GRADED_CHECKS:
+        if args.cases < 1:
+            raise GpmodError("cases must be at least 1")
+        if args.seed < 0:
+            raise GpmodError(f"seed must be non-negative, not {args.seed}")
         check = GRADED_CHECKS[args.action]
         failures, _ = run_cases(lambda rng: check(alg, act, rng), args.seed, args.cases)
         payload = {"suite": args.action, "cases": args.cases, "seed": args.seed,

@@ -174,13 +174,10 @@ class PersModule:
 class ModuleMorphism:
     """A natural transformation between two modules over the same poset.
 
-    Construction checks naturality on every cover in stacked products
-    (``linalg.matmul_stack``).  Each slice of a stacked product is the exact
-    product of that cover's matrices, chunked as ``linalg.matmul`` chunks
-    it, so the check accepts and rejects what a per-cover loop of
-    ``matmul`` calls would, for any prime below 2**31.  Omitted components
-    are zero maps; one with a zero end is the shared empty block of its
-    shape (``linalg.as_shaped``), so constructors omit those.
+    Construction checks naturality on every cover, one pair of exact
+    products per cover with cells on both sides.  Omitted components are
+    zero maps; one with a zero end is the shared empty block of its shape
+    (``linalg.as_shaped``), so constructors omit those.
     """
 
     __slots__ = ("source", "target", "components")
@@ -202,32 +199,16 @@ class ModuleMorphism:
 
     def _check_naturality(self):
         """T(a <= b) C_a == C_b S(a <= b) on every cover a < b, for source S,
-        target T and components C, checked in stacked products: covers
-        with equal (dims_T(b), dims_T(a), dims_S(a), dims_S(b)) form one
-        stack per side.  Raises on the first failing cover in canonical
-        order, as a loop over the covers would."""
+        target T and components C, in canonical order, raising at the first
+        failing cover.  Where dims_T(b) or dims_S(a) is 0 both sides are
+        maps with no cells, so those covers are skipped."""
         src, tgt, comps = self.source, self.target, self.components
         p = src.field.p
-        covers = src.poset.covers
-        groups = {}  # shape key -> indices into covers
-        for k, (a, b) in enumerate(covers):
-            key = (tgt.dims[b], tgt.dims[a], src.dims[a], src.dims[b])
-            if key[0] and key[2]:  # otherwise both sides are empty
-                groups.setdefault(key, []).append(k)
-        failed = []
-        for ks in groups.values():
-            pairs = [covers[k] for k in ks]
-            left = linalg.matmul_stack(
-                np.stack([tgt.cover_maps[c] for c in pairs]),
-                np.stack([comps[a] for a, _ in pairs]), p)
-            right = linalg.matmul_stack(
-                np.stack([comps[b] for _, b in pairs]),
-                np.stack([src.cover_maps[c] for c in pairs]), p)
-            bad = (left != right).any(axis=(1, 2))
-            if bad.any():
-                failed.append(ks[int(bad.argmax())])
-        if failed:
-            raise ValidationError(f"naturality fails on cover {covers[min(failed)]!r}")
+        for a, b in src.poset.covers:
+            if tgt.dims[b] and src.dims[a] and not np.array_equal(
+                    linalg.matmul(tgt.cover_maps[(a, b)], comps[a], p),
+                    linalg.matmul(comps[b], src.cover_maps[(a, b)], p)):
+                raise ValidationError(f"naturality fails on cover {(a, b)!r}")
 
     def __eq__(self, other):
         if not isinstance(other, ModuleMorphism):
@@ -360,6 +341,8 @@ def free_sum_layout(poset: Poset, pieces, field: FieldSpec, *,
     return PersModule(poset, field, dims, maps, name=name, validate=False), held
 
 
+# cached: uncached, grid-fp and grid-sparse ops/s read 3.2% and 3.1% lower
+# (1 of 10 paired 20 s runs better on each, 2-vCPU VM)
 @functools.lru_cache(maxsize=4096)
 def summand_columns(held: int, sub: int):
     """The columns, at an element of a ``free_sum_layout`` holding the
@@ -441,6 +424,8 @@ def kernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
         if key[0] and key[2]:  # otherwise the map is empty
             groups.setdefault(key, []).append(k)
     maps, failed = {}, []
+    # stacked, not one loop over the covers: the loop read grid-sparse ops/s
+    # about 7% lower (158.1 against 170.6, 3 paired 10 s runs, 2-vCPU VM)
     for ks in groups.values():
         pairs = [covers[k] for k in ks]
         moved = linalg.matmul_stack(np.stack([src.cover_maps[c] for c in pairs]),

@@ -117,7 +117,8 @@ class Poset:
             if ids.poset == self:
                 # equal posets share the canonical order, so masks carry over
                 return ElementSet(self, ids.mask)
-            raise MismatchedSubset(ids, self)
+            raise UnknownElement(f"subset belongs to poset {ids.poset.name!r}, "
+                                 f"not {self.name!r}")
         mask = 0
         for e in ids:
             mask |= 1 << self.index(e)
@@ -189,10 +190,6 @@ class Poset:
         pairs = sorted((a, b) for b in _bits(mask) for a in
                        _bits(self.maximal_of_mask(mask & down[b] & ~(1 << b))))
         return [(names[a], names[b]) for a, b in pairs]
-
-
-def MismatchedSubset(es, poset):
-    return UnknownElement(f"subset belongs to poset {es.poset.name!r}, not {poset.name!r}")
 
 
 class ElementSet:

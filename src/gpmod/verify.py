@@ -328,6 +328,8 @@ class VerifyConfig:
                              f"known: {sorted(SUITES)}")
         if self.cases < 1:
             raise GpmodError("cases must be at least 1")
+        if self.seed < 0:
+            raise GpmodError(f"seed must be non-negative, not {self.seed}")
         for key, value in self.caps.items():
             if key not in HARD_CAPS:
                 raise GpmodError(f"unknown size cap {key!r}")

@@ -2,6 +2,9 @@ import contextlib
 import copy
 import io
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -29,6 +32,8 @@ from gpmod.textio import (
     to_json,
 )
 from gpmod.verify import HARD_CAPS, VerifyConfig, random_poset
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 POSET_TEXT = """
 # a diamond
@@ -527,6 +532,12 @@ def test_cli_poset_queries(ws_file):
     assert json.loads(proc.stdout) == ["b"]
     proc = run_cli(["poset", ws_file, "propm"])
     assert proc.stdout == '{"mub_complete":true,"weakly_bounded":true}\n'
+    # --text renders a list on one line
+    demo = str(REPO / "demos" / "diamond.gpm")
+    proc = run_cli(["poset", demo, "mub", "--set", "b,c", "--text"])
+    assert (proc.returncode, proc.stdout) == (0, "d\n")
+    proc = run_cli(["poset", demo, "hat", "--set", "b,c", "--text"])
+    assert (proc.returncode, proc.stdout) == (0, "b c d\n")
 
 
 def test_cli_colim_mu(ws_file):
@@ -549,6 +560,9 @@ def test_cli_graded(graded_file):
     proc = run_cli(["graded", "gamma-lambda", graded_file, "--cases", "5",
                     "--seed", "3"])
     assert proc.returncode == 0
+    proc = run_cli(["graded", "phi-psi", graded_file, "--cases", "1", "--seed", "-3"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: seed must be non-negative, not -3\n"
     proc = run_cli(["graded", "local-unit", graded_file, "--elements", "v@x"])
     data = json.loads(proc.stdout)
     assert data["w_support"] == ["u@x", "u@y"]
@@ -563,6 +577,9 @@ def test_cli_verify(ws_file):
     assert proc.returncode == 2
     proc = run_cli(["verify", "--suite", "verho", "--cases", "0"])
     assert proc.returncode == 2
+    proc = run_cli(["verify", "--suite", "verho", "--cases", "1", "--seed", "-5"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: seed must be non-negative, not -5\n"
 
 
 
@@ -669,3 +686,48 @@ def test_shared_parser_keeps_no_state(ws_file, graded_file, monkeypatch, capsys)
 
 def test_to_json_stable():
     assert to_json({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}\n'
+
+
+def _workflow_gpm_commands(text, runner_temp):
+    """The argument lists of the ``gpm`` lines of a workflow's shell steps:
+    ``$suite`` takes each value of its enclosing ``for suite in ...`` loop,
+    ``$RUNNER_TEMP`` is ``runner_temp``, and a leading ``timeout N``, the
+    redirections and any ``|| ...`` tail are dropped."""
+    commands, suites = [], None
+    for line in text.splitlines():
+        line = line.strip()
+        loop = re.fullmatch(r"for suite in (.+); do", line)
+        if loop:
+            suites = loop.group(1).split()
+            continue
+        if line == "done":
+            suites = None
+            continue
+        line = re.sub(r"^timeout \d+ ", "", line.split("||")[0]).strip()
+        if not line.startswith("gpm "):
+            continue
+        line = re.sub(r"\s*\d?> \S+", "", line.replace("$RUNNER_TEMP", runner_temp))
+        for suite in (suites if "$suite" in line else [None]):
+            expanded = line if suite is None else line.replace("$suite", suite)
+            commands.append(shlex.split(expanded)[1:])
+    return commands
+
+
+def test_ci_workflow_gpm_lines_parse(tmp_path):
+    """Every gpm call in the CI workflow names a command, flags and suites
+    that the parser accepts, so a renamed flag or suite fails here."""
+    text = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    commands = _workflow_gpm_commands(text, str(tmp_path))
+    assert len(commands) >= 30
+    assert ["verify", "--suite", "fsp-apu", "--cases", "3", "--seed", "1",
+            "--field", "2147483647"] in commands
+    parser = cli.build_parser()
+    for args in commands:
+        assert not any("$" in a or ">" in a for a in args), args
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                ns = parser.parse_args(args)
+        except SystemExit:
+            pytest.fail(f"gpm {' '.join(args)}: {err.getvalue()}")
+        assert callable(ns.func), args
