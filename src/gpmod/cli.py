@@ -19,7 +19,6 @@ from . import graded as gr
 from . import invariants as inv
 from .errors import GpmodError
 from .kan import canonical_mu, colim_injection, colim_over_mask, window_mask
-from .linalg import FieldSpec
 from .modules import is_epi, is_iso
 from .posets import PROPERTY_M, hat, mub
 from .textio import Workspace, parse_path, to_json
@@ -167,51 +166,44 @@ def cmd_poset(args) -> int:
 
 def cmd_graded(args) -> int:
     ws = _load(args.files, args.field)
-    field = FieldSpec(args.field)
     alg = ws.single("algebra", args.algebra)
     act = ws.single("act", args.act)
     if args.action in GRADED_CHECKS:
-        if args.cases < 1:
-            raise GpmodError("cases must be at least 1")
-        if args.seed < 0:
-            raise GpmodError(f"seed must be non-negative, not {args.seed}")
+        config = VerifyConfig(suite=args.action, seed=args.seed, cases=args.cases)
         check = GRADED_CHECKS[args.action]
-        failures, _ = run_cases(lambda rng: check(alg, act, rng), args.seed, args.cases)
+        failures, _ = run_cases(lambda rng: check(alg, act, rng), config.seed,
+                                config.cases)
         payload = {"suite": args.action, "cases": args.cases, "seed": args.seed,
                    "failures": failures}
         _emit(payload, args.text)
         return 0 if not failures else 1
+    sm = gr.smash_product(alg, act)
     if args.action == "smash":
-        sm = gr.smash_product(alg, act)
-        total = sum(sm.point_idempotent(a) for a in range(len(act))) % field.p
-        left_unit, _ = sm.unit_sides(total)
+        left_unit, _ = sm.unit_sides(sm.idempotent_sum(range(len(act))))
         payload = {"dim": sm.dim, "associative": True,
                    "basis": [sm.pair_name(t) for t in range(sm.dim)],
                    "sum_pa_is_left_unit": left_unit}
         _emit(payload, args.text)
         return 0
-    if args.action == "local-unit":
-        sm = gr.smash_product(alg, act)
-        if not args.elements:
-            raise GpmodError("local-unit needs --elements sym@point,...")
-        vecs = []
-        for token in args.elements.split(","):
-            sym, _, point = token.partition("@")
-            if sym not in alg.syms or point not in act.points:
-                raise GpmodError(f"unknown smash basis element {token!r}")
-            vecs.append(sm.basis_vector(alg.syms.index(sym),
-                                        act.points.index(point)))
-        w = gr.local_unit(sm, vecs)
-        payload = {
-            "elements": args.elements.split(","),
-            "w": [int(x) for x in w],
-            "w_support": [sm.pair_name(t) for t in np.nonzero(w)[0]],
-            "idempotent": True,
-            "absorbs": True,
-        }
-        _emit(payload, args.text)
-        return 0
-    raise GpmodError(f"unknown graded action {args.action!r}")
+    # the one action left is local-unit
+    if not args.elements:
+        raise GpmodError("local-unit needs --elements sym@point,...")
+    vecs = []
+    for token in args.elements.split(","):
+        sym, _, point = token.partition("@")
+        if sym not in alg.syms or point not in act.points:
+            raise GpmodError(f"unknown smash basis element {token!r}")
+        vecs.append(sm.basis_vector(alg.syms.index(sym), act.points.index(point)))
+    w = gr.local_unit(sm, vecs)
+    payload = {
+        "elements": args.elements.split(","),
+        "w": [int(x) for x in w],
+        "w_support": [sm.pair_name(t) for t in np.nonzero(w)[0]],
+        "idempotent": True,
+        "absorbs": True,
+    }
+    _emit(payload, args.text)
+    return 0
 
 
 def cmd_verify(args) -> int:

@@ -43,6 +43,13 @@ from .posets import build_poset
 # monoids and acts
 
 
+def _refuse(kind: str, witness) -> None:
+    """The one refusal of every validating constructor here: witness is
+    its validator's first failing tuple, or None when the axioms hold."""
+    if witness is not None:
+        raise ValidationError(f"{kind} axiom violated at {witness}")
+
+
 class Monoid:
     """A finite monoid given by its full multiplication table."""
 
@@ -62,9 +69,7 @@ class Monoid:
             raise ValidationError("monoid table has no two-sided unit")
         self.unit = int(units[0])
         if validate:
-            bad = validate_monoid(self)
-            if bad is not None:
-                raise ValidationError(f"monoid axiom violated at {bad}")
+            _refuse("monoid", validate_monoid(self))
 
     def __len__(self):
         return len(self.names)
@@ -119,9 +124,7 @@ class GAct:
         if self.table.shape != (len(monoid), len(self.points)):
             raise ValidationError("act table must be |G| x |A|")
         if validate:
-            bad = validate_act(self)
-            if bad is not None:
-                raise ValidationError(f"act axiom violated at {bad}")
+            _refuse("act", validate_act(self))
 
     def __len__(self):
         return len(self.points)
@@ -358,9 +361,7 @@ class GradedAlgebra:
         if any(not 0 <= g < len(monoid) for g in self.degs):
             raise ValidationError("degree indexes outside the monoid")
         if validate:
-            bad = validate_graded_algebra(self)
-            if bad is not None:
-                raise ValidationError(f"algebra axiom violated at {bad}")
+            _refuse("algebra", validate_graded_algebra(self))
 
     @property
     def dim(self) -> int:
@@ -493,9 +494,7 @@ class FunctorModule:
                 fixed[(i, a)] = m
         self.arrows = fixed
         if validate:
-            bad = validate_functor_module(self)
-            if bad is not None:
-                raise ValidationError(f"functor module axiom violated at {bad}")
+            _refuse("functor module", validate_functor_module(self))
 
     @property
     def total_dim(self) -> int:
@@ -547,9 +546,7 @@ class GradedModule:
         self.action = _action_array(action, (algebra.dim, total, total),
                                     algebra.field.p, "graded action")
         if validate:
-            bad = validate_graded_module(self)
-            if bad is not None:
-                raise ValidationError(f"graded module axiom violated at {bad}")
+            _refuse("graded module", validate_graded_module(self))
 
     @property
     def total_dim(self) -> int:
@@ -656,11 +653,15 @@ class SmashAlgebra:
 
     def point_idempotent(self, a: int) -> np.ndarray:
         """p_a: the unit of the algebra times the projection at a."""
-        v = np.zeros(self.dim, dtype=np.int64)
-        for i in range(self.algebra.dim):
-            if self.algebra.unit[i]:
-                v[self.index[(i, a)]] = int(self.algebra.unit[i])
-        return v
+        return self.idempotent_sum([a])
+
+    def idempotent_sum(self, points) -> np.ndarray:
+        """The sum of p_a over the distinct points a in ``points``, reduced
+        mod the algebra's prime: the unit's entries in the columns of those
+        points, since p_a and p_b share no basis pair for a != b."""
+        v = np.zeros((self.algebra.dim, len(self.act)), dtype=np.int64)
+        v[:, sorted(set(points))] = self.algebra.unit[:, None]
+        return v.reshape(self.dim)
 
     def unit_sides(self, x: np.ndarray) -> tuple[bool, bool]:
         """Whether x is a left and whether it is a right unit: x e_v = e_v
@@ -698,9 +699,7 @@ def local_unit(sm: SmashAlgebra, elements) -> np.ndarray:
             i, a = sm.pairs[int(flat)]
             points.add(a)
             points.add(sm.act.act(sm.algebra.degs[i], a))
-    w = np.zeros(sm.dim, dtype=np.int64)
-    for a in sorted(points):
-        w = (w + sm.point_idempotent(a)) % sm.algebra.field.p
+    w = sm.idempotent_sum(points)
     if not np.array_equal(sm.product(w, w), w):
         raise InternalError("local unit is not idempotent")
     for t in elements:
@@ -724,9 +723,7 @@ class SmashModule:
         self.action = _action_array(action, (smash.dim, self.dim, self.dim),
                                     smash.algebra.field.p, "smash module action")
         if validate:
-            bad = validate_smash_module(self)
-            if bad is not None:
-                raise ValidationError(f"smash module axiom violated at {bad}")
+            _refuse("smash module", validate_smash_module(self))
 
     def act_vector(self, x: np.ndarray) -> np.ndarray:
         return _combine(x, self.action, self.smash.algebra.field.p)
@@ -834,9 +831,8 @@ def category_algebra_iso(field: FieldSpec, mon: Monoid, act: GAct) -> dict:
     if not ring_hom:
         b, h, a, g = np.unravel_index(int(np.argmax(bad)), (n_a, n_g, n_a, n_g))
         witness = (act.points[b], mon.names[h], act.points[a], mon.names[g])
-    total = sum(sm.point_idempotent(a) for a in range(n_a)) % field.p
     return {"dim": dim, "ring_hom": ring_hom, "bijective": bijective,
-            "sum_pa_is_unit": all(sm.unit_sides(total)),
+            "sum_pa_is_unit": all(sm.unit_sides(sm.idempotent_sum(range(n_a)))),
             "witness": witness}
 
 

@@ -370,21 +370,6 @@ def direct_sum(first: PersModule, *rest: PersModule, name=None) -> PersModule:
                       validate=False)
 
 
-def summand_inclusions(m: PersModule, n: PersModule, total: PersModule):
-    """Inclusions of the two summands of ``direct_sum(m, n)`` into it."""
-    inc_m, inc_n = {}, {}
-    for e in m.poset.elements:
-        dm, dn = m.dims[e], n.dims[e]
-        if dm:
-            block = inc_m[e] = linalg.zeros(dm + dn, dm)
-            block[:dm, :] = linalg.identity(dm)
-        if dn:
-            block = inc_n[e] = linalg.zeros(dm + dn, dn)
-            block[dm:, :] = linalg.identity(dn)
-    return (ModuleMorphism(m, total, inc_m, validate=False),
-            ModuleMorphism(n, total, inc_n, validate=False))
-
-
 def zero_module(poset: Poset, field: FieldSpec) -> PersModule:
     return PersModule(poset, field, {}, {}, name="0", validate=False)
 

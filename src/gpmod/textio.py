@@ -30,8 +30,6 @@ from .linalg import CELL_LIMIT, FieldSpec, NoSolution, solve, zeros
 from .modules import PersModule
 from .posets import POSET_SIZE_LIMIT, Poset, build_poset
 
-BLOCK_KINDS = ("poset", "module", "monoid", "act", "algebra")
-
 # Parse-time size guards, checked line by line before anything is
 # allocated: elements of one poset (``posets.POSET_SIZE_LIMIT``), the
 # dimension at one element (validation builds its identity matrix), and
@@ -196,7 +194,7 @@ def _check_cells(cells: int, line_no: int, owner: str, noun: str = "cells"):
                                      f"{CELL_LIMIT}")
 
 
-def _parse_poset(block) -> Poset:
+def _parse_poset(block, ws: Workspace, default_field: int) -> Poset:
     elements, relations = [], []
     for line_no, tokens, _ in block.lines:
         if tokens[0] == "elem" and len(tokens) == 2:
@@ -260,7 +258,7 @@ def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
     return PersModule(poset, field, dims, maps, name=block.name)
 
 
-def _parse_monoid(block) -> Monoid:
+def _parse_monoid(block, ws: Workspace, default_field: int) -> Monoid:
     names = []
     products = []
     for line_no, tokens, _ in block.lines:
@@ -287,7 +285,7 @@ def _parse_monoid(block) -> Monoid:
     return Monoid(names, table, name=block.name)
 
 
-def _parse_act(block, ws: Workspace) -> GAct:
+def _parse_act(block, ws: Workspace, default_field: int) -> GAct:
     mon = _over(block, ws.monoids, "monoid")
     points = []
     applications = []
@@ -372,6 +370,12 @@ def _solve_unit(mult: np.ndarray, d: int, p: int, line_no: int) -> np.ndarray:
         raise ParseError(line_no, "algebra has no two-sided unit") from None
 
 
+# one parser per block kind, each called as parser(block, ws, default_field)
+_PARSERS = {"poset": _parse_poset, "module": _parse_module,
+            "monoid": _parse_monoid, "act": _parse_act, "algebra": _parse_algebra}
+BLOCK_KINDS = tuple(_PARSERS)
+
+
 def parse_text(text: str, stem: str = "ws", workspace: Workspace | None = None,
                default_field: int = 101) -> Workspace:
     """Parse every block into the workspace.  Any failure is a ParseError:
@@ -380,20 +384,12 @@ def parse_text(text: str, stem: str = "ws", workspace: Workspace | None = None,
     ws = workspace if workspace is not None else Workspace()
     for block in _split_blocks(text, stem):
         try:
-            if block.kind == "poset":
-                ws.posets[block.name] = _parse_poset(block)
-            elif block.kind == "module":
-                ws.modules[block.name] = _parse_module(block, ws, default_field)
-            elif block.kind == "monoid":
-                ws.monoids[block.name] = _parse_monoid(block)
-            elif block.kind == "act":
-                ws.acts[block.name] = _parse_act(block, ws)
-            elif block.kind == "algebra":
-                ws.algebras[block.name] = _parse_algebra(block, ws, default_field)
+            parsed = _PARSERS[block.kind](block, ws, default_field)
         except ParseError:
             raise
         except GpmodError as exc:
             raise ParseError(block.line_no, str(exc)) from exc
+        getattr(ws, block.kind + "s")[block.name] = parsed
     return ws
 
 

@@ -1042,6 +1042,26 @@ def test_unit_sides_match_loop(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
+def test_idempotent_sum_is_the_sum_of_point_idempotents(p):
+    """idempotent_sum over a point list with repeats is the sum of p_a over
+    its distinct points, written out from the definition of p_a (the unit
+    of the algebra times the projection at a) and reduced mod p."""
+    rng = np.random.default_rng(105)
+    for alg, act in _smash_settings(FieldSpec(p), 106):
+        sm = SmashAlgebra(alg, act, validate=False)
+        points = [int(a) for a in rng.integers(0, len(act), size=3)]
+        want = np.zeros(sm.dim, dtype=object)
+        for a in set(points):
+            for i in range(alg.dim):
+                want[sm.pairs.index((i, a))] += int(alg.unit[i])
+        got = sm.idempotent_sum(points)
+        assert got.dtype == np.int64
+        assert got.tolist() == (want % p).tolist()
+        assert np.array_equal(sm.idempotent_sum([points[0]]),
+                              sm.point_idempotent(points[0]))
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_gamma_places_each_arrow_in_its_block(p):
     rng = np.random.default_rng(103)
     for alg, act in _smash_settings(FieldSpec(p), 104):

@@ -28,7 +28,6 @@ from gpmod.modules import (
     cokernel_module,
     random_module,
     random_morphism,
-    summand_inclusions,
     zero_module,
 )
 from gpmod.invariants import projective_cover
@@ -251,10 +250,10 @@ def test_epi_mono_iso(chain3, field):
     assert is_epi(ident) and is_mono(ident) and is_iso(ident)
     zero_to = ModuleMorphism.zero(m, n)
     assert not is_epi(zero_to)
-    total = direct_sum(m, n)
-    inc_m, inc_n = summand_inclusions(m, n, total)
-    assert is_mono(inc_m) and not is_epi(inc_m)
-    _, proj = cokernel_module(inc_n)
+    # the interval [1, 2] into [0, 2]
+    inc = ModuleMorphism(n, m, {"1": [[1]], "2": [[1]]})
+    assert is_mono(inc) and not is_epi(inc)
+    _, proj = cokernel_module(inc)
     assert is_epi(proj) and not is_mono(proj)
 
 
@@ -507,8 +506,9 @@ def test_eval_map_memoizes_what_the_recursive_route_did(field):
 
 
 def _naturality_by_loop(f):
-    """ModuleMorphism._check_naturality as it was: one pair of matmul calls
-    per cover, in canonical order, raising at the first failing cover."""
+    """The naturality check on every cover, none skipped: one pair of
+    matmul calls per cover, in canonical order, raising at the first
+    failing cover."""
     p = f.source.field.p
     for a, b in f.source.poset.covers:
         left = linalg.matmul(f.target.cover_maps[(a, b)], f.components[a], p)
@@ -526,11 +526,11 @@ def _naturality_verdict(check):
 
 
 @pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
-def test_stacked_naturality_matches_the_per_cover_loop(p):
+def test_naturality_skips_only_covers_without_cells(p):
     """Valid morphisms and copies with one component entry changed, on
-    random posets and grids up to 6x6 with elements of dimension 0: the
-    stacked check accepts what the per-cover loop accepts and names the
-    same first failing cover."""
+    random posets and grids up to 6x6 with elements of dimension 0:
+    skipping the covers where dims_T(b) or dims_S(a) is 0 accepts what the
+    check on every cover accepts and names the same first failing cover."""
     field = FieldSpec(p)
     rng = np.random.default_rng(p % 983)
     posets = [random_poset(rng, 2, 8) for _ in range(30)]
@@ -558,6 +558,52 @@ def test_stacked_naturality_matches_the_per_cover_loop(p):
                 assert _naturality_verdict(g._check_naturality) == want
                 assert _naturality_verdict(lambda: ModuleMorphism(m, n, comps)) == want
                 seen["accepted" if want is None else "rejected"] += 1
+    assert all(seen.values()), seen
+
+
+def _flat_components(comps, elements):
+    return np.concatenate([np.asarray(comps[e], dtype=np.int64).reshape(-1)
+                           for e in elements]).reshape(-1, 1)
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_validated_morphisms_are_the_span_of_hom_basis(p):
+    """On modules of at most 5 elements and dimension at most 2, a family
+    of components passes ModuleMorphism(..., validate=True) exactly when
+    its entries lie in the span of hom_basis, tested by ranks over F_p:
+    random families, random points of the span, and such points with one
+    entry changed."""
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p % 991)
+    seen = {"in span": 0, "outside": 0}
+    for _ in range(40):
+        poset = random_poset(rng, 2, 5)
+        m, n = (random_module(poset, 2, field, seed=int(rng.integers(2**32)),
+                              generator=("solve", "intervals")[int(rng.integers(2))])
+                for _ in range(2))
+        elements = poset.elements
+        shapes = {e: (n.dims[e], m.dims[e]) for e in elements}
+        cells = sum(r * c for r, c in shapes.values())
+        span = np.hstack([linalg.zeros(cells, 0)]
+                         + [_flat_components(h.components, elements)
+                            for h in hom_basis(m, n)])
+        families = [{e: rng.integers(0, p, size=shapes[e]) for e in elements}]
+        for _ in range(2):
+            point = random_morphism(m, n, rng).components
+            families.append(point)
+            filled = [e for e in elements if point[e].size]
+            if filled:
+                e = filled[int(rng.integers(len(filled)))]
+                entry = point[e].copy()
+                i, j = (int(rng.integers(d)) for d in entry.shape)
+                entry[i, j] = (entry[i, j] + int(rng.integers(1, p))) % p
+                families.append({**point, e: entry})
+        for comps in families:
+            v = _flat_components(comps, elements) % p
+            in_span = (linalg.rank(np.hstack([span, v]), p) == linalg.rank(span, p))
+            valid = _naturality_verdict(lambda: ModuleMorphism(m, n, comps)) is None
+            assert valid == in_span, (poset.covers, m.dims, n.dims)
+            seen["in span" if in_span else "outside"] += 1
     assert all(seen.values()), seen
 
 

@@ -568,6 +568,29 @@ def test_cli_graded(graded_file):
     assert data["w_support"] == ["u@x", "u@y"]
 
 
+# an algebra whose unit 2**30 u has an entry above the default --field
+HALF_UNIT_TEXT = """\
+monoid G
+elem 1
+mul 1 1 1
+act A over G
+point x
+point y
+algebra S over G field 2147483647
+basis u deg 1
+mul u u = 2 u
+"""
+
+
+def test_cli_graded_sums_point_idempotents_mod_the_algebra_prime(tmp_path):
+    f = tmp_path / "half.gpm"
+    f.write_text(HALF_UNIT_TEXT)
+    rc, out = _main_in_process(["graded", "smash", str(f)])
+    assert rc == 0 and '"sum_pa_is_left_unit":true' in out
+    rc, out = _main_in_process(["graded", "local-unit", str(f), "--elements", "u@x"])
+    assert rc == 0 and '"w":[1073741824,0]' in out
+
+
 def test_cli_verify(ws_file):
     proc = run_cli(["verify", "--suite", "verho", "--cases", "5", "--seed", "7"])
     assert proc.returncode == 0
