@@ -23,6 +23,7 @@ reduced form would give.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,29 +70,54 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-def as_matrix(data, p: int) -> np.ndarray:
-    """Coerce nested sequences or an array to an int64 matrix reduced mod p."""
-    a = np.asarray(data, dtype=np.int64)
+def as_matrix(data, p: int, what: str = "matrix") -> np.ndarray:
+    """Coerce nested sequences or an array of integers to an int64 matrix
+    reduced mod p; a 1-d sequence is one row.  Entries that are not
+    integers raise ShapeError("<what> has ... entries, not integers")
+    rather than being truncated."""
+    try:
+        a = np.asarray(data)
+    except ValueError:
+        raise ShapeError(f"{what} is not a rectangular matrix") from None
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    return np.mod(a, p)
+    return _reduced(a, p, what)
+
+
+def _reduced(a: np.ndarray, p: int, what: str) -> np.ndarray:
+    """An integer array as int64 reduced mod p, a new array unless it has
+    no cells (then it is only cast, whatever its dtype).  Python integers
+    past int64 are reduced one by one; any other entry is a ShapeError."""
+    if not a.size:
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind == "O":
+        try:
+            flat = [operator.index(x) % p for x in a.flat]
+        except TypeError:
+            raise ShapeError(f"{what} has entries that are not integers") from None
+        return np.array(flat, dtype=np.int64).reshape(a.shape)
+    if a.dtype.kind not in "biu":
+        raise ShapeError(f"{what} has {a.dtype} entries, not integers")
+    return np.mod(a.astype(np.int64, copy=False), p)
 
 
 def as_shaped(m, shape: tuple[int, int], p: int, what: str) -> np.ndarray:
     """m as an int64 matrix of the given shape reduced mod p: None gives
-    zeros, one shared empty block per shape when the map has a zero end;
-    nested sequences go through ``as_matrix``, and an array with no cells
-    is only cast.  Raises ShapeError("<what> has shape ...")."""
+    ``zero_map(*shape)``; nested sequences go through ``as_matrix``, arrays
+    of integers are copied reduced, and an array with no cells is only
+    cast.  This is the coercion of outside input to the module
+    constructors (every map with ``validate=True``, and with
+    ``validate=False`` whatever is not already an int64 array of the
+    shape).  Raises ShapeError("<what> has shape ...") for a wrong shape,
+    and ShapeError naming <what> for entries that are not integers."""
     if m is None:
-        return zeros(*shape) if shape[0] and shape[1] else _empty_block(*shape)
-    if not isinstance(m, np.ndarray):
-        m = as_matrix(m, p)
+        return zero_map(*shape)
+    if isinstance(m, np.ndarray):
+        m = _reduced(m, p, what)
     else:
-        m = m.astype(np.int64, copy=False)
-        if m.size:
-            m = np.mod(m, p)
+        m = as_matrix(m, p, what)
     if m.shape != shape:
         raise ShapeError(f"{what} has shape {m.shape}, expected {shape}")
     return m
@@ -106,6 +132,12 @@ def _empty_block(rows: int, cols: int) -> np.ndarray:
     """The one shared matrix of a shape with no cells: no caller can write
     through it."""
     return zeros(rows, cols)
+
+
+def zero_map(rows: int, cols: int) -> np.ndarray:
+    """The zero map F_p^cols -> F_p^rows: fresh zeros, or the one shared
+    block of its shape when a side is zero."""
+    return zeros(rows, cols) if rows and cols else _empty_block(rows, cols)
 
 
 def identity(n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ composed on demand along one fixed route and memoized.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -28,21 +29,38 @@ from .linalg import FieldSpec
 from .posets import ElementSet, Poset, _bits, is_interval, up_set
 
 
+_INT64 = np.dtype(np.int64)
+
+
+def _as_built(m, shape) -> bool:
+    """Whether a map given with ``validate=False`` is stored as given: an
+    int64 array of the declared shape."""
+    return type(m) is np.ndarray and m.dtype is _INT64 and m.shape == shape
+
+
 class PersModule:
     """A functor from a finite poset to F_p vector spaces.
 
     Args:
         poset: the index poset.
         field: FieldSpec with the prime modulus.
-        dims: mapping element id -> dimension; missing ids mean 0.
+        dims: mapping element id -> dimension, a non-negative integer;
+            missing ids mean 0.
         cover_maps: mapping (lower, upper) cover pair -> matrix of shape
             (dims[upper], dims[lower]); missing covers default to zero.
             A map with a zero end has no cells, so constructors omit it:
             every omitted map of one shape is the same shared empty block
-            (``linalg.as_shaped``).
+            (``linalg.zero_map``).
         name: label used in reports.
-        validate: run the functoriality check (skip only for modules that
-            are path-independent by construction).
+        validate: coerce every map (``linalg.as_shaped``: a new int64
+            array reduced mod p) and run the functoriality check.  Library
+            builders pass False for modules that are path-independent by
+            construction; then an int64 ``np.ndarray`` of the declared
+            shape is stored as given, so the caller promises that it is
+            reduced mod p and that nothing writes to it afterwards.  Any
+            other map (a list, another dtype, a wrong shape) is still
+            coerced, and a wrong shape or an entry that is not an integer
+            still raises ShapeError.
 
     Instances are immutable after construction, apart from the ``name``
     label: nothing writes to ``dims`` or ``cover_maps`` outside
@@ -71,20 +89,30 @@ class PersModule:
         full = {}
         for e, d in dict(dims).items():
             poset.index(e)
+            try:
+                d = operator.index(d)
+            except TypeError:
+                raise ShapeError(f"dimension at {e!r} must be a non-negative "
+                                 f"integer, got {d!r}") from None
             if d < 0:
                 raise ShapeError(f"negative dimension at {e!r}")
-            full[e] = int(d)
+            full[e] = d
         dims = self.dims = {e: full.get(e, 0) for e in poset.elements}
         self.support_mask = sum(1 << i for i, e in enumerate(poset.elements) if dims[e])
-        cover_maps = dict(cover_maps)
+        given = dict(cover_maps)
         cover_set = set(poset.covers)
-        for pair in cover_maps:
+        for pair in given:
             if pair not in cover_set:
                 raise ValidationError(f"{pair!r} is not a cover of {poset.name!r}")
-        self.cover_maps = {
-            (a, b): linalg.as_shaped(cover_maps.get((a, b)), (dims[b], dims[a]),
-                                     p, f"map {a!r}->{b!r}")
-            for a, b in poset.covers}
+        self.cover_maps = maps = {}
+        for pair in poset.covers:
+            a, b = pair
+            m, shape = given.get(pair), (dims[b], dims[a])
+            if m is None:
+                m = linalg.zero_map(*shape)
+            elif validate or not _as_built(m, shape):
+                m = linalg.as_shaped(m, shape, p, f"map {a!r}->{b!r}")
+            maps[pair] = m
         self._eval_cache = {}
         self._window_cache = {}
         self._colim_dims = {}
@@ -174,10 +202,14 @@ class PersModule:
 class ModuleMorphism:
     """A natural transformation between two modules over the same poset.
 
-    Construction checks naturality on every cover, one pair of exact
-    products per cover with cells on both sides.  Omitted components are
-    zero maps; one with a zero end is the shared empty block of its shape
-    (``linalg.as_shaped``), so constructors omit those.
+    Omitted components are zero maps; one with a zero end is the shared
+    empty block of its shape (``linalg.zero_map``), so constructors omit
+    those.  ``validate`` works as in PersModule: True coerces every
+    component (``linalg.as_shaped``) and checks naturality on every cover,
+    one pair of exact products per cover with cells on both sides; with
+    False an int64 ``np.ndarray`` of the declared shape is stored as given
+    (reduced mod p and never written afterwards, the caller promises), and
+    anything else is still coerced and shape-checked.
     """
 
     __slots__ = ("source", "target", "components")
@@ -189,11 +221,15 @@ class ModuleMorphism:
         self.source = source
         self.target = target
         p = source.field.p
-        components = dict(components)
-        self.components = {
-            e: linalg.as_shaped(components.get(e), (target.dims[e], source.dims[e]),
-                                p, f"component at {e!r}")
-            for e in source.poset.elements}
+        given = dict(components)
+        self.components = comps = {}
+        for e in source.poset.elements:
+            m, shape = given.get(e), (target.dims[e], source.dims[e])
+            if m is None:
+                m = linalg.zero_map(*shape)
+            elif validate or not _as_built(m, shape):
+                m = linalg.as_shaped(m, shape, p, f"component at {e!r}")
+            comps[e] = m
         if validate:
             self._check_naturality()
 
@@ -385,30 +421,37 @@ def kernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
     moved.  The free rows of bases[b] @ x are x itself, so the one candidate is
     moved's rows at b's free indices, read off without a solve.  It is
     the solution exactly when bases[b] @ x == moved, which holds when f
-    is natural.  That check runs in stacked products
-    (``linalg.matmul_stack``): covers with equal (dims_S(b), dims_S(a),
-    dims_ker(a), dims_ker(b)) form one stack.  A cover with dims_S(b) = 0
-    or dims_ker(a) = 0 has an empty map, which PersModule fills in.  A
-    failing check raises InternalError at the first failing cover in
-    canonical order.
+    is natural.  Where the target is 0 at both a and b, both bases are
+    identities, so x is S(a <= b) itself and the check is an identity:
+    the kernel shares the source's map there.  Every other cover is
+    checked in stacked products (``linalg.matmul_stack``): covers with
+    equal (dims_S(b), dims_S(a), dims_ker(a), dims_ker(b)) form one stack.
+    A cover with dims_S(b) = 0 or dims_ker(a) = 0 has an empty map, which
+    PersModule fills in.  A failing check raises InternalError at the
+    first failing cover in canonical order.
     """
     p = f.source.field.p
-    src = f.source
+    src, tdims = f.source, f.target.dims
     covers = src.poset.covers
     bases, free = {}, {}
     for e in src.support():
-        if f.target.dims[e]:
+        if tdims[e]:
             kernel, free[e] = linalg.kernel_basis_with_free(f.components[e], p)
             bases[e] = kernel.basis
         else:
             bases[e], free[e] = linalg.identity(src.dims[e]), tuple(range(src.dims[e]))
     dims = {e: basis.shape[1] for e, basis in bases.items()}
+    maps = {}
     groups = {}  # shape key -> indices into covers
     for k, (a, b) in enumerate(covers):
         key = (src.dims[b], src.dims[a], dims.get(a, 0), dims.get(b, 0))
-        if key[0] and key[2]:  # otherwise the map is empty
+        if not (key[0] and key[2]):
+            continue  # the map is empty
+        if tdims[a] or tdims[b]:
             groups.setdefault(key, []).append(k)
-    maps, failed = {}, []
+        else:
+            maps[(a, b)] = src.cover_maps[(a, b)]
+    failed = []
     # stacked, not one loop over the covers: the loop read grid-sparse ops/s
     # about 7% lower (158.1 against 170.6, 3 paired 10 s runs, 2-vCPU VM)
     for ks in groups.values():

@@ -166,14 +166,16 @@ def _header_option(header, key, line_no):
 
 
 def _header_field(block, default_field: int) -> FieldSpec:
-    """The block's ``field p`` (else the default); anything but a prime in
-    [2, 2**31) is a ParseError at the header line."""
+    """The block's ``field p`` (else the default, the CLI's ``--field``);
+    anything but a prime in [2, 2**31) is a ParseError at the header line,
+    naming the header's text or the default it tried."""
     text = _header_option(block.header, "field", block.line_no)
     try:
         return FieldSpec(int(text) if text else default_field)
     except ValueError:
+        got = repr(text) if text else f"{default_field!r} from --field"
         raise ParseError(block.line_no, f"field must be a prime in [2, 2**31), "
-                                        f"got {text!r}") from None
+                                        f"got {got}") from None
 
 
 def _over(block, table: dict, kind: str):

@@ -31,6 +31,7 @@ from gpmod.modules import (
     zero_module,
 )
 from gpmod.invariants import projective_cover
+from gpmod.kan import induce, restrict
 from gpmod.linalg import FieldSpec
 from gpmod.posets import Poset, chain, grid_poset, up_set
 from gpmod.verify import random_poset, run_suite
@@ -82,6 +83,70 @@ def test_constructors_reduce_and_shape_check_every_matrix(chain3, field):
         PersModule(chain3, field, dims, {("0", "1"): np.array([[1, 1]])})
     with pytest.raises(ShapeError, match=r"^component at '1' has shape \(1, 1\), expected \(2, 2\)$"):
         ModuleMorphism(m, m, {"1": [[1]]})
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_constructors_refuse_what_they_would_truncate(chain3, field, validate):
+    """A dimension or an entry that is not an integer is a ShapeError
+    naming its element, cover or component, never truncated; integers
+    past int64 are reduced, not refused."""
+    with pytest.raises(ShapeError, match=r"^dimension at '0' must be a non-negative "
+                                         r"integer, got 1\.7$"):
+        PersModule(chain3, field, {"0": 1.7}, {}, validate=validate)
+    with pytest.raises(ShapeError, match=r"^dimension at '1' must be a non-negative "
+                                         r"integer, got '2'$"):
+        PersModule(chain3, field, {"1": "2"}, {}, validate=validate)
+    dims = {"0": 1, "1": 1, "2": 1}
+    assert PersModule(chain3, field, {e: np.int64(1) for e in dims}, {}).dims == dims
+    for bad in ([[1.9]], np.array([[1.9]])):
+        with pytest.raises(ShapeError, match=r"^map '0'->'1' has float64 entries, "
+                                             r"not integers$"):
+            PersModule(chain3, field, dims, {("0", "1"): bad}, validate=validate)
+    with pytest.raises(ShapeError, match=r"^map '1'->'2' has entries that are not "
+                                         r"integers$"):
+        PersModule(chain3, field, dims, {("1", "2"): [[None]]}, validate=validate)
+    with pytest.raises(ShapeError, match=r"^map '0'->'1' is not a rectangular matrix$"):
+        PersModule(chain3, field, {"0": 2, "1": 2}, {("0", "1"): [[1, 0], [1]]},
+                   validate=validate)
+    m = PersModule(chain3, field, dims, {("0", "1"): [[2**70]], ("1", "2"): [[-2**70]]},
+                   validate=validate)
+    assert m.cover_maps[("0", "1")].tolist() == [[2**70 % 101]]
+    assert m.cover_maps[("1", "2")].tolist() == [[-2**70 % 101]]
+    with pytest.raises(ShapeError, match=r"^component at '2' has float64 entries, "
+                                         r"not integers$"):
+        ModuleMorphism(m, m, {"2": np.array([[1.0]])}, validate=validate)
+    with pytest.raises(ShapeError, match=r"^component at '0' has <U1 entries, "
+                                         r"not integers$"):
+        ModuleMorphism(m, m, {"0": [["1"]]}, validate=validate)
+
+
+def test_validate_false_keeps_int64_arrays_and_coerces_the_rest(chain3, field):
+    """validate=False stores an int64 array of the declared shape as given
+    and still coerces a list, another dtype and a wrong shape, with the
+    messages of validate=True."""
+    dims = {"0": 1, "1": 2, "2": 0}
+    kept = np.array([[3], [4]], dtype=np.int64)
+    m = PersModule(chain3, field, dims, {("0", "1"): kept}, validate=False)
+    assert m.cover_maps[("0", "1")] is kept
+    m = PersModule(chain3, field, dims, {("0", "1"): [[-1], [203]]}, validate=False)
+    assert m.cover_maps[("0", "1")].tolist() == [[100], [1]]
+    assert m.cover_maps[("0", "1")].dtype == np.int64
+    m = PersModule(chain3, field, dims, {("0", "1"): np.array([[-1], [203]], dtype=np.int32)},
+                   validate=False)
+    assert m.cover_maps[("0", "1")].tolist() == [[100], [1]]
+    assert m.cover_maps[("1", "2")] is linalg.zero_map(0, 2)
+    for validate in (True, False):
+        with pytest.raises(ShapeError, match=r"^map '0'->'1' has shape \(1, 2\), "
+                                             r"expected \(2, 1\)$"):
+            PersModule(chain3, field, dims, {("0", "1"): np.array([[1, 1]])},
+                       validate=validate)
+        with pytest.raises(ShapeError, match=r"^component at '1' has shape \(1, 1\), "
+                                             r"expected \(2, 2\)$"):
+            ModuleMorphism(m, m, {"1": np.array([[1]])}, validate=validate)
+    square = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    f = ModuleMorphism(m, m, {"0": [[102]], "1": square}, validate=False)
+    assert f.components["1"] is square and f.components["0"].tolist() == [[1]]
+    assert ModuleMorphism(m, m, {"0": [[1]], "1": square}).components["1"] is not square
 
 
 def test_interval_module(chain3, diamond, field):
@@ -800,3 +865,150 @@ def test_cokernel_module_matches_the_per_cover_left_solve(p):
                 seen["raised, several covers fail"] += len(failed) > 1
     assert seen["returned"] >= 40 and seen["raised"] >= 10, seen
     assert seen["raised, several covers fail"] >= 3, seen
+
+
+def _assert_as_built(arrays, shapes, p):
+    """Every array an int64 np.ndarray of its declared shape, reduced mod p:
+    what a constructor called with validate=False stores as given."""
+    assert arrays.keys() == shapes.keys()
+    for key, a in arrays.items():
+        assert type(a) is np.ndarray and a.dtype == np.int64, key
+        assert a.shape == shapes[key], key
+        assert a.size == 0 or (a.min() >= 0 and a.max() < p), key
+
+
+def _assert_module_as_built(m):
+    _assert_as_built(m.cover_maps, {(a, b): (m.dims[b], m.dims[a])
+                                     for a, b in m.poset.covers}, m.field.p)
+    assert PersModule(m.poset, m.field, m.dims, m.cover_maps) == m
+
+
+def _assert_morphism_as_built(f):
+    _assert_module_as_built(f.source)
+    _assert_module_as_built(f.target)
+    _assert_as_built(f.components, {e: (f.target.dims[e], f.source.dims[e])
+                                    for e in f.source.poset.elements}, f.source.field.p)
+    assert ModuleMorphism(f.source, f.target, f.components) == f
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_library_builders_hand_over_reduced_int64_maps(p):
+    """The builders that construct with validate=False pass int64 maps and
+    components of the declared shape, reduced mod p, and what they build
+    passes the validating constructors unchanged."""
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p % 977 + 27)
+    posets = [grid_poset((3, 4)), *(random_poset(rng, 3, 7) for _ in range(6))]
+    for poset in posets:
+        elements = poset.elements
+        for generator in ("solve", "intervals"):
+            m = random_module(poset, 3, field, seed=int(rng.integers(2**32)),
+                              generator=generator)
+            _assert_module_as_built(m)
+            pieces = [(elements[int(rng.integers(len(elements)))], int(rng.integers(0, 3)))
+                      for _ in range(3)]
+            _assert_module_as_built(modules.free_sum_layout(poset, pieces, field)[0])
+            top = elements[-1]
+            i = interval_module(poset, poset.subset_from_mask(poset.down_mask(top)), field)
+            _assert_module_as_built(i)
+            _assert_module_as_built(direct_sum(m, i, m))
+            h = projective_cover(m, poset.whole())[1]
+            _assert_morphism_as_built(h)
+            for f in kernel_module(h)[1], cokernel_module(h)[1]:
+                _assert_morphism_as_built(f)
+            g = random_morphism(m, m, rng)
+            _assert_morphism_as_built(g.compose(h))
+            for f in kernel_module(g)[1], cokernel_module(g)[1]:
+                _assert_morphism_as_built(f)
+            s = poset.subset(elements[::2])
+            r = restrict(m, s)
+            _assert_module_as_built(r)
+            _assert_module_as_built(induce(r, poset))
+
+
+def _stacked_kernel_module(f):
+    """``kernel_module`` with every cover in the stacked products, the
+    covers where the target is zero at both ends included."""
+    p = f.source.field.p
+    src = f.source
+    covers = src.poset.covers
+    bases, free = {}, {}
+    for e in src.support():
+        if f.target.dims[e]:
+            kernel, free[e] = linalg.kernel_basis_with_free(f.components[e], p)
+            bases[e] = kernel.basis
+        else:
+            bases[e], free[e] = linalg.identity(src.dims[e]), tuple(range(src.dims[e]))
+    dims = {e: basis.shape[1] for e, basis in bases.items()}
+    groups = {}
+    for k, (a, b) in enumerate(covers):
+        key = (src.dims[b], src.dims[a], dims.get(a, 0), dims.get(b, 0))
+        if key[0] and key[2]:
+            groups.setdefault(key, []).append(k)
+    maps, failed = {}, []
+    for ks in groups.values():
+        pairs = [covers[k] for k in ks]
+        moved = linalg.matmul_stack(np.stack([src.cover_maps[c] for c in pairs]),
+                                    np.stack([bases[a] for a, _ in pairs]), p)
+        rows = np.array([free[b] for _, b in pairs], dtype=np.intp)
+        x = moved[np.arange(len(pairs))[:, None], rows]
+        back = linalg.matmul_stack(np.stack([bases[b] for _, b in pairs]), x, p)
+        bad = (back != moved).any(axis=(1, 2))
+        if bad.any():
+            failed.append(ks[int(bad.argmax())])
+        maps.update(zip(pairs, x))
+    if failed:
+        raise InternalError(f"kernel map at cover {covers[min(failed)]!r}")
+    ker = PersModule(src.poset, src.field, dims, maps,
+                     name=f"ker({f.source.name})", validate=False)
+    return ker, ModuleMorphism(ker, src, bases, validate=False)
+
+
+def _sparse_grid_sums(p):
+    """(morphism, kind) on the 6x6 grid: projective covers of sums of small
+    boxes and of representables, and random morphisms from a free sum into
+    a sum of boxes, so the targets are zero on most of the sources'
+    support."""
+    field = FieldSpec(p)
+    grid = grid_poset((6, 6))
+    rng = np.random.default_rng(p % 971 + 27)
+
+    def box():
+        x, y = (int(v) for v in rng.integers(0, 6, size=2))
+        w, h = (int(v) for v in rng.integers(0, 3, size=2))
+        return interval_module(grid, [f"({i},{j})" for i in range(x, min(x + w, 5) + 1)
+                                      for j in range(y, min(y + h, 5) + 1)], field)
+
+    def corner():
+        return grid.elements[int(rng.integers(len(grid)))]
+
+    for _ in range(12):
+        boxes = direct_sum(*(box() for _ in range(3)))
+        frees = free_sum(grid, [(corner(), int(rng.integers(1, 3))) for _ in range(2)],
+                         field)
+        yield projective_cover(boxes, grid.whole())[1], "interval sum"
+        yield projective_cover(direct_sum(boxes, frees), grid.whole())[1], "with a free sum"
+        yield random_morphism(frees, boxes, rng), "free sum into boxes"
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_kernel_maps_shared_where_the_target_is_zero_match_the_stacked_route(p):
+    """On a cover where the target is zero at both ends the kernel keeps
+    the source's own map; every map and inclusion component has the bytes
+    of the all-stacked route, and both routes are exercised."""
+    seen = {"interval sum": 0, "with a free sum": 0, "free sum into boxes": 0,
+            "shared": 0, "stacked": 0}
+    for f, kind in _sparse_grid_sums(p):
+        got = kernel_module(f)
+        _assert_same_pair(got, _stacked_kernel_module(f))
+        ker, src, tgt = got[0], f.source, f.target
+        seen[kind] += 1
+        for a, b in ker.poset.covers:
+            if not (src.dims[b] and ker.dims[a]):
+                continue
+            if tgt.dims[a] or tgt.dims[b]:
+                seen["stacked"] += 1
+            else:
+                assert ker.cover_maps[(a, b)] is src.cover_maps[(a, b)]
+                seen["shared"] += 1
+    assert min(seen.values()) >= 12, seen

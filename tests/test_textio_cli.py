@@ -210,6 +210,27 @@ def test_bad_field_names_its_header(block, value):
     assert "field must be a prime" in str(err.value)
 
 
+@pytest.mark.parametrize("block", ["module", "algebra"])
+def test_bad_default_field_names_the_prime_it_tried(block, tmp_path, capsys):
+    """A block with no field header reads --field; a non-prime there is
+    refused at the header line with the value, not the absent header."""
+    good = MODULE_TEXT if block == "module" else GRADED_TEXT
+    header = "module M over D" if block == "module" else "algebra S over G"
+    text = good.replace(f"{header} field 101", header)
+    line_no = text.splitlines().index(header) + 1
+    with pytest.raises(ParseError) as err:
+        parse_text(text, stem="f", default_field=100)
+    assert str(err.value) == (f"line {line_no}: field must be a prime in "
+                              f"[2, 2**31), got 100 from --field")
+    f = tmp_path / "nofield.gpm"
+    f.write_text(text)
+    args = ["check", str(f)] if block == "module" else ["graded", "smash", str(f)]
+    rc, out = _main_in_process([*args, "--field", "100"])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == (f"error: line {line_no}: field must be a prime "
+                                       f"in [2, 2**31), got 100 from --field\n")
+
+
 def test_unknown_relation_element_names_its_line():
     text = POSET_TEXT.replace("rel b d", "rel b e")
     with pytest.raises(ParseError) as err:
