@@ -509,6 +509,10 @@ class FunctorModule:
                     m = linalg.as_shaped(m, shape, p, f"arrow ({algebra.syms[i]!r}, "
                                                       f"{act.points[a]!r})")
                 fixed[(i, a)] = m
+        stray = [key for key in arrows if key not in fixed]
+        if stray:
+            raise ValidationError(
+                f"arrow key {stray[0]!r} names no (basis element, point) pair")
         self.arrows = fixed
         if validate:
             _refuse("functor module", validate_functor_module(self))
@@ -669,6 +673,8 @@ class SmashAlgebra:
         return _trilinear(x, y, self.table, self.algebra.field.p)
 
     def basis_vector(self, i: int, a: int) -> np.ndarray:
+        (i,) = linalg.as_dims((i,), ("basis element",), "index", self.algebra.dim)
+        (a,) = linalg.as_dims((a,), ("point",), "index", len(self.act))
         v = np.zeros(self.dim, dtype=np.int64)
         v[self.index[(i, a)]] = 1
         return v
@@ -681,6 +687,7 @@ class SmashAlgebra:
         """The sum of p_a over the distinct points a in ``points``, reduced
         mod the algebra's prime: the unit's entries in the columns of those
         points, since p_a and p_b share no basis pair for a != b."""
+        points = _point_indices(points, self.act)
         v = np.zeros((self.algebra.dim, len(self.act)), dtype=np.int64)
         v[:, sorted(set(points))] = self.algebra.unit[:, None]
         return v.reshape(self.dim)
@@ -698,6 +705,13 @@ class SmashAlgebra:
     def pair_name(self, t: int) -> str:
         i, a = self.pairs[t]
         return f"{self.algebra.syms[i]}@{self.act.points[a]}"
+
+
+def _point_indices(points, act: GAct) -> tuple[int, ...]:
+    """A list of points of act from outside, as indices below len(act),
+    each labelled by its place in the list."""
+    points = tuple(points)
+    return linalg.as_dims(points, range(len(points)), "point", len(act))
 
 
 def smash_product(algebra: GradedAlgebra, act: GAct) -> SmashAlgebra:
@@ -876,6 +890,7 @@ def free_functor_module(alg: GradedAlgebra, act: GAct, points) -> FunctorModule:
     = b, in (t, i) order; arrow j sends (t, i) to sum_k mult[j,i,k] (t, k).
     """
     n_pts = len(act)
+    points = _point_indices(points, act)
     at = act.table[np.ix_(alg.degs, points)].T  # [t, i]: the point of (t, i)
     # pos[t, i]: the place of (t, i) among the pairs at its point
     pos = np.empty_like(at)

@@ -82,6 +82,13 @@ def _split_dim(m: PersModule, s, c: str) -> int:
     return dim_c - rk
 
 
+def _death_dim(m: PersModule, s, c: str) -> int:
+    """The dimension of ker(lambda) at c, colim_dim - rank(lambda), from
+    ranks alone."""
+    rk, colim_dim, _ = _window_table(m, s)[m.poset.index(c)]
+    return colim_dim - rk
+
+
 def splitting(m: PersModule, s, c: str) -> SplittingResult:
     """The splitting quotient at c: M(c) modulo the window image."""
     lam, _ = lambda_with_window(m, s, c)
@@ -208,10 +215,22 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
     """The minimal epimorphism onto m from a sum of free modules placed at
     the birth elements, one summand per splitting dimension.  Births are
     exactly where the splitting dimension is non-zero, since rank(lambda)
-    is the rank of the stacked structure maps.
+    is the rank of the stacked structure maps.  ``_cover_from`` builds it
+    and checks that it is onto.
+    """
+    s = m.poset.subset(s)
+    return _cover_from(m, s, {e: splitting(m, s, e)
+                              for e in minimal_generating_degrees(m, s)})
+
+
+def _cover_from(m: PersModule, s: ElementSet,
+                splits: dict) -> tuple[PersModule, ModuleMorphism]:
+    """The map onto m from a sum of free modules, one summand at e for each
+    dimension of ``splits[e]``, a splitting of m at e; ``splits`` is in
+    canonical order and every dimension in it is non-zero.
 
     The cover F is built as one free module (``free_sum_layout``), summands
-    in canonical birth order, and its bitmasks of held summands fix the
+    in canonical degree order, and its bitmasks of held summands fix the
     columns at every element.  The component h is then filled in one sweep,
     in canonical order, over the elements c where both m and F are
     non-zero.  The summands born at c take the section at c.  Each lower
@@ -226,17 +245,15 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
     raises ValidationError at the first failing cover in canonical cover
     order.  Sections of the splitting projections are the deterministic
     pivot-variable lifts, so the cover is byte-reproducible.  If the cover
-    is not onto, which no natural input allows, InternalError names the
+    is not onto, because m has a birth that ``splits`` leaves out (no
+    natural input gives ``projective_cover`` one), InternalError names the
     first element where it is not and the S it was built for.
     """
-    s = m.poset.subset(s)
     poset, p, dims = m.poset, m.field.p, m.dims
     names, index = poset.elements, poset._index
-    pieces, sections = [], {}  # (birth, multiplicity); birth index -> section
-    for e in minimal_generating_degrees(m, s):
-        res = splitting(m, s, e)
-        sections[index[e]] = linalg.solve(res.projection, linalg.identity(res.dim), p)
-        pieces.append((e, res.dim))
+    sections = {index[e]: linalg.solve(res.projection, linalg.identity(res.dim), p)
+                for e, res in splits.items()}
+    pieces = [(e, res.dim) for e, res in splits.items()]  # (degree, multiplicity)
     cover, held = free_sum_layout(poset, pieces, m.field, name=f"cover({m.name})")
     comps, failed = {}, []
     for i in _bits(m.support_mask & cover.support_mask):
@@ -272,7 +289,11 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
 
 @dataclass
 class Presentation:
-    """gens/rels multisets with the witnessing two-step exact sequence."""
+    """gens/rels multisets with the witnessing two-step exact sequence.
+
+    ``rels`` is read at the deaths of the module, where the kernel of the
+    cover is split; ``verho_equal`` certifies there that the kernel's
+    births are exactly those deaths, with the module's multiplicities."""
 
     gens: Counter
     rels: Counter
@@ -289,13 +310,27 @@ def minimal_presentation(m: PersModule, s) -> Presentation:
 
     The multiplicity at a degree c counts minimal generators there, i.e.
     the dimension of the splitting quotient at c of the module (for gens)
-    and of the kernel of the cover (for rels).
+    and of the kernel K of the cover F0 -> m (for rels).
+
+    The relations are read at the deaths of m alone, and K gets no window
+    table of its own.  The window colimit is right exact and lambda of the
+    free F0 is injective, so the snake lemma gives coker lambda_K(c) =
+    ker lambda_m(c): K is born exactly at the deaths of m, with
+    multiplicity colim_dim - rank there.  The relation cover F1 -> K takes
+    K's splittings at the deaths, and two checks certify the rest.  Its
+    ``is_epi`` check proves that K has no birth off the deaths, since the
+    window quotient is right exact and vanishes on F1 there; a cover that
+    is not onto raises InternalError.  ``verho_equal`` says that at every
+    death K's splitting dimension equals m's colim_dim - rank, so the
+    births of K are the deaths of m with the same multiplicities.  The
+    route through K's own window table stays in the ``verho`` suite as an
+    independent check.
 
     ``exact`` says that F1 -> F0 -> m -> 0 is exact: F0 -> m is onto, and
     F1 -> F0 has the image ker(F0 -> m), since F1 covers that kernel.
-    Both covers come from ``projective_cover``, which checks that its
-    cover is onto (``is_epi``) and raises InternalError otherwise, so
-    every presentation returned is exact and no second check runs.
+    Both covers come from ``_cover_from``, which checks that its cover is
+    onto (``is_epi``) and raises InternalError otherwise, so every
+    presentation returned is exact and no second check runs.
     """
     s = m.poset.subset(s)
     minimal_presentation_support(m, s)
@@ -303,11 +338,11 @@ def minimal_presentation(m: PersModule, s) -> Presentation:
     cover, h = projective_cover(m, s)
     ker, incl = kernel_module(h)
     gens = Counter({e: _split_dim(m, s, e) for e in born})
-    ker_births = births(ker, s)
-    rels = Counter({e: _split_dim(ker, s, e) for e in ker_births})
-    rel_cover, rel_h = projective_cover(ker, s)
+    ker_splits = {e: splitting(ker, s, e) for e in death_set}
+    verho_equal = all(res.dim == _death_dim(m, s, e) for e, res in ker_splits.items())
+    rels = Counter({e: res.dim for e, res in ker_splits.items() if res.dim})
+    _, rel_h = _cover_from(ker, s, {e: ker_splits[e] for e in rels})
     relation_map = incl.compose(rel_h)
-    verho_equal = ker_births.mask == death_set.mask
     return Presentation(gens=gens, rels=rels, cover_map=h, kernel=ker,
                         relation_map=relation_map, verho_equal=verho_equal,
                         exact=True, death_set=death_set)

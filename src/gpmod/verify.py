@@ -123,6 +123,12 @@ def _case_verho(rng, field, caps):
         f"kernel births {sorted(pres.rels)} != deaths {pres.death_set.ids()}"
     assert pres.exact, "two-step sequence is not exact"
     assert set(pres.gens) == set(inv.births(m, s).ids()), "gens set mismatch"
+    # the route the presentation leaves out: the kernel's own window table
+    ker_births = inv.births(pres.kernel, s)
+    assert ker_births.mask == pres.death_set.mask, \
+        f"kernel table births {ker_births.ids()} != deaths {pres.death_set.ids()}"
+    assert dict(pres.rels) == {e: inv._split_dim(pres.kernel, s, e) for e in ker_births}, \
+        f"relations {dict(pres.rels)} differ from the kernel table's splitting dimensions"
 
 
 def _case_tuplahattu(rng, field, caps):

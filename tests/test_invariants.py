@@ -58,7 +58,7 @@ from gpmod.posets import (
     mub,
     up_set,
 )
-from gpmod.verify import random_poset
+from gpmod.verify import random_poset, random_subset_mask
 
 P = 101
 
@@ -432,6 +432,78 @@ def test_verho_equality_random(field):
         assert pres.verho_equal and pres.exact
 
 
+def _former_relations(pres, s):
+    """rels and verho_equal by the former route: the kernel's own window
+    table, its births and its splitting dimensions there."""
+    ker_births = births(pres.kernel, s)
+    rels = {e: invariants._split_dim(pres.kernel, s, e) for e in ker_births}
+    return rels, ker_births.mask == pres.death_set.mask
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_relations_read_at_the_deaths_match_the_kernel_table(p):
+    field = FieldSpec(p)
+    rng = np.random.default_rng(51)
+    relative = with_rels = 0
+    for _ in range(60):
+        poset = random_poset(rng, 2, 6)
+        m = random_module(poset, 3, field, seed=int(rng.integers(2**32)))
+        # a presenting S: the least one over the whole poset and a random rest
+        least = minimal_presentation_support(m, poset.whole())
+        s = poset.subset_from_mask(least.mask | random_subset_mask(rng, poset))
+        assert is_presented(m, s)
+        relative += s.mask != poset.whole().mask
+        pres = minimal_presentation(m, s)
+        assert (dict(pres.rels), pres.verho_equal) == _former_relations(pres, s)
+        assert pres.verho_equal
+        with_rels += bool(pres.rels)
+    for k, shape in enumerate([(3, 3), (4, 5), (6, 6)]):
+        grid = grid_poset(shape)
+        for generator in ("solve", "intervals"):
+            m = random_module(grid, 2, field, seed=k, generator=generator)
+            pres = minimal_presentation(m, grid.whole())
+            assert (dict(pres.rels), pres.verho_equal) == _former_relations(pres, grid.whole())
+            with_rels += bool(pres.rels)
+    assert relative >= 10 and with_rels >= 20
+
+
+def test_verho_certificate_fails_on_a_kernel_split_off_by_one(monkeypatch, koszul, grid33):
+    # one extra free summand at the death (1,1) raises the kernel's
+    # splitting dimension there to 2, against colim_dim - rank = 1 in the
+    # module's table; the relation cover is still onto
+    field = koszul.field
+    original = invariants.kernel_module
+
+    def one_more_at_the_death(h):
+        ker, incl = original(h)
+        extra = free_module(grid33, "(1,1)", 1, field)
+        wider = direct_sum(ker, extra)
+        comps = {c: linalg.hstack([incl.components[c],
+                                   linalg.zeros(incl.target.dims[c], extra.dims[c])],
+                                  incl.target.dims[c])
+                 for c in grid33.elements}
+        return wider, ModuleMorphism(wider, incl.target, comps)
+
+    assert minimal_presentation(koszul, grid33.whole()).verho_equal
+    monkeypatch.setattr(invariants, "kernel_module", one_more_at_the_death)
+    pres = minimal_presentation(koszul, grid33.whole())
+    assert dict(pres.rels) == {"(1,1)": 2}
+    assert not pres.verho_equal
+
+
+def test_relation_cover_missing_a_death_is_not_onto(monkeypatch, koszul, grid33):
+    original = invariants.deaths
+
+    def first_dropped(m, s):
+        d = original(m, s)
+        return d.poset.subset_from_mask(d.mask & (d.mask - 1))
+
+    assert deaths(koszul, grid33.whole()).ids() == ["(1,1)"]
+    monkeypatch.setattr(invariants, "deaths", first_dropped)
+    with pytest.raises(InternalError, match="not onto at '\\(1,1\\)'"):
+        minimal_presentation(koszul, grid33.whole())
+
+
 def test_sf_lemma_four_conditions(field):
     rng = np.random.default_rng(50)
     for _ in range(40):
@@ -606,7 +678,8 @@ def test_birth_death_report_shape(koszul):
 
 def test_report_takes_one_window_pass_per_module_and_set(monkeypatch, field):
     # births, deaths, split dimensions and the presentation all read one
-    # window table per (module, S): m and the kernel of its cover
+    # window table per (module, S), the module's: the relations are read at
+    # its deaths, and the kernel of its cover gets no table
     keys = []
     original = invariants.window_ranks
 
@@ -619,7 +692,8 @@ def test_report_takes_one_window_pass_per_module_and_set(monkeypatch, field):
     m = random_module(grid, 2, field, 5, generator="intervals")
     rep = birth_death_report(m, grid.whole())
     assert rep["presented"]
-    assert len(keys) == len(set(keys)) == 2 * len(grid) == 288
+    assert len(keys) == len(set(keys)) == len(grid) == 144
+    assert {key[0] for key in keys} == {id(m)}
 
 
 # S meets the report's 20-element cut, but hat(S) has 21 elements, so the

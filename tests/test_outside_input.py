@@ -204,3 +204,40 @@ def test_dimensions_that_are_not_non_negative_integers_are_refused(
     for good in (1, np.int64(1), np.uint64(1)):
         stored = run(good, validate)
         assert stored == 1 and type(stored) is int
+
+
+# (name, what the refusal names, run(index) -> a value built from it, with
+# the index at place 1 of a point list); Z2 has two points and two basis
+# elements, so every index is below 2
+INDICES = [
+    ("SmashAlgebra.idempotent_sum", "point at 1", lambda k: SM.idempotent_sum([0, k])),
+    ("SmashAlgebra.basis_vector", "index at 'basis element'",
+     lambda k: SM.basis_vector(k, 0)),
+    ("SmashAlgebra.basis_vector", "index at 'point'", lambda k: SM.basis_vector(0, k)),
+    ("free_functor_module", "point at 1",
+     lambda k: gr.free_functor_module(ALG, ACT, [0, k]).spaces),
+]
+
+
+@pytest.mark.parametrize("name, what, run", INDICES, ids=[i[0] for i in INDICES])
+def test_graded_indices_are_refused_out_of_range(name, what, run):
+    # -1 once read the last point, and 2 or 7 raised a bare IndexError
+    for bad in (-1, 2, 7, 1.0, "1", None, np.uint64(U64_MAX)):
+        with pytest.raises(ShapeError, match=f"^{re.escape(what)} must be a non-negative "
+                                             f"integer below 2, got {re.escape(repr(bad))}$"):
+            run(bad)
+    for good in (1, np.int64(1), np.uint64(1)):
+        assert np.array_equal(run(good), run(1))
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_functor_module_refuses_an_arrow_key_that_names_no_pair(validate):
+    # as PersModule refuses a key that is not a cover; (7, 0) on k[Z2] was
+    # once dropped without a word
+    for key in ((7, 0), (0, 2), (-1, 0), "g"):
+        with pytest.raises(ValidationError,
+                           match=f"^arrow key {re.escape(repr(key))} names no "
+                                 r"\(basis element, point\) pair$"):
+            gr.FunctorModule(ALG, ACT, FM.spaces, {**FM.arrows, key: [[1]]},
+                             validate=validate)
+    assert gr.FunctorModule(ALG, ACT, FM.spaces, dict(FM.arrows), validate=validate) == FM
