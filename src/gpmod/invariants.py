@@ -11,7 +11,8 @@ computed from exact rank data of these maps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -287,22 +288,81 @@ def _cover_from(m: PersModule, s: ElementSet,
     return cover, h
 
 
-@dataclass
-class Presentation:
-    """gens/rels multisets with the witnessing two-step exact sequence.
+def _check_exact(h: ModuleMorphism, rel: dict, s: ElementSet) -> None:
+    """Certify that F1 -rel-> F0 -h-> m -> 0 is exact at F0, given that h is
+    onto: at every c in the support of F0, h_c rel_c == 0 (the image of rel
+    lies in ker h) and rank(rel_c) == dims_F0(c) - dims_m(c) (it is all of
+    ker h).  ``rel`` maps each element to rel's component there.  The
+    first failure raises InternalError naming the element and the S the
+    presentation was built for."""
+    cover, m, p = h.source, h.target, h.target.field.p
+    for c in cover.support():
+        r = rel[c]
+        through = r.size and m.dims[c] and linalg.matmul(h.components[c], r, p).any()
+        if through or linalg.rank(r, p) != cover.dims[c] - m.dims[c]:
+            raise InternalError(
+                f"presentation is not exact at {c!r}, built for S = {s.ids()}")
 
-    ``rels`` is read at the deaths of the module, where the kernel of the
-    cover is split; ``verho_equal`` certifies there that the kernel's
-    births are exactly those deaths, with the module's multiplicities."""
 
-    gens: Counter
-    rels: Counter
-    cover_map: ModuleMorphism
+@dataclass(frozen=True)
+class _RelationHalf:
     kernel: PersModule
     relation_map: ModuleMorphism
     verho_equal: bool
     exact: bool
-    death_set: ElementSet = dc_field(default=None)
+
+
+@dataclass(frozen=True)
+class Presentation:
+    """gens/rels multisets with the witnessing two-step exact sequence.
+
+    Eager, from ``minimal_presentation``: ``gens``, ``rels``, the cover
+    map h: F0 -> m (certified onto by ``projective_cover``) and the death
+    set.  Both multisets are read from the module's window table.
+
+    Built on first read, once: the relation half.  Reading ``kernel``,
+    ``relation_map``, ``verho_equal`` or ``exact`` builds the kernel K of
+    h, splits it at the deaths, covers it by F1 -> K (``_cover_from``,
+    whose onto check proves K is born nowhere else and raises
+    InternalError otherwise), composes F1 -> F0, and checks the result.
+    ``verho_equal`` certifies that K's splitting dimension at every death
+    equals ``rels`` there.  ``exact`` is certified by ``_check_exact`` on
+    the returned maps, which raises InternalError on a failure, so a
+    presentation that reads ``exact`` is exact.
+    """
+
+    gens: Counter
+    rels: Counter
+    cover_map: ModuleMorphism
+    s: ElementSet
+    death_set: ElementSet
+
+    @cached_property
+    def _relation_half(self) -> _RelationHalf:
+        h, s = self.cover_map, self.s
+        ker, incl = kernel_module(h)
+        ker_splits = {e: splitting(ker, s, e) for e in self.death_set}
+        verho_equal = all(res.dim == self.rels[e] for e, res in ker_splits.items())
+        _, rel_h = _cover_from(ker, s, {e: res for e, res in ker_splits.items() if res.dim})
+        relation_map = incl.compose(rel_h)
+        _check_exact(h, relation_map.components, s)
+        return _RelationHalf(ker, relation_map, verho_equal, exact=True)
+
+    @property
+    def kernel(self) -> PersModule:
+        return self._relation_half.kernel
+
+    @property
+    def relation_map(self) -> ModuleMorphism:
+        return self._relation_half.relation_map
+
+    @property
+    def verho_equal(self) -> bool:
+        return self._relation_half.verho_equal
+
+    @property
+    def exact(self) -> bool:
+        return self._relation_half.exact
 
 
 def minimal_presentation(m: PersModule, s) -> Presentation:
@@ -312,40 +372,24 @@ def minimal_presentation(m: PersModule, s) -> Presentation:
     the dimension of the splitting quotient at c of the module (for gens)
     and of the kernel K of the cover F0 -> m (for rels).
 
-    The relations are read at the deaths of m alone, and K gets no window
-    table of its own.  The window colimit is right exact and lambda of the
-    free F0 is injective, so the snake lemma gives coker lambda_K(c) =
-    ker lambda_m(c): K is born exactly at the deaths of m, with
-    multiplicity colim_dim - rank there.  The relation cover F1 -> K takes
-    K's splittings at the deaths, and two checks certify the rest.  Its
-    ``is_epi`` check proves that K has no birth off the deaths, since the
-    window quotient is right exact and vanishes on F1 there; a cover that
-    is not onto raises InternalError.  ``verho_equal`` says that at every
-    death K's splitting dimension equals m's colim_dim - rank, so the
-    births of K are the deaths of m with the same multiplicities.  The
-    route through K's own window table stays in the ``verho`` suite as an
-    independent check.
-
-    ``exact`` says that F1 -> F0 -> m -> 0 is exact: F0 -> m is onto, and
-    F1 -> F0 has the image ker(F0 -> m), since F1 covers that kernel.
-    Both covers come from ``_cover_from``, which checks that its cover is
-    onto (``is_epi``) and raises InternalError otherwise, so every
-    presentation returned is exact and no second check runs.
+    Both are read from m's window table.  Generators sit at the births of
+    m, with multiplicity dims - rank, and ``projective_cover`` builds F0 ->
+    m and certifies it onto.  For the relations, the window colimit is
+    right exact and lambda of the free F0 is injective, so the snake lemma
+    gives coker lambda_K(c) = ker lambda_m(c): K is born exactly at the
+    deaths of m, with multiplicity colim_dim - rank there.  So no kernel
+    is built here.  The relation half of the returned ``Presentation``
+    (K, F1 -> F0, ``verho_equal`` and ``exact``) is built and certified
+    the first time one of them is read; the route through K's own window
+    table stays in the ``verho`` suite as an independent check.
     """
     s = m.poset.subset(s)
     minimal_presentation_support(m, s)
     born, death_set = births(m, s), deaths(m, s)
-    cover, h = projective_cover(m, s)
-    ker, incl = kernel_module(h)
+    _, h = projective_cover(m, s)
     gens = Counter({e: _split_dim(m, s, e) for e in born})
-    ker_splits = {e: splitting(ker, s, e) for e in death_set}
-    verho_equal = all(res.dim == _death_dim(m, s, e) for e, res in ker_splits.items())
-    rels = Counter({e: res.dim for e, res in ker_splits.items() if res.dim})
-    _, rel_h = _cover_from(ker, s, {e: ker_splits[e] for e in rels})
-    relation_map = incl.compose(rel_h)
-    return Presentation(gens=gens, rels=rels, cover_map=h, kernel=ker,
-                        relation_map=relation_map, verho_equal=verho_equal,
-                        exact=True, death_set=death_set)
+    rels = Counter({e: _death_dim(m, s, e) for e in death_set})
+    return Presentation(gens=gens, rels=rels, cover_map=h, s=s, death_set=death_set)
 
 
 def degree_counts(poset, counts: Counter) -> dict[str, int]:
@@ -390,7 +434,14 @@ def verify_split_esim(m: PersModule, s) -> SplitSumReport:
 
 
 def birth_death_report(m: PersModule, s=None, *, module_id=None) -> dict:
-    """The JSON-ready analysis record with stable key order."""
+    """The JSON-ready analysis record with stable key order.
+
+    ``xi0`` and ``xi1`` are the ``gens`` and ``rels`` of
+    ``minimal_presentation``, read from the module's window table; ``xi0``
+    is certified by the generator cover's onto check.  The report reads no
+    other part of the presentation, so it builds no kernel and no relation
+    cover.
+    """
     poset = m.poset
     s = poset.whole() if s is None else poset.subset(s)
     b = births(m, s)

@@ -1,3 +1,5 @@
+import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -470,7 +472,7 @@ def test_relations_read_at_the_deaths_match_the_kernel_table(p):
 def test_verho_certificate_fails_on_a_kernel_split_off_by_one(monkeypatch, koszul, grid33):
     # one extra free summand at the death (1,1) raises the kernel's
     # splitting dimension there to 2, against colim_dim - rank = 1 in the
-    # module's table; the relation cover is still onto
+    # module's table, which rels read; the relation cover is still onto
     field = koszul.field
     original = invariants.kernel_module
 
@@ -487,7 +489,7 @@ def test_verho_certificate_fails_on_a_kernel_split_off_by_one(monkeypatch, koszu
     assert minimal_presentation(koszul, grid33.whole()).verho_equal
     monkeypatch.setattr(invariants, "kernel_module", one_more_at_the_death)
     pres = minimal_presentation(koszul, grid33.whole())
-    assert dict(pres.rels) == {"(1,1)": 2}
+    assert dict(pres.rels) == {"(1,1)": 1}
     assert not pres.verho_equal
 
 
@@ -500,8 +502,134 @@ def test_relation_cover_missing_a_death_is_not_onto(monkeypatch, koszul, grid33)
 
     assert deaths(koszul, grid33.whole()).ids() == ["(1,1)"]
     monkeypatch.setattr(invariants, "deaths", first_dropped)
+    pres = minimal_presentation(koszul, grid33.whole())
     with pytest.raises(InternalError, match="not onto at '\\(1,1\\)'"):
-        minimal_presentation(koszul, grid33.whole())
+        pres.relation_map
+
+
+def _presented_draws(p, seed):
+    """(module, presenting S) pairs: random posets with S the least
+    presenting set over the whole poset and a random rest, then grids with
+    S the whole grid."""
+    field = FieldSpec(p)
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        poset = random_poset(rng, 2, 6)
+        m = random_module(poset, 3, field, seed=int(rng.integers(2**32)))
+        least = minimal_presentation_support(m, poset.whole())
+        yield m, poset.subset_from_mask(least.mask | random_subset_mask(rng, poset))
+    for k, shape in enumerate([(3, 3), (4, 5), (6, 6)]):
+        grid = grid_poset(shape)
+        for generator in ("solve", "intervals"):
+            yield random_module(grid, 2, field, seed=k, generator=generator), grid.whole()
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_report_xi_match_the_certified_presentation(p):
+    # the report reads xi0 and xi1 from the module's table; the forced
+    # relation half certifies them through the kernel of the cover, and the
+    # kernel's own window table gives them a third time
+    relative = with_rels = 0
+    for m, s in _presented_draws(p, 53):
+        rep = birth_death_report(m, s)
+        assert rep["presented"]
+        pres = minimal_presentation(m, s)
+        assert pres.verho_equal and pres.exact
+        assert rep["xi0"] == invariants.degree_counts(m.poset, pres.gens)
+        assert rep["xi1"] == invariants.degree_counts(m.poset, pres.rels)
+        assert (dict(pres.rels), True) == _former_relations(pres, s)
+        relative += s.mask != m.poset.whole().mask
+        with_rels += bool(rep["xi1"])
+    assert relative >= 10 and with_rels >= 20
+
+
+def test_report_builds_no_kernel(monkeypatch):
+    def refuse(h):
+        raise AssertionError("kernel_module called")
+
+    monkeypatch.setattr(invariants, "kernel_module", refuse)
+    with_rels = 0
+    for m, s in _presented_draws(101, 54):
+        rep = birth_death_report(m, s)
+        assert rep["presented"]
+        with_rels += bool(rep["xi1"])
+    assert with_rels >= 20
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(
+    ["kernel", "relation_map", "verho_equal", "exact"])))
+def test_relation_half_is_built_once_on_first_read(monkeypatch, koszul, grid33, order):
+    calls = []
+    original = invariants.kernel_module
+
+    def counting(h):
+        calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(invariants, "kernel_module", counting)
+    pres = minimal_presentation(koszul, grid33.whole())
+    assert dict(pres.rels) == {"(1,1)": 1} and not calls
+    for name in order:
+        getattr(pres, name)
+    assert len(calls) == 1 and pres.verho_equal and pres.exact
+    assert pres.kernel is pres.kernel and pres.relation_map is pres.relation_map
+
+
+def _drop_first_relation(pres, comps):
+    """The relation map's components with the first summand of F1 (born at
+    the first relation degree) removed wherever it is held."""
+    poset, first = pres.s.poset, next(iter(pres.rels))
+    return {c: np.delete(r, 0, axis=1) if poset.leq(first, c) else r
+            for c, r in comps.items()}
+
+
+def _zero_first_relation(pres, comps):
+    """The relation map's components with the first summand's column zeroed
+    wherever it is held."""
+    poset, first = pres.s.poset, next(iter(pres.rels))
+    out = {c: r.copy() for c, r in comps.items()}
+    for c, r in out.items():
+        if poset.leq(first, c):
+            r[:, 0] = 0
+    return out
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+@pytest.mark.parametrize("mutate", [_drop_first_relation, _zero_first_relation])
+def test_exactness_certificate_fails_on_a_broken_relation_map(p, mutate):
+    checked = 0
+    for m, s in _presented_draws(p, 55):
+        pres = minimal_presentation(m, s)
+        if not pres.rels:
+            continue
+        comps = pres.relation_map.components
+        invariants._check_exact(pres.cover_map, comps, s)
+        first = next(iter(pres.rels))
+        with pytest.raises(InternalError, match=rf"^presentation is not exact at '{re.escape(first)}'"
+                                                rf", built for S = "):
+            invariants._check_exact(pres.cover_map, mutate(pres, comps), s)
+        checked += 1
+    assert checked >= 20
+
+
+def test_exact_is_read_through_the_certificate(monkeypatch, koszul, grid33):
+    # a kernel inclusion with one column zeroed at every element leaves the
+    # relation map one short of the kernel's rank: reading exact raises,
+    # while gens and rels, read from the table, are unchanged
+    original = invariants.kernel_module
+
+    def one_column_zeroed(h):
+        ker, incl = original(h)
+        comps = {c: incl.components[c].copy() for c in grid33.elements}
+        for comp in comps.values():
+            comp[:, :1] = 0
+        return ker, ModuleMorphism(ker, incl.target, comps, validate=False)
+
+    monkeypatch.setattr(invariants, "kernel_module", one_column_zeroed)
+    pres = minimal_presentation(koszul, grid33.whole())
+    assert dict(pres.gens) == {"(0,1)": 1, "(1,0)": 1} and dict(pres.rels) == {"(1,1)": 1}
+    with pytest.raises(InternalError, match=r"^presentation is not exact at '\(1,1\)'"):
+        pres.exact
 
 
 def test_sf_lemma_four_conditions(field):

@@ -187,8 +187,16 @@ def _whole_set(m, s):
     return s
 
 
+class _NoVerho(inv.Presentation):
+    """A presentation whose verho certificate reads False."""
+    verho_equal = False
+
+
 def _no_verho(orig):
-    return lambda m, s: dataclasses.replace(orig(m, s), verho_equal=False)
+    def broken(m, s):
+        pres = orig(m, s)
+        return _NoVerho(**{f.name: getattr(pres, f.name) for f in dataclasses.fields(pres)})
+    return broken
 
 
 # (suite, invariant to break, its broken stand-in): every failure message
