@@ -44,29 +44,41 @@ from .posets import (
 )
 
 
-def _window_table(m: PersModule, s) -> tuple[tuple[int, int, int], ...]:
+class _WindowTable(tuple):
+    """The ``window_ranks`` triples of one (module, S), in canonical order,
+    with the masks of the elements where the rank falls short of dims(c)
+    (``born``) and of the colimit dimension (``dead``)."""
+
+
+def _window_table(m: PersModule, s) -> _WindowTable:
     """``window_ranks`` at every element, in canonical order, computed once
-    per (module, S): the module keeps it, keyed by the S mask."""
+    per (module, S) with the birth and death masks in the same pass: the
+    module keeps it, keyed by the S mask."""
     s = m.poset.subset(s)
     table = m._window_cache.get(s.mask)
     if table is None:
-        table = tuple(window_ranks(m, s, c) for c in m.poset.elements)
+        rows, born, dead = [], 0, 0
+        for i, c in enumerate(m.poset.elements):
+            row = rk, colim_dim, dim_c = window_ranks(m, s, c)
+            rows.append(row)
+            if rk != dim_c:
+                born |= 1 << i
+            if rk != colim_dim:
+                dead |= 1 << i
+        table = _WindowTable(rows)
+        table.born, table.dead = born, dead
         m._window_cache[s.mask] = table
     return table
 
 
 def births(m: PersModule, s) -> ElementSet:
     """Elements where the window comparison map is not surjective."""
-    return m.poset.subset_from_mask(sum(
-        1 << i for i, (rk, _, dim_c) in enumerate(_window_table(m, s))
-        if rk != dim_c))
+    return m.poset.subset_from_mask(_window_table(m, s).born)
 
 
 def deaths(m: PersModule, s) -> ElementSet:
     """Elements where the window comparison map is not injective."""
-    return m.poset.subset_from_mask(sum(
-        1 << i for i, (rk, colim_dim, _) in enumerate(_window_table(m, s))
-        if rk != colim_dim))
+    return m.poset.subset_from_mask(_window_table(m, s).dead)
 
 
 @dataclass(frozen=True)
@@ -178,14 +190,25 @@ def fsp_from_determined(m: PersModule, s) -> FspReport:
     the first element of that union is minimal in it, and the frame of c is
     the canonical-first frame of those d, or c itself when there is none:
     one sweep over up(s) in canonical order finds every frame.
+
+    t = hat(hat(s)) contains s, and a module presented by s is presented by
+    every T containing s: left Kan extensions compose along s <= T <= P,
+    and the one along s <= T is the restriction to T of the one along
+    s <= P, so the counit for T is the one for s.  So t is certified from
+    s's window table when s presents m, and from t's own table only
+    otherwise, the case where the theorem says more than this lemma.
     """
     s = m.poset.subset(s)
     if not is_determined(m, s):
         raise NotDetermined(f"module is not determined by {sorted(s.ids())}")
-    t = hat(m.poset, hat(m.poset, s))
-    if not is_presented(m, t):
-        raise InternalError("double-hat closure failed to present the module")
     poset = m.poset
+    t = hat(poset, hat(poset, s))
+    if not (is_presented(m, s) or is_presented(m, t)):
+        outside = (births(m, t).mask | deaths(m, t).mask) & ~t.mask
+        first = next((poset.elements[i] for i in _bits(outside)), None)
+        raise InternalError(
+            f"double-hat closure failed to present the module: S = {s.ids()}, "
+            f"t = {t.ids()}, first birth or death outside t: {first!r}")
     names, index, down = poset.elements, poset._index, poset._down
     frame = {}  # canonical index -> canonical index of its frame
     for i in _bits(up_set(poset, s).mask):
@@ -440,7 +463,10 @@ def birth_death_report(m: PersModule, s=None, *, module_id=None) -> dict:
     ``minimal_presentation``, read from the module's window table; ``xi0``
     is certified by the generator cover's onto check.  The report reads no
     other part of the presentation, so it builds no kernel and no relation
-    cover.
+    cover.  For |S| <= 20, ``determined`` is the test that
+    ``fsp_from_determined`` makes first (``NotDetermined`` reads false), so
+    determinedness is tested once; for a larger S, where the report skips
+    the double hat, ``is_determined`` gives it.
     """
     poset = m.poset
     s = poset.whole() if s is None else poset.subset(s)
@@ -448,16 +474,21 @@ def birth_death_report(m: PersModule, s=None, *, module_id=None) -> dict:
     d = deaths(m, s)
     generated = b.mask & ~s.mask == 0
     presented = generated and d.mask & ~s.mask == 0
-    determined = is_determined(m, s)
     interest = b.union(d).union(s)
     split_dims = {e: _split_dim(m, s, e) for e in interest}
     fsp = None
-    if determined and len(s) <= 20:
+    if len(s) > 20:
+        determined = is_determined(m, s)
+    else:
+        # fsp_from_determined tests determinedness first
+        determined = True
         try:
             fsp = fsp_from_determined(m, s).fsp.ids()
+        except NotDetermined:
+            determined = False
         except TooLargeError:
             # hat(hat(S)) can pass the 20-element guard that S itself meets
-            fsp = None
+            pass
     xi0 = xi1 = None
     if presented:
         pres = minimal_presentation(m, s)

@@ -12,6 +12,7 @@ from gpmod.errors import (
     NotDetermined,
     NotGenerated,
     NotPresented,
+    TooLargeError,
     ValidationError,
 )
 from gpmod.invariants import (
@@ -32,7 +33,7 @@ from gpmod.invariants import (
     verify_split_esim,
     WitnessReport,
 )
-from gpmod.kan import induce, lambda_with_window, restrict
+from gpmod.kan import canonical_mu, induce, lambda_with_window, restrict
 from gpmod.modules import (
     ModuleMorphism,
     PersModule,
@@ -848,6 +849,144 @@ def test_report_raises_when_the_double_hat_fails_to_present(monkeypatch, field):
     monkeypatch.setattr(invariants, "is_presented", lambda m, s: False)
     with pytest.raises(InternalError, match="double-hat closure failed"):
         birth_death_report(m, ["0"])
+
+
+def _draws(p, n, seed):
+    """n seeded (module, S) draws on random posets at the prime p."""
+    rng = np.random.default_rng([seed, p])
+    field = FieldSpec(p)
+    for _ in range(n):
+        poset = random_poset(rng, 2, 6)
+        m = random_module(poset, 2, field, seed=int(rng.integers(2**32)))
+        yield m, poset.subset_from_mask(random_subset_mask(rng, poset))
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_every_superset_of_a_presenting_set_presents(p):
+    # the lemma behind the double-hat certificate read from S's table: if S
+    # presents m, so does every T containing S, by the window ranks and by
+    # the counit ind(res_T(m)) -> m
+    presented = 0
+    for m, s in _draws(p, 1000, 31):
+        if not is_presented(m, s):
+            continue
+        presented += 1
+        rng = np.random.default_rng(s.mask + 7 * len(m.poset))
+        extra = m.poset.subset_from_mask(random_subset_mask(rng, m.poset))
+        for t in (s.union(extra), hat(m.poset, hat(m.poset, s)), m.poset.whole()):
+            assert is_presented(m, t), (m.poset.elements, s.ids(), t.ids())
+            assert is_iso(canonical_mu(m, t)), (m.poset.elements, s.ids(), t.ids())
+    assert presented >= 150
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_double_hat_certificate_from_either_table(p):
+    # fsp_from_determined certifies t = hat(hat(S)) from S's window table
+    # when S presents m, and from t's own table otherwise; both routes give
+    # t, and t presents m by a direct test
+    routes = Counter()
+    for m, s in _draws(p, 3000, 32):
+        if not is_determined(m, s):
+            continue
+        t = hat(m.poset, hat(m.poset, s))
+        by_s = is_presented(m, s)
+        assert fsp_from_determined(m, s).fsp == t
+        assert (t.mask in m._window_cache) == (not by_s or t == s)
+        assert is_presented(m, t), (m.poset.elements, s.ids(), t.ids())
+        routes[by_s] += 1
+    assert routes[True] >= 300 and routes[False] >= 30, routes
+
+
+def _report_flow_by_separate_calls(m, s):
+    """The report's determined/fsp pair from its own calls: determinedness
+    tested, then the double hat for |S| <= 20, null past the hat guard."""
+    determined = is_determined(m, s)
+    fsp = None
+    if determined and len(s) <= 20:
+        try:
+            fsp = fsp_from_determined(m, s).fsp.ids()
+        except TooLargeError:
+            fsp = None
+    return determined, fsp
+
+
+def test_report_determined_and_fsp_match_the_separate_calls(diamond):
+    field = FieldSpec(P)
+    grid6 = grid_poset((6, 6))
+    guarded = random_module(grid6, 2, field, 4, generator="intervals")
+    grid = grid_poset((5, 5))
+    cases = [
+        (interval_module(diamond, ["b", "c", "d"], field), ["b", "c"]),
+        (interval_module(diamond, ["b", "c", "d"], field), ["b", "c", "d"]),
+        (interval_module(diamond, ["b", "c", "d"], field), ["a", "d"]),
+        (guarded, HAT_GUARD_SET),
+        (random_module(grid, 2, field, 3, generator="intervals"), grid.whole()),
+        (random_module(grid, 2, field, 3), grid.whole()),
+    ]
+    cases += list(_draws(P, 200, 33))
+    kinds = Counter()
+    for m, s in cases:
+        s = m.poset.subset(s)
+        rep = birth_death_report(m, s)
+        fresh = PersModule(m.poset, m.field, m.dims, m.cover_maps, validate=False)
+        want = _report_flow_by_separate_calls(fresh, s)
+        assert (rep["determined"], rep["fsp"]) == want, (m.poset.elements, s.ids())
+        kinds["large" if len(s) > 20 else
+              "guard" if want == (True, None) else
+              "fsp" if want[0] else "not determined"] += 1
+    assert set(kinds) == {"large", "guard", "fsp", "not determined"}, kinds
+
+
+def test_report_tests_determinedness_once_and_reads_only_the_s_table(
+        monkeypatch, diamond, field):
+    # with |S| <= 20 the report tests determinedness once, inside
+    # fsp_from_determined; when S presents m, S's window table is the only
+    # one built, and otherwise the only other one is hat(hat(S))'s
+    determined, keys = [], []
+    original_determined, original_ranks = invariants.is_determined, invariants.window_ranks
+
+    def counting_determined(m, s):
+        determined.append(id(m))
+        return original_determined(m, s)
+
+    def counting_ranks(m, s, c):
+        keys.append((id(m), s.mask, c))
+        return original_ranks(m, s, c)
+
+    monkeypatch.setattr(invariants, "is_determined", counting_determined)
+    monkeypatch.setattr(invariants, "window_ranks", counting_ranks)
+    grid = grid_poset((8, 8))
+    box = [grid_id((x, y)) for x in range(2, 5) for y in range(1, 6)]
+    m = direct_sum(interval_module(grid, box, field),
+                   free_module(grid, "(5,5)", 1, field))
+    s = grid.subset(["(2,1)", "(5,1)", "(2,6)", "(5,5)"])
+    rep = birth_death_report(m, s)
+    assert rep["presented"] and rep["determined"]
+    assert rep["fsp"] == hat(grid, hat(grid, s)).ids() != s.ids()
+    assert determined == [id(m)]
+    assert len(keys) == len(set(keys)) == len(grid)
+    assert {key[:2] for key in keys} == {(id(m), s.mask)}
+
+    determined.clear(), keys.clear()
+    m = interval_module(diamond, ["b", "c", "d"], field)
+    rep = birth_death_report(m, ["b", "c"])
+    assert rep["determined"] and not rep["presented"]
+    assert rep["fsp"] == ["b", "c", "d"]
+    assert determined == [id(m)]
+    assert len(keys) == len(set(keys)) == 2 * len(diamond)
+    assert {key[1] for key in keys} == {diamond.subset(["b", "c"]).mask,
+                                        diamond.subset(["b", "c", "d"]).mask}
+
+
+def test_double_hat_failure_names_s_t_and_the_element(monkeypatch, diamond, field):
+    # a closure that fails to present names S, t, and the first birth or
+    # death of m relative to t that lies outside t
+    m = interval_module(diamond, ["b", "c", "d"], field)
+    monkeypatch.setattr(invariants, "hat", lambda poset, s: poset.subset(s))
+    with pytest.raises(InternalError, match=re.escape(
+            "double-hat closure failed to present the module: S = ['b', 'c'], "
+            "t = ['b', 'c'], first birth or death outside t: 'd'")):
+        fsp_from_determined(m, ["b", "c"])
 
 
 def test_splitting_map_of_a_non_natural_map_is_refused(field):
