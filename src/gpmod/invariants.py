@@ -172,24 +172,48 @@ def minimal_presentation_support(m: PersModule, s) -> ElementSet:
     return support
 
 
+def _frames(m: PersModule, s: ElementSet) -> dict:
+    """The frame of every element above the support of m: the canonical-
+    first element of mub(T_c) below c, with T_c = s & down(c).
+
+    Those elements are the minimal ones of X_c = {e <= c : T_e = T_c}, and
+    X_c is c together with the X_d of the lower covers d of c with T_d =
+    T_c.  The canonical order extends the partial order, so the first
+    element of that union is minimal in it, and the frame of c is the
+    canonical-first frame of those d, or c itself when there is none: one
+    sweep over up(s) in canonical order finds every frame.
+    """
+    poset = m.poset
+    names, index, down = poset.elements, poset._index, poset._down
+    frame = {}  # canonical index -> canonical index of its frame
+    for i in _bits(up_set(poset, s).mask):
+        below = down[i] & s.mask
+        frame[i] = min((frame[index[d]] for d in poset.covers_below(names[i])
+                        if down[index[d]] & s.mask == below), default=i)
+    return {names[i]: names[frame[i]]
+            for i in _bits(up_set(poset, m.support()).mask)}
+
+
 @dataclass(frozen=True)
 class FspReport:
+    """The support ``fsp`` = hat(hat(s)) of a presentation of ``module``,
+    certified by ``fsp_from_determined``.  ``frames`` (``_frames``) is built
+    from the module and s the first time it is read, once."""
+
     fsp: ElementSet
-    frames: dict
     presented: bool
+    module: PersModule
+    s: ElementSet
+
+    @cached_property
+    def frames(self) -> dict:
+        return _frames(self.module, self.s)
 
 
 def fsp_from_determined(m: PersModule, s) -> FspReport:
     """The double minimal-upper-bound closure of s as a finite support of a
-    presentation, with a frame below every element above the support.
-
-    The frame of c is the canonical-first element of mub(T_c) below c, with
-    T_c = s & down(c).  Those elements are the minimal ones of X_c = {e <= c
-    : T_e = T_c}, and X_c is c together with the X_d of the lower covers d
-    of c with T_d = T_c.  The canonical order extends the partial order, so
-    the first element of that union is minimal in it, and the frame of c is
-    the canonical-first frame of those d, or c itself when there is none:
-    one sweep over up(s) in canonical order finds every frame.
+    presentation, with a frame below every element above the support
+    (``FspReport.frames``, built when first read).
 
     t = hat(hat(s)) contains s, and a module presented by s is presented by
     every T containing s: left Kan extensions compose along s <= T <= P,
@@ -209,15 +233,7 @@ def fsp_from_determined(m: PersModule, s) -> FspReport:
         raise InternalError(
             f"double-hat closure failed to present the module: S = {s.ids()}, "
             f"t = {t.ids()}, first birth or death outside t: {first!r}")
-    names, index, down = poset.elements, poset._index, poset._down
-    frame = {}  # canonical index -> canonical index of its frame
-    for i in _bits(up_set(poset, s).mask):
-        below = down[i] & s.mask
-        frame[i] = min((frame[index[d]] for d in poset.covers_below(names[i])
-                        if down[index[d]] & s.mask == below), default=i)
-    frames = {names[i]: names[frame[i]]
-              for i in _bits(up_set(poset, m.support()).mask)}
-    return FspReport(fsp=t, frames=frames, presented=True)
+    return FspReport(fsp=t, presented=True, module=m, s=s)
 
 
 @dataclass(frozen=True)
@@ -255,9 +271,9 @@ def _cover_from(m: PersModule, s: ElementSet,
 
     The cover F is built as one free module (``free_sum_layout``), summands
     in canonical degree order, and its bitmasks of held summands fix the
-    columns at every element.  The component h is then filled in one sweep,
-    in canonical order, over the elements c where both m and F are
-    non-zero.  The summands born at c take the section at c.  Each lower
+    columns at every element; nothing here reads F's maps, so they are not
+    built.  The component h is then filled in one sweep, in canonical
+    order, over the elements c where both m and F are non-zero.  The summands born at c take the section at c.  Each lower
     cover a with dims_F(a) > 0 gives one product m(a <= c) h_a: its columns
     fill the summands of a not yet filled at c and are compared with the
     ones already there.  Each fill and each comparison is the equation
@@ -461,9 +477,11 @@ def birth_death_report(m: PersModule, s=None, *, module_id=None) -> dict:
 
     ``xi0`` and ``xi1`` are the ``gens`` and ``rels`` of
     ``minimal_presentation``, read from the module's window table; ``xi0``
-    is certified by the generator cover's onto check.  The report reads no
-    other part of the presentation, so it builds no kernel and no relation
-    cover.  For |S| <= 20, ``determined`` is the test that
+    is certified by the generator cover's onto check, which reads the
+    cover's dims and components and not its maps.  The report reads no
+    other part of the presentation and no frames of ``fsp_from_determined``,
+    so it builds no kernel, no relation cover, no generator-cover maps and
+    no frames.  For |S| <= 20, ``determined`` is the test that
     ``fsp_from_determined`` makes first (``NotDetermined`` reads false), so
     determinedness is tested once; for a larger S, where the report skips
     the double hat, ``is_determined`` gives it.

@@ -55,7 +55,11 @@ class PersModule:
 
     Instances are immutable after construction, apart from the ``name``
     label: nothing writes to ``dims`` or ``cover_maps`` outside
-    ``__init__``.  ``support_mask`` is the bitmask of the elements of
+    ``__init__``, except that a free sum (``free_sum_layout``) builds its
+    0/1 maps, and completes them with the zero maps, the first time
+    ``cover_maps`` is read; what that read returns, then and after, is
+    what ``__init__`` with ``validate=False`` would have stored.
+    ``support_mask`` is the bitmask of the elements of
     non-zero dimension, computed once there; the passes that only have
     work where a space is non-zero (functoriality, epi/mono/iso tests,
     composition, kernels, window ranks, the cover) walk its bits.  The
@@ -70,26 +74,42 @@ class PersModule:
     """
 
     __slots__ = ("poset", "field", "dims", "support_mask", "cover_maps", "name",
-                 "_eval_cache", "_window_cache", "_colim_dims")
+                 "_pending", "_eval_cache", "_window_cache", "_colim_dims")
 
     def __init__(self, poset: Poset, field: FieldSpec, dims, cover_maps,
                  *, name="M", validate=True):
-        self.poset = poset
-        self.field = field
-        self.name = name
-        p = field.p
         given = dict(dims)
         for e in given:
             poset.index(e)
-        dims = self.dims = dict.fromkeys(poset.elements, 0)
-        dims.update(zip(given, linalg.as_dims(given.values(), given, "dimension")))
+        every = dict.fromkeys(poset.elements, 0)
+        every.update(zip(given, linalg.as_dims(given.values(), given, "dimension")))
+        self._set(poset, field, every, name)
+        self.cover_maps = self._complete(cover_maps, validate)
+        if validate:
+            self._check_functoriality()
+
+    def _set(self, poset, field, dims, name):
+        """Everything but the maps, from ``dims``: every element's
+        dimension, a Python int, in canonical order."""
+        self.poset = poset
+        self.field = field
+        self.name = name
+        self.dims = dims
         self.support_mask = sum(1 << i for i, d in enumerate(dims.values()) if d)
+        self._pending = None
+        self._eval_cache = {}
+        self._window_cache = {}
+        self._colim_dims = {}
+
+    def _complete(self, cover_maps, validate) -> dict:
+        """Every cover's map in canonical order: the given ones, coerced as
+        the class docstring says, and the shared zero map for the rest."""
+        poset, dims, p = self.poset, self.dims, self.field.p
         given = dict(cover_maps)
-        cover_set = set(poset.covers)
         for pair in given:
-            if pair not in cover_set:
+            if pair not in poset._cover_set:
                 raise ValidationError(f"{pair!r} is not a cover of {poset.name!r}")
-        self.cover_maps = maps = {}
+        maps = {}
         for pair in poset.covers:
             a, b = pair
             m, shape = given.get(pair), (dims[b], dims[a])
@@ -98,11 +118,27 @@ class PersModule:
             elif validate or not is_built(m, shape):
                 m = linalg.as_shaped(m, shape, p, f"map {a!r}->{b!r}")
             maps[pair] = m
-        self._eval_cache = {}
-        self._window_cache = {}
-        self._colim_dims = {}
-        if validate:
-            self._check_functoriality()
+        return maps
+
+    @classmethod
+    def _deferred(cls, poset, field, dims, build, *, name) -> "PersModule":
+        """The module with ``dims`` (as ``_set`` takes them, checked by the
+        caller) whose cover maps are ``build()``, built and completed as
+        ``__init__`` with ``validate=False`` would on the first read of
+        ``cover_maps``."""
+        m = cls.__new__(cls)
+        m._set(poset, field, dims, name)
+        m._pending = build
+        return m
+
+    def __getattr__(self, attr):
+        # reached only when the slot is unset: ``cover_maps`` of a
+        # ``_deferred`` module before its first read
+        if attr != "cover_maps" or self._pending is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        maps = self.cover_maps = self._complete(self._pending(), validate=False)
+        self._pending = None
+        return maps
 
     # -- validation ------------------------------------------------------
 
@@ -316,7 +352,7 @@ def _bit_indices(mask: int, width: int) -> np.ndarray:
 
 def free_sum(poset: Poset, pieces, field: FieldSpec, *, name=None) -> PersModule:
     """The direct sum of the representables at e with multiplicity mult,
-    for (e, mult) in ``pieces``, summands in that order, built in one pass.
+    for (e, mult) in ``pieces``, summands in that order.
 
     The space at c holds the summands of the pieces with e <= c, in order,
     and the map on a cover (a, b) is the 0/1 matrix sending each summand at
@@ -335,7 +371,13 @@ def free_sum_layout(poset: Poset, pieces, field: FieldSpec, *,
     """``free_sum`` and its layout: for each element, in canonical order,
     the bitmask of the summands held there.  Summand k is bit k, and the
     space at c holds them in ascending order, so column j at c is the j-th
-    set bit of its mask."""
+    set bit of its mask.
+
+    The multiplicities are checked, and the dims, the support and the
+    layout set, here; the 0/1 maps (``_inclusions``) are built the first
+    time ``cover_maps`` is read, which a projective cover's onto check and
+    fill sweep never do.  The layout list is read by those maps: callers
+    do not write to it."""
     pieces = list(pieces)
     elems = [e for e, _ in pieces]
     pieces = list(zip(elems, linalg.as_dims([m for _, m in pieces], elems, "multiplicity")))
@@ -348,18 +390,28 @@ def free_sum_layout(poset: Poset, pieces, field: FieldSpec, *,
     for i, c in enumerate(poset.elements):
         for d in poset.covers_below(c):
             held[i] |= held[index[d]]
-    maps, inclusions = {}, {}  # one 0/1 matrix per distinct pair of summand sets
+    dims = {c: h.bit_count() for c, h in zip(poset.elements, held)}
+    name = name or "+".join(f"free({e},{mult})" for e, mult in pieces) or "0"
+    build = functools.partial(_inclusions, poset, held, total)
+    return PersModule._deferred(poset, field, dims, build, name=name), held
+
+
+def _inclusions(poset: Poset, held: list[int], total: int) -> dict:
+    """The maps of a ``free_sum_layout`` with ``total`` summands: on each
+    cover (a, b) with summands at a, the 0/1 matrix sending each summand at
+    a to the same summand at b, one shared matrix per distinct pair of
+    summand bitmasks.  The zero maps are left to ``PersModule``."""
+    index = poset._index
+    maps, inclusions = {}, {}
     for a, b in poset.covers:
         key = (held[index[a]], held[index[b]])
         if not key[0]:
-            continue  # nothing at a: PersModule fills in the zero map
+            continue
         if key not in inclusions:
             sub, sup = (_bit_indices(h, total) for h in key)
             inclusions[key] = (sup[:, None] == sub).astype(np.int64)
         maps[(a, b)] = inclusions[key]
-    dims = {c: h.bit_count() for c, h in zip(poset.elements, held)}
-    name = name or "+".join(f"free({e},{mult})" for e, mult in pieces) or "0"
-    return PersModule(poset, field, dims, maps, name=name, validate=False), held
+    return maps
 
 
 # cached: uncached, grid-fp and grid-sparse ops/s read 3.2% and 3.1% lower

@@ -52,8 +52,8 @@ class Poset:
     """
 
     __slots__ = ("elements", "covers", "topo_rank", "name",
-                 "_index", "_up", "_down", "_covers_above", "_covers_below",
-                 "_spans")
+                 "_index", "_up", "_down", "_cover_set", "_covers_above",
+                 "_covers_below", "_spans")
 
     def __init__(self, elements, topo_rank, up, down, name="poset"):
         # Internal constructor: everything is given in canonical order, with
@@ -66,6 +66,7 @@ class Poset:
         self._up = tuple(up)
         self._down = tuple(down)
         self.covers = tuple(self.cover_pairs_within(self.full_mask))
+        self._cover_set = frozenset(self.covers)  # membership for module maps
         above = {e: [] for e in self.elements}
         below = {e: [] for e in self.elements}
         for a, b in self.covers:

@@ -83,10 +83,13 @@ def _parse_matrix_tokens(tokens: list[str], line_no: int, p: int) -> list[list[i
     return rows
 
 
-def _shape_matrix(rows, shape, line_no, had_semicolon):
+def _shape_matrix(rows, shape, line_no):
+    """``rows`` as an array of the given shape.  A literal with no ``;`` is
+    one row (``_parse_matrix_tokens`` splits at each ``;``), read flat in
+    row-major order; one with a ``;`` must have exactly the shape's rows."""
     r, c = shape
-    if not had_semicolon:
-        flat = rows[0] if rows else []
+    if len(rows) == 1:
+        flat = rows[0]
         if len(flat) != r * c:
             raise ParseError(line_no, f"expected {r * c} entries for shape {shape}, "
                                       f"got {len(flat)}")
@@ -246,17 +249,15 @@ def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
             raw_maps.append((line_no, tokens[1], tokens[2], tokens[3:]))
         else:
             raise ParseError(line_no, f"bad module directive {tokens[0]!r}")
-    cover_set = set(poset.covers)
     maps = {}
     for line_no, a, b, mtokens in raw_maps:
         if a not in poset._index or b not in poset._index:
             raise ParseError(line_no, f"unknown element in map {a!r} {b!r}")
-        if (a, b) not in cover_set:
+        if (a, b) not in poset._cover_set:
             raise ParseError(line_no, f"{(a, b)!r} is not a cover")
         rows = _parse_matrix_tokens(mtokens, line_no, field.p)
         shape = (dims.get(b, 0), dims.get(a, 0))
-        maps[(a, b)] = _shape_matrix(rows, shape, line_no,
-                                     ";" in " ".join(mtokens))
+        maps[(a, b)] = _shape_matrix(rows, shape, line_no)
     return PersModule(poset, field, dims, maps, name=block.name)
 
 

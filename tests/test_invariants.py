@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gpmod import invariants, linalg
+from gpmod import invariants, linalg, modules
 from gpmod.errors import (
     InternalError,
     NotAGrid,
@@ -555,6 +555,58 @@ def test_report_builds_no_kernel(monkeypatch):
         assert rep["presented"]
         with_rels += bool(rep["xi1"])
     assert with_rels >= 20
+
+
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+def test_report_builds_no_cover_maps(monkeypatch):
+    # drawn first: an interval-sum draw reads its free summands' maps
+    draws = list(_presented_draws(101, 55))
+    monkeypatch.setattr(modules, "_inclusions", _refuse("_inclusions"))
+    with_gens = 0
+    for m, s in draws:
+        rep = birth_death_report(m, s)
+        assert rep["presented"]
+        with_gens += bool(rep["xi0"])
+        # the cover the report certified xi0 with, its maps still unbuilt
+        cover, h = projective_cover(m, s)
+        assert is_epi(h)
+        with pytest.raises(AssertionError, match="_inclusions called"):
+            cover.cover_maps
+    assert with_gens >= 40
+
+
+def test_report_builds_no_frames(monkeypatch):
+    monkeypatch.setattr(invariants, "_frames", _refuse("_frames"))
+    with_fsp = 0
+    for m, s in _presented_draws(101, 56):
+        rep = birth_death_report(m, s)
+        if rep["fsp"] is not None:
+            with_fsp += 1
+            with pytest.raises(AssertionError, match="_frames called"):
+                fsp_from_determined(m, s).frames
+    assert with_fsp >= 40
+
+
+def test_frames_are_built_once_on_first_read(monkeypatch, grid33, field):
+    calls = []
+    original = invariants._frames
+
+    def counting(m, s):
+        calls.append(s)
+        return original(m, s)
+
+    monkeypatch.setattr(invariants, "_frames", counting)
+    m = induce(restrict(random_module(grid33, 2, field, seed=8), ["(1,0)", "(0,1)"]), grid33)
+    rep = fsp_from_determined(m, ["(1,0)", "(0,1)"])
+    assert rep.fsp.ids() == ["(0,1)", "(1,0)", "(1,1)"] and not calls
+    frames = rep.frames
+    assert len(calls) == 1 and rep.frames is frames and len(calls) == 1
+    assert frames == _mub_frames(m, grid33.subset(["(1,0)", "(0,1)"]))
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(

@@ -205,7 +205,12 @@ def test_free_sum_matches_the_direct_sum_of_representables(p):
             want = direct_sum(zero_module(poset, field),
                               *(_oracle_free_module(poset, e, k, field)
                                 for e, k in pieces), name="cover(M)")
+            # the maps are built on this first read: every cover, in
+            # canonical order, with the bytes of the direct sum, and they
+            # pass the validating constructor
+            assert tuple(got.cover_maps) == poset.covers
             _same_bytes(got, want)
+            assert PersModule(poset, field, got.dims, dict(got.cover_maps)) == got
             cases += 1
         e = poset.elements[int(rng.integers(len(poset)))]
         k = int(rng.integers(0, 4))
@@ -215,6 +220,30 @@ def test_free_sum_matches_the_direct_sum_of_representables(p):
     assert free_sum(chain(2), [], FieldSpec(p)).name == "0"
     with pytest.raises(ShapeError):
         free_sum(chain(2), [("0", 1), ("1", -1)], FieldSpec(p))
+
+
+def test_free_sum_maps_are_built_once_on_first_read(monkeypatch, field):
+    calls = []
+    original = modules._inclusions
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(modules, "_inclusions", counting)
+    grid = grid_poset((4, 4))
+    f, held = modules.free_sum_layout(grid, [("(1,0)", 2), ("(0,2)", 1)], field)
+    assert f.dims["(3,3)"] == 3 and f.support().ids()[0] == "(1,0)" and held[-1] == 0b111
+    assert not hasattr(f, "no_such_attribute")
+    assert not calls
+    maps = f.cover_maps
+    assert len(calls) == 1
+    assert f.cover_maps is maps
+    assert f.eval_map("(1,0)", "(3,3)").tolist() == [[1, 0], [0, 1], [0, 0]]
+    assert len(calls) == 1
+    # an unread free sum reads its maps through eval_map too
+    g = free_sum(grid, [("(0,0)", 1)], field)
+    assert g.eval_map("(0,0)", "(2,1)").tolist() == [[1]] and len(calls) == 2
 
 
 def test_direct_sum(chain3, field):

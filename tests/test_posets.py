@@ -42,6 +42,9 @@ def test_diamond_closure_and_reduction(diamond):
 def test_redundant_relation_is_reduced():
     p = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     assert set(p.covers) == {("a", "b"), ("b", "c")}
+    # the cover set that module construction and parsing look pairs up in
+    assert p._cover_set == frozenset(p.covers)
+    assert ("a", "c") not in p._cover_set
 
 
 def test_cycle_error():

@@ -154,6 +154,33 @@ map a b [1 2]
     assert ws2.modules["M"].cover_maps[("a", "b")].tolist() == [[1], [2]]
 
 
+# (map literal, error message): a literal with no ';' is read flat, one
+# with a ';' row by row; the map b d has shape (1, 1), a b shape (1, 0)
+MAP_LITERAL_ERRORS = [
+    ("[1 2]", "expected 1 entries for shape (1, 1), got 2"),
+    ("[]", "expected 1 entries for shape (1, 1), got 0"),
+    ("[1 ; 2]", "expected shape (1, 1)"),
+    ("[1 ;]", "expected shape (1, 1)"),
+    ("[;]", "expected shape (1, 1)"),
+    ("1]", "matrix literal must be bracketed"),
+    ("[1 x]", "bad matrix entry 'x'"),
+]
+
+
+@pytest.mark.parametrize("literal, message", MAP_LITERAL_ERRORS)
+def test_map_literal_errors_name_their_line(literal, message):
+    text = MODULE_TEXT.replace("map b d [1]", f"map b d {literal}")
+    with pytest.raises(ParseError) as err:
+        parse_text(text, stem="f")
+    assert str(err.value) == f"line {text.splitlines().index(f'map b d {literal}') + 1}: {message}"
+
+
+def test_map_literals_with_no_cells():
+    for literal in ("[]", "[ ]"):
+        text = MODULE_TEXT + f"map a b {literal}\n"
+        assert parse_text(text, stem="f").modules["M"].cover_maps[("a", "b")].shape == (1, 0)
+
+
 def test_values_reduced_mod_p():
     text = POSET_TEXT + """
 module M over D field 5
