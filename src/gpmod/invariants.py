@@ -26,7 +26,7 @@ from .errors import (
     TooLargeError,
     ValidationError,
 )
-from .kan import lambda_with_window, window_ranks
+from .kan import _window_table, lambda_with_window, window_ranks
 from .modules import (
     ModuleMorphism,
     PersModule,
@@ -42,33 +42,6 @@ from .posets import (
     hat,
     up_set,
 )
-
-
-class _WindowTable(tuple):
-    """The ``window_ranks`` triples of one (module, S), in canonical order,
-    with the masks of the elements where the rank falls short of dims(c)
-    (``born``) and of the colimit dimension (``dead``)."""
-
-
-def _window_table(m: PersModule, s) -> _WindowTable:
-    """``window_ranks`` at every element, in canonical order, computed once
-    per (module, S) with the birth and death masks in the same pass: the
-    module keeps it, keyed by the S mask."""
-    s = m.poset.subset(s)
-    table = m._window_cache.get(s.mask)
-    if table is None:
-        rows, born, dead = [], 0, 0
-        for i, c in enumerate(m.poset.elements):
-            row = rk, colim_dim, dim_c = window_ranks(m, s, c)
-            rows.append(row)
-            if rk != dim_c:
-                born |= 1 << i
-            if rk != colim_dim:
-                dead |= 1 << i
-        table = _WindowTable(rows)
-        table.born, table.dead = born, dead
-        m._window_cache[s.mask] = table
-    return table
 
 
 def births(m: PersModule, s) -> ElementSet:
@@ -91,14 +64,14 @@ class SplittingResult:
 def _split_dim(m: PersModule, s, c: str) -> int:
     """The splitting dimension at c, dims(c) - rank(lambda), from ranks
     alone; ``splitting`` solves for a projection as well."""
-    rk, _, dim_c = _window_table(m, s)[m.poset.index(c)]
+    rk, _, dim_c = window_ranks(m, s, c)
     return dim_c - rk
 
 
 def _death_dim(m: PersModule, s, c: str) -> int:
     """The dimension of ker(lambda) at c, colim_dim - rank(lambda), from
     ranks alone."""
-    rk, colim_dim, _ = _window_table(m, s)[m.poset.index(c)]
+    rk, colim_dim, _ = window_ranks(m, s, c)
     return colim_dim - rk
 
 

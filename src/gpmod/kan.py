@@ -4,11 +4,13 @@ induction along a subset inclusion, and the canonical comparison maps.
 A window colimit has one presentation (``_local_presentation``): the
 cokernel of a relation matrix on the direct sum of the spaces at the
 window's maximal elements (its tops), related along the maximal common
-lower bounds of pairs of tops (``Poset.local_spans``).  ``window_ranks``
-reads only ranks from it; ``colim_over_mask`` (behind ``lambda_map``,
-``induce`` and ``canonical_mu``) returns that presentation and the window's
-mask alone: the window's elements, and each injection (``colim_injection``),
-are derived where they are read.  The relation matrix (``_relation_matrix``)
+lower bounds of pairs of tops (``Poset.local_spans``).  The window table
+reads only ranks from it, in one sweep per (module, S) over the elements'
+canonical indices (``_window_sweep``), and ``window_ranks`` reads one row
+of that table.  ``colim_over_mask`` (behind ``lambda_map``, ``induce`` and
+``canonical_mu``) returns that presentation and the window's mask alone:
+the window's elements, and each injection (``colim_injection``), are
+derived where they are read.  The relation matrix (``_relation_matrix``)
 and the cocone into m(c) (``_cocone``) are each one array, filled slice by
 slice: summands of dimension 0 are skipped without calling ``eval_map``,
 and an identity block is written in place.  All bases come from the
@@ -273,37 +275,82 @@ def lambda_map(m: PersModule, s, c: str) -> np.ndarray:
     return lambda_with_window(m, s, c)[0]
 
 
-def window_ranks(m: PersModule, s, c: str) -> tuple[int, int, int]:
-    """(rank of lambda, colimit dimension, dims(c)) for the strict window.
+class _WindowTable(tuple):
+    """The ``window_ranks`` rows of one (module, S), in canonical order,
+    with the masks of the elements where the rank falls short of dims(c)
+    (``born``) and of the colimit dimension (``dead``)."""
 
-    The colimit over W = {d in s : d < c} is presented on W's tops T
-    (``_local_presentation``), so its dimension is sum dims(T) -
-    rank(relations).  The projection is surjective and m(d <= c) factors
-    through m(t <= c), so rank(lambda) is the rank of the structure maps
-    m(t <= c), t in T, side by side.  Both numbers are ranks, so they do
-    not depend on a choice of basis.
 
+def _window_sweep(m: PersModule, s_mask: int) -> _WindowTable:
+    """(rank of lambda, colimit dimension, dims(c)) for the strict window
+    W = {d in S : d < c} of every element c, in one sweep over canonical
+    indices, with the birth and death masks.
+
+    The colimit over W is presented on W's tops T (``_local_presentation``),
+    so its dimension is sum dims(T) - rank(relations).  The projection is
+    surjective and m(d <= c) factors through m(t <= c), so rank(lambda) is
+    the rank of the structure maps m(t <= c), t in T, side by side.  Both
+    numbers are ranks, so they do not depend on a choice of basis.
+
+    The window of the element at index i is the mask down(i) & S - i.  A
+    window that misses the support, or whose tops are all zero spaces, has
+    the zero colimit, and lambda is the zero map: that is read off the
+    masks and the dimensions before any presentation or cocone is built.
     The relations involve only the diagram on W, never c or S beyond W, so
-    the colimit dimension is a function of W's local presentation (tops
-    and spans), which the poset memoizes per window mask.  The module
-    keeps the dimension in ``_colim_dims``, keyed by that presentation, for
-    every S and c with the same window.  A window whose tops are all zero
-    spaces (an empty window, or one outside the support) has the zero
-    colimit, and lambda is the zero map: that is answered before any
-    presentation or cocone is built.
+    the colimit dimension is a function of W's local presentation (tops and
+    spans), which the poset memoizes per window mask.  The module keeps the
+    dimension in ``_colim_dims``, keyed by that presentation, for every S
+    and c with the same window.
     """
+    poset, p, dims = m.poset, m.field.p, m.dims
+    down, memo = poset._down, poset._spans
+    support, colim_dims = m.support_mask, m._colim_dims
+    rows, born, dead = [], 0, 0
+    # dims holds every element in canonical order (``PersModule._set``)
+    for i, (c, dim_c) in enumerate(dims.items()):
+        rk = colim_dim = 0
+        mask = down[i] & s_mask & ~(1 << i)
+        if mask & support:
+            local = memo.get(mask) or poset.local_spans(mask)
+            tops = local[0]
+            for t in tops:
+                if dims[t]:
+                    break
+            else:
+                tops = ()
+            if tops:
+                colim_dim = colim_dims.get(local)
+                if colim_dim is None:
+                    offsets, total = _offsets(m, tops)
+                    relations = _relation_matrix(m, offsets, total, local[1])
+                    colim_dim = colim_dims[local] = total - linalg.rank(relations, p)
+                if dim_c:
+                    rk = linalg.rank(_cocone(m, tops, c), p)
+        rows.append((rk, colim_dim, dim_c))
+        if rk != dim_c:
+            born |= 1 << i
+        if rk != colim_dim:
+            dead |= 1 << i
+    table = _WindowTable(rows)
+    table.born, table.dead = born, dead
+    return table
+
+
+def _window_table(m: PersModule, s) -> _WindowTable:
+    """The window table of (m, S): one ``_window_sweep`` the first time it
+    is asked for, kept on the module and keyed by the S mask, so births,
+    deaths, splitting dimensions, covers, presentations and the report
+    share one pass."""
     s = m.poset.subset(s)
-    mask = window_mask(s, c)
-    dims = m.dims
-    if not mask & m.support_mask:
-        return 0, 0, dims[c]
-    local = m.poset.local_spans(mask)
-    if not any(dims[t] for t in local[0]):
-        return 0, 0, dims[c]
-    p = m.field.p
-    colim_dim = m._colim_dims.get(local)
-    if colim_dim is None:
-        _, _, relations = _local_presentation(m, mask)
-        colim_dim = relations.shape[0] - linalg.rank(relations, p)
-        m._colim_dims[local] = colim_dim
-    return linalg.rank(_cocone(m, local[0], c), p), colim_dim, dims[c]
+    table = m._window_cache.get(s.mask)
+    if table is None:
+        table = m._window_cache[s.mask] = _window_sweep(m, s.mask)
+    return table
+
+
+def window_ranks(m: PersModule, s, c: str) -> tuple[int, int, int]:
+    """(rank of lambda, colimit dimension, dims(c)) for the strict window
+    {d in s : d < c}: the row of c in the window table of (m, s)
+    (``_window_table``).  The first call for an (m, s) sweeps every element
+    (``_window_sweep``); every later one reads a row."""
+    return _window_table(m, s)[m.poset.index(c)]

@@ -66,9 +66,9 @@ class PersModule:
     memos depend on immutability too:
     ``_eval_cache`` holds composite structure maps (a cover pair's entry is
     its cover map itself), ``_window_cache`` holds the window-rank table of
-    each subset S with its birth and death masks, keyed by the S mask
-    (``invariants._window_table``), and ``_colim_dims`` holds the colimit
-    dimension of each window that ``kan.window_ranks`` presented, keyed by
+    each subset S with its birth and death masks, keyed by the S mask and
+    built by one sweep (``kan._window_table``), and ``_colim_dims`` holds
+    the colimit dimension of each window that a sweep presented, keyed by
     the window's local presentation (``Poset.local_spans``), which any S
     and c with that window share.
     """
@@ -145,7 +145,7 @@ class PersModule:
     def _check_functoriality(self):
         """At each b, the routes through two lower covers t0, t of b agree
         at every span (d, t0, t) of down(b) - b.  By induction on b this
-        makes ``eval_map`` the one composite (see ``kan.window_ranks``).
+        makes ``eval_map`` the one composite (see ``kan._window_sweep``).
         Where dims(b) = 0 or dims(d) = 0 both routes are maps with no
         cells, so only b in the support and spans with dims(d) > 0 are
         compared; b goes in canonical order, so the first failing (d, b)

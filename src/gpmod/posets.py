@@ -160,7 +160,7 @@ class Poset:
         (d, t0, t): d maximal in mask & down(t1) & down(t2) for two tops,
         t0 the first top above d and t each later one, both as tuples.  A
         diagram on mask is its values at the tops glued along the spans
-        (``kan.window_ranks``).  Only tops with something strictly below
+        (``kan._window_sweep``).  Only tops with something strictly below
         them in mask can share a d: a common lower bound of two distinct
         tops lies strictly below each.
 
@@ -186,11 +186,19 @@ class Poset:
     def cover_pairs_within(self, mask: int) -> list[tuple[str, str]]:
         """Transitive reduction of the order induced on the subset mask, in
         canonical order: the lower covers of b are the maximal elements of
-        (down(b) & mask) - b, the tops of its ``local_spans``."""
+        (down(b) & mask) - b, the tops of its ``local_spans``, found as in
+        ``maximal_of_mask``.  Each is put in the bucket of its lower end as
+        b ascends, so the buckets, read in ascending order, give the pairs
+        in canonical order without sorting them."""
         names, down = self.elements, self._down
-        pairs = sorted((a, b) for b in _bits(mask) for a in
-                       _bits(self.maximal_of_mask(mask & down[b] & ~(1 << b))))
-        return [(names[a], names[b]) for a, b in pairs]
+        above = {}  # lower end -> its upper covers in mask, ascending
+        for b in _bits(mask):
+            below = mask & down[b] & ~(1 << b)
+            while below:
+                a = below.bit_length() - 1
+                below &= ~down[a]
+                above.setdefault(a, []).append(b)
+        return [(names[a], names[b]) for a in sorted(above) for b in above[a]]
 
 
 class ElementSet:
@@ -255,12 +263,13 @@ def build_poset(elements, relations, name="poset") -> Poset:
     n = len(ids)
     succ = [set() for _ in range(n)]
     for a, b in relations:
-        if a not in index:
-            raise UnknownElement(f"relation references unknown element {a!r}")
-        if b not in index:
-            raise UnknownElement(f"relation references unknown element {b!r}")
-        if a != b:
-            succ[index[a]].add(index[b])
+        try:
+            i, j = index[a], index[b]
+        except KeyError:
+            x = a if a not in index else b
+            raise UnknownElement(f"relation references unknown element {x!r}") from None
+        if i != j:
+            succ[i].add(j)
     indeg = [0] * n
     for i in range(n):
         for j in succ[i]:

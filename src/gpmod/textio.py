@@ -24,7 +24,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import GpmodError, InputTooLarge, ParseError, UnknownElement
+from .errors import (
+    GpmodError,
+    InputTooLarge,
+    ParseError,
+    UnknownElement,
+    ValidationError,
+)
 from .graded import GAct, GradedAlgebra, Monoid
 from .linalg import CELL_LIMIT, FieldSpec, NoSolution, solve, zeros
 from .modules import PersModule
@@ -57,12 +63,6 @@ class Workspace:
             raise UnknownElement(
                 f"{len(table)} {kind}s loaded; pick one of {sorted(table)}")
         return next(iter(table.values()))
-
-
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
 
 
 def _parse_matrix_tokens(tokens: list[str], line_no: int, p: int) -> list[list[int]]:
@@ -129,18 +129,19 @@ class _Block:
         self.name = name
         self.line_no = line_no
         self.header = header
-        self.lines = []  # (line_no, tokens, raw)
+        self.lines = []  # (line_no, tokens, the line with its comment cut)
 
 
 def _split_blocks(text: str, stem: str):
     blocks = []
     anon_counts = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         tokens = line.split()
-        if tokens[0] in BLOCK_KINDS:
+        if not tokens:
+            continue
+        if tokens[0] in _PARSERS:
             kind = tokens[0]
             name = None
             rest = tokens[1:]
@@ -208,22 +209,29 @@ def _parse_poset(block, ws: Workspace, default_field: int) -> Poset:
                                              f"{POSET_SIZE_LIMIT} elements")
             elements.append(tokens[1])
         elif tokens[0] == "rel" and len(tokens) == 3:
-            relations.append((line_no, tokens[1], tokens[2]))
+            relations.append((tokens[1], tokens[2]))
         else:
             raise ParseError(line_no, f"bad poset directive {tokens[0]!r}")
-    known = set(elements)
-    for line_no, a, b in relations:
-        for x in (a, b):
-            if x not in known:
-                raise ParseError(line_no, f"relation references unknown element {x!r}")
-    return build_poset(elements, [(a, b) for _, a, b in relations],
-                       name=block.name)
+    try:
+        return build_poset(elements, relations, name=block.name)
+    except (UnknownElement, ValidationError):
+        # build_poset checks every relation's ends, after the ids are found
+        # distinct; a relation with an unknown end is named at its line,
+        # ahead of a duplicate id
+        known = set(elements)
+        for line_no, tokens, _ in block.lines:
+            for x in tokens[1:] if tokens[0] == "rel" else ():
+                if x not in known:
+                    raise ParseError(line_no, f"relation references unknown "
+                                              f"element {x!r}") from None
+        raise
 
 
 def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
     poset = _over(block, ws.posets, "poset")
     field = _header_field(block, default_field)
     dims = {}
+    get = dims.get
     cells = 0  # sum of dims[a] * dims[b] over the covers a < b
     raw_maps = []
     for line_no, tokens, _ in block.lines:
@@ -241,8 +249,8 @@ def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
             if dim > DIM_LIMIT:
                 raise InputTooLarge(line_no, f"dimension {dim} at {e!r} exceeds "
                                              f"{DIM_LIMIT}")
-            neighbours = poset.covers_below(e) + poset.covers_above(e)
-            cells += (dim - dims.get(e, 0)) * sum(dims.get(x, 0) for x in neighbours)
+            cells += (dim - get(e, 0)) * (sum(get(x, 0) for x in poset.covers_below(e))
+                                          + sum(get(x, 0) for x in poset.covers_above(e)))
             _check_cells(cells, line_no, f"module {block.name!r}", "cover-map cells")
             dims[e] = dim
         elif tokens[0] == "map" and len(tokens) >= 4:
@@ -258,7 +266,11 @@ def _parse_module(block, ws: Workspace, default_field: int) -> PersModule:
         rows = _parse_matrix_tokens(mtokens, line_no, field.p)
         shape = (dims.get(b, 0), dims.get(a, 0))
         maps[(a, b)] = _shape_matrix(rows, shape, line_no)
-    return PersModule(poset, field, dims, maps, name=block.name)
+    # every map is an int64 array of its cover's shape, reduced mod p, so
+    # it is stored as given; only functoriality is left to check
+    m = PersModule(poset, field, dims, maps, name=block.name, validate=False)
+    m._check_functoriality()
+    return m
 
 
 def _parse_monoid(block, ws: Workspace, default_field: int) -> Monoid:
@@ -373,10 +385,9 @@ def _solve_unit(mult: np.ndarray, d: int, p: int, line_no: int) -> np.ndarray:
         raise ParseError(line_no, "algebra has no two-sided unit") from None
 
 
-# one parser per block kind, each called as parser(block, ws, default_field)
+# the block kinds, each with its parser, called as parser(block, ws, default_field)
 _PARSERS = {"poset": _parse_poset, "module": _parse_module,
             "monoid": _parse_monoid, "act": _parse_act, "algebra": _parse_algebra}
-BLOCK_KINDS = tuple(_PARSERS)
 
 
 def parse_text(text: str, stem: str = "ws", workspace: Workspace | None = None,

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gpmod import invariants, linalg, modules
+from gpmod import invariants, kan, linalg, modules
 from gpmod.errors import (
     InternalError,
     NotAGrid,
@@ -859,22 +859,22 @@ def test_birth_death_report_shape(koszul):
 
 def test_report_takes_one_window_pass_per_module_and_set(monkeypatch, field):
     # births, deaths, split dimensions and the presentation all read one
-    # window table per (module, S), the module's: the relations are read at
-    # its deaths, and the kernel of its cover gets no table
+    # window table per (module, S), the module's, built by one sweep: the
+    # relations are read at its deaths, and the kernel of its cover gets no
+    # table
     keys = []
-    original = invariants.window_ranks
+    original = kan._window_sweep
 
-    def counting(m, s, c):
-        keys.append((id(m), s.mask, c))
-        return original(m, s, c)
+    def counting(m, s_mask):
+        keys.append((id(m), s_mask))
+        return original(m, s_mask)
 
-    monkeypatch.setattr(invariants, "window_ranks", counting)
+    monkeypatch.setattr(kan, "_window_sweep", counting)
     grid = grid_poset((12, 12))
     m = random_module(grid, 2, field, 5, generator="intervals")
     rep = birth_death_report(m, grid.whole())
     assert rep["presented"]
-    assert len(keys) == len(set(keys)) == len(grid) == 144
-    assert {key[0] for key in keys} == {id(m)}
+    assert keys == [(id(m), grid.full_mask)]
 
 
 # S meets the report's 20-element cut, but hat(S) has 21 elements, so the
@@ -993,20 +993,21 @@ def test_report_tests_determinedness_once_and_reads_only_the_s_table(
         monkeypatch, diamond, field):
     # with |S| <= 20 the report tests determinedness once, inside
     # fsp_from_determined; when S presents m, S's window table is the only
-    # one built, and otherwise the only other one is hat(hat(S))'s
+    # one built, and otherwise the only other one is hat(hat(S))'s; each
+    # table is one sweep
     determined, keys = [], []
-    original_determined, original_ranks = invariants.is_determined, invariants.window_ranks
+    original_determined, original_sweep = invariants.is_determined, kan._window_sweep
 
     def counting_determined(m, s):
         determined.append(id(m))
         return original_determined(m, s)
 
-    def counting_ranks(m, s, c):
-        keys.append((id(m), s.mask, c))
-        return original_ranks(m, s, c)
+    def counting_sweeps(m, s_mask):
+        keys.append((id(m), s_mask))
+        return original_sweep(m, s_mask)
 
     monkeypatch.setattr(invariants, "is_determined", counting_determined)
-    monkeypatch.setattr(invariants, "window_ranks", counting_ranks)
+    monkeypatch.setattr(kan, "_window_sweep", counting_sweeps)
     grid = grid_poset((8, 8))
     box = [grid_id((x, y)) for x in range(2, 5) for y in range(1, 6)]
     m = direct_sum(interval_module(grid, box, field),
@@ -1016,8 +1017,7 @@ def test_report_tests_determinedness_once_and_reads_only_the_s_table(
     assert rep["presented"] and rep["determined"]
     assert rep["fsp"] == hat(grid, hat(grid, s)).ids() != s.ids()
     assert determined == [id(m)]
-    assert len(keys) == len(set(keys)) == len(grid)
-    assert {key[:2] for key in keys} == {(id(m), s.mask)}
+    assert keys == [(id(m), s.mask)]
 
     determined.clear(), keys.clear()
     m = interval_module(diamond, ["b", "c", "d"], field)
@@ -1025,9 +1025,9 @@ def test_report_tests_determinedness_once_and_reads_only_the_s_table(
     assert rep["determined"] and not rep["presented"]
     assert rep["fsp"] == ["b", "c", "d"]
     assert determined == [id(m)]
-    assert len(keys) == len(set(keys)) == 2 * len(diamond)
-    assert {key[1] for key in keys} == {diamond.subset(["b", "c"]).mask,
-                                        diamond.subset(["b", "c", "d"]).mask}
+    assert len(keys) == len(set(keys)) == 2
+    assert set(keys) == {(id(m), diamond.subset(["b", "c"]).mask),
+                         (id(m), diamond.subset(["b", "c", "d"]).mask)}
 
 
 def test_double_hat_failure_names_s_t_and_the_element(monkeypatch, diamond, field):

@@ -7,6 +7,7 @@ from gpmod.invariants import projective_cover, splitting
 from gpmod.kan import (
     ColimitResult,
     _cocone,
+    _window_sweep,
     _factor_cocone,
     _offsets,
     _relation_matrix,
@@ -25,6 +26,7 @@ from gpmod.modules import (
     ModuleMorphism,
     PersModule,
     cokernel_module,
+    direct_sum,
     free_module,
     free_sum,
     interval_module,
@@ -36,7 +38,7 @@ from gpmod.modules import (
     random_module,
     random_morphism,
 )
-from gpmod.posets import _bits, build_poset, chain, grid_poset
+from gpmod.posets import _bits, build_poset, chain, grid_id, grid_poset
 from gpmod.verify import random_poset
 from test_linalg import _oracle_solve_left
 
@@ -390,6 +392,45 @@ def test_window_ranks_share_windows_as_the_unshared_route_would(field):
                     repeats += mask in windows
                     windows.add(mask)
     assert repeats > calls // 3, (repeats, calls)
+
+
+def _interval_and_free_sum(field, rng):
+    """Boxes and free modules on the 12x12 grid, summed, with a sparse S:
+    each box's corner and the elements just past it, each free module's
+    generator, and the top."""
+    grid = grid_poset((12, 12))
+    m, s = free_module(grid, grid_id((11, 11)), 1, field), {(11, 11)}
+    for _ in range(6):
+        x, y = (int(v) for v in rng.integers(0, 12, size=2))
+        if rng.integers(0, 2):
+            u, v = min(11, x + int(rng.integers(0, 5))), min(11, y + int(rng.integers(0, 5)))
+            box = [grid_id((i, j)) for i in range(x, u + 1) for j in range(y, v + 1)]
+            m = direct_sum(m, interval_module(grid, box, field))
+            s |= {(x, y), (min(11, u + 1), y), (x, min(11, v + 1))}
+        else:
+            m = direct_sum(m, free_module(grid, grid_id((x, y)), 1, field))
+            s.add((x, y))
+    return m, grid.subset(grid_id(xy) for xy in s)
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_window_sweep_matches_the_per_element_route(p):
+    """One sweep per (module, S) gives every row that a fresh presentation
+    per element gives, and the birth and death masks read off those rows;
+    ``window_ranks`` then reads its row of the module's table."""
+    field = linalg.FieldSpec(p)
+    rng = np.random.default_rng(33)
+    cases = list(_window_ranks_cases(field))
+    cases += [_interval_and_free_sum(field, rng) for _ in range(4)]
+    for m, s in cases:
+        want = [_window_ranks_unshared(m, s, c) for c in m.poset.elements]
+        table = _window_sweep(m, s.mask)
+        assert list(table) == want, (m.poset.elements, s)
+        assert table.born == sum(1 << i for i, (rk, _, dim_c) in enumerate(want)
+                                 if rk != dim_c)
+        assert table.dead == sum(1 << i for i, (rk, colim_dim, _) in enumerate(want)
+                                 if rk != colim_dim)
+        assert [window_ranks(m, s, c) for c in m.poset.elements] == want
 
 
 def _relation_matrix_by_blocks(m, offsets, total, spans):

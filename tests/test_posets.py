@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from gpmod.errors import CycleError, EmptySetError, TooLargeError, UnknownElement
+from gpmod.errors import (
+    CycleError,
+    EmptySetError,
+    ParseError,
+    TooLargeError,
+    UnknownElement,
+)
 from gpmod.kan import window_mask
 from gpmod.posets import (
     POSET_SIZE_LIMIT,
@@ -22,6 +28,7 @@ from gpmod.posets import (
     mub,
     up_set,
 )
+from gpmod.textio import parse_text
 from gpmod.verify import random_poset
 
 
@@ -55,6 +62,21 @@ def test_cycle_error():
 def test_unknown_element():
     with pytest.raises(UnknownElement):
         build_poset(["a"], [("a", "z")])
+
+
+def test_an_unknown_element_is_refused_in_a_self_relation_and_a_later_one():
+    # a self-relation is dropped only once both of its ends are known
+    with pytest.raises(UnknownElement, match="unknown element 'z'"):
+        build_poset(["a"], [("z", "z")])
+    with pytest.raises(UnknownElement, match="unknown element 'z'"):
+        build_poset(["a", "b"], [("a", "b"), ("b", "z")])
+    for text, line_no in [("poset P\nelem a\nrel z z", 3),
+                          ("poset P\nelem a\nelem b\nrel a b\nrel b z", 5)]:
+        with pytest.raises(ParseError) as err:
+            parse_text(text, stem="f")
+        assert err.value.line_no == line_no
+        assert str(err.value) == (f"line {line_no}: relation references "
+                                  f"unknown element 'z'")
 
 
 def test_up_down_sets(diamond, chain3):
@@ -349,6 +371,33 @@ def test_cover_pairs_within_matches_comparable_pair_scan():
             cases.append((g, window_mask(g.whole(), c, strict=False)))
     for p, mask in cases:
         assert p.cover_pairs_within(mask) == _cover_pairs_by_scan(p, mask)
+
+
+def test_cover_pairs_within_is_the_transitive_reduction_of_the_induced_order():
+    """Against networkx's transitive reduction of the induced subposet, on
+    the full mask, the empty mask and random masks: the same pairs, each
+    once, in canonical order; and the cover tables agree with ``covers``."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        p = random_poset(rng, 1, 9)
+        masks = [p.full_mask, 0] + [int(rng.integers(0, p.full_mask + 1))
+                                    for _ in range(4)]
+        for mask in masks:
+            members = [p.elements[i] for i in _bits(mask)]
+            order = nx.DiGraph()
+            order.add_nodes_from(members)
+            order.add_edges_from((a, b) for a in members for b in members
+                                 if a != b and p.leq(a, b))
+            got = p.cover_pairs_within(mask)
+            assert sorted(got) == sorted(nx.transitive_reduction(order).edges)
+            assert got == sorted(got, key=lambda pair: (p.index(pair[0]),
+                                                        p.index(pair[1])))
+        assert p.covers == tuple(p.cover_pairs_within(p.full_mask))
+        assert p._cover_set == frozenset(p.covers)
+        for e in p.elements:
+            assert p.covers_above(e) == tuple(b for a, b in p.covers if a == e)
+            assert p.covers_below(e) == tuple(a for a, b in p.covers if b == e)
 
 
 def test_local_spans_relate_each_top_to_the_first_above_d(diamond):
