@@ -10,12 +10,18 @@ canonical indices (``_window_sweep``), and ``window_ranks`` reads one row
 of that table.  ``colim_over_mask`` (behind ``lambda_map``, ``induce`` and
 ``canonical_mu``) returns that presentation and the window's mask alone:
 the window's elements, and each injection (``colim_injection``), are
-derived where they are read.  The relation matrix (``_relation_matrix``)
-and the cocone into m(c) (``_cocone``) are each one array, filled slice by
-slice: summands of dimension 0 are skipped without calling ``eval_map``,
-and an identity block is written in place.  All bases come from the
-deterministic cokernel convention in ``linalg``, so injections and induced
-maps are byte-reproducible.
+derived where they are read.  It is a pure function and keeps nothing:
+``gpm colim`` and ``lambda_with_window`` call it once per window.  The
+counit route (``induce_with_data`` and ``canonical_mu``) memoizes its
+colimits, induced cover maps and counit components in the module's counit
+memo (``PersModule._counit``), keyed by the window's local presentation,
+which a module shares with all its restrictions (``restrict``), so the
+subsets S of one module present each window once.  The relation matrix
+(``_relation_matrix``) and the cocone into m(c) (``_cocone``) are each one
+array, filled slice by slice: summands of dimension 0 are skipped without
+calling ``eval_map``, and an identity block is written in place.  All
+bases come from the deterministic cokernel convention in ``linalg``, so
+injections and induced maps are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -167,14 +173,23 @@ def colim_injection(m: PersModule, cr: ColimitResult, d: str) -> np.ndarray:
 
 
 def restrict(m: PersModule, s) -> PersModule:
-    """The module over the full subposet on s, structure maps composed."""
+    """The module over the full subposet on s, structure maps composed.
+
+    The result shares m's counit memo (``PersModule._counit``): its maps
+    are m's composites, which functoriality makes unique, and a window's
+    colimit bytes are a function of its named local presentation and those
+    maps, so m and every restriction of m, or of a restriction of m, read
+    the same colimits, induced maps and counit components
+    (``induce_with_data``)."""
     s = m.poset.subset(s)
     sub_rels = m.poset.cover_pairs_within(s.mask)
     sub = build_poset(s.ids(), sub_rels, name=f"{m.poset.name}|{len(s)}")
     dims = {e: m.dims[e] for e in s}
     maps = {(a, b): m.eval_map(a, b) for a, b in sub.covers}
-    return PersModule(sub, m.field, dims, maps,
-                      name=f"res({m.name})", validate=False)
+    res = PersModule(sub, m.field, dims, maps,
+                     name=f"res({m.name})", validate=False)
+    res._counit = m._counit
+    return res
 
 
 def _windows_in_sub(sub: Poset, ambient: Poset) -> dict[str, int]:
@@ -208,24 +223,49 @@ def induce_with_data(n: PersModule, ambient: Poset):
     map along a cover a <= b is the map out of a's colimit that sends the
     summand at each top t of a's window to b's injection at t
     (``colim_injection``), read off a's projection (``linalg.factor``).
+
+    The colimits and the cover maps are memoized in n's counit memo
+    (``PersModule._counit``), which a module shares with its restrictions
+    (``restrict``).  The key is the window's local presentation
+    (``Poset.local_spans``: tops and spans, by name), not its mask: a
+    restriction orders its elements by their rank inside S, so one window
+    may list its tops and spans in another order under another S, and the
+    colimit's bytes depend only on that named presentation and the maps,
+    which are the parent's composites.  A colimit is keyed by its
+    presentation, and a cover map, which is a function of the two
+    colimits alone, by the pair of them.  On a miss each runs and is
+    checked as without the memo; a hit returns what was checked on the same
+    inputs, with ``mask`` the window's mask in n's own poset.
     """
     p = n.field.p
     windows = _windows_in_sub(n.poset, ambient)
-    cache: dict[int, ColimitResult] = {}
-    data = {}
-    dims = {}
+    memo, local_spans = n._counit, n.poset.local_spans
+    cache: dict[int, tuple] = {}  # window mask -> (local presentation, colimit)
+    data, local, dims = {}, {}, {}
     for c in ambient.elements:
         mask = windows[c]
-        if mask not in cache:
-            cache[mask] = colim_over_mask(n, mask)
-        data[c] = cache[mask]
+        found = cache.get(mask)
+        if found is None:
+            key = local_spans(mask)
+            cr = memo.get(key)
+            if cr is None:
+                cr = memo[key] = colim_over_mask(n, mask)
+            elif cr.mask != mask:
+                cr = ColimitResult(cr.dim, mask, cr.tops, cr.offsets,
+                                   cr.presentation, cr.projection, cr.free)
+            found = cache[mask] = key, cr
+        local[c], data[c] = found
         dims[c] = data[c].dim
     maps = {}
     for a, b in ambient.covers:
-        da, db = data[a], data[b]
-        rhs = linalg.hstack([colim_injection(n, db, t) for t in da.tops], db.dim)
-        maps[(a, b)] = linalg.factor(da.projection, da.free, rhs, p,
-                                     f"induced map at cover {(a, b)!r}")
+        key = (local[a], local[b])
+        f = memo.get(key)
+        if f is None:
+            da, db = data[a], data[b]
+            rhs = linalg.hstack([colim_injection(n, db, t) for t in da.tops], db.dim)
+            f = memo[key] = linalg.factor(da.projection, da.free, rhs, p,
+                                          f"induced map at cover {(a, b)!r}")
+        maps[(a, b)] = f
     mod = PersModule(ambient, n.field, dims, maps,
                      name=f"ind({n.name})", validate=False)
     return mod, data
@@ -251,12 +291,31 @@ def canonical_mu(m: PersModule, s) -> ModuleMorphism:
     the structure map m(d <= c) applied to x; well-definedness is certified
     by checking that the component, read off the colimit's free indices,
     gives back the cocone (``_factor_cocone``).
+
+    Every subset S of m shares m's counit memo (``restrict``), where the
+    component at c is keyed by (c's window presentation, c): it depends on
+    the colimit, a function of that presentation, and on the maps m(t <= c)
+    from its tops, which are the same for every restriction that has c.
+    The key shapes keep the three kinds of entry apart: a colimit's key
+    ends in its spans, a cover map's in a presentation and a component's
+    in an element name.  The components are built int64 arrays, so the
+    morphism stores them as given and checks naturality on every cover,
+    the check that ``validate=True`` runs, without coercing them again.
     """
     s = m.poset.subset(s)
-    ind, data = induce_with_data(restrict(m, s), m.poset)
-    comps = {c: _factor_cocone(m, data[c], c, "mu component")
-             for c in m.poset.elements}
-    return ModuleMorphism(ind, m, comps)
+    res = restrict(m, s)
+    ind, data = induce_with_data(res, m.poset)
+    memo, local_spans = m._counit, res.poset.local_spans
+    comps = {}
+    for c, cr in data.items():
+        key = (local_spans(cr.mask), c)
+        comp = memo.get(key)
+        if comp is None:
+            comp = memo[key] = _factor_cocone(m, cr, c, "mu component")
+        comps[c] = comp
+    mu = ModuleMorphism(ind, m, comps, validate=False)
+    mu._check_naturality()
+    return mu
 
 
 def lambda_with_window(m: PersModule, s, c: str):

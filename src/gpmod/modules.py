@@ -70,11 +70,18 @@ class PersModule:
     built by one sweep (``kan._window_table``), and ``_colim_dims`` holds
     the colimit dimension of each window that a sweep presented, keyed by
     the window's local presentation (``Poset.local_spans``), which any S
-    and c with that window share.
+    and c with that window share.  ``_counit`` holds the counit route's
+    window colimits, induced cover maps and counit components, keyed by
+    local presentations as well (``kan.induce_with_data``).  It is the one
+    memo a module shares: ``kan.restrict`` hands its result the parent's
+    dict, since a restriction's structure maps are the parent's composites,
+    so a module and all its restrictions fill one memo; a module built any
+    other way starts with an empty one.
     """
 
     __slots__ = ("poset", "field", "dims", "support_mask", "cover_maps", "name",
-                 "_pending", "_eval_cache", "_window_cache", "_colim_dims")
+                 "_pending", "_eval_cache", "_window_cache", "_colim_dims",
+                 "_counit")
 
     def __init__(self, poset: Poset, field: FieldSpec, dims, cover_maps,
                  *, name="M", validate=True):
@@ -100,6 +107,7 @@ class PersModule:
         self._eval_cache = {}
         self._window_cache = {}
         self._colim_dims = {}
+        self._counit = {}
 
     def _complete(self, cover_maps, validate) -> dict:
         """Every cover's map in canonical order: the given ones, coerced as

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import gpmod.kan
 from gpmod import linalg
-from gpmod.errors import InternalError, UnknownElement
+from gpmod.errors import InternalError, UnknownElement, ValidationError
 from gpmod.invariants import projective_cover, splitting
 from gpmod.kan import (
     ColimitResult,
@@ -662,3 +663,123 @@ def test_local_presentation_matches_the_cover_route(p):
             assert np.array_equal(linalg.matmul(mu.components[c], iso[c], p), old_mu)
             seen["mu at c"] += old_dims[c] > 0 and m.dims[c] > 0
     assert min(seen.values()) >= 60, seen
+
+
+# -- the counit memo -----------------------------------------------------------
+
+
+def _cold(m):
+    """m with the same maps and an empty counit memo."""
+    return PersModule(m.poset, m.field, m.dims, m.cover_maps, validate=False)
+
+
+def _sub_window(sub, poset, c):
+    """The mask in sub of {e in sub : e <= c}, c in the ambient poset."""
+    return sub.subset([e for e in sub.elements if poset.leq(e, c)]).mask
+
+
+def _counit_memo_cases(field):
+    """Random modules on ``random_poset`` draws of 2-6 elements, the diamond
+    and the 3x3 grid.  The diamond carries the constant module, whose
+    window colimit at d is 2-dimensional over S = {b, c} and 1-dimensional
+    over S = {a, b, c}: same tops, different spans."""
+    rng = np.random.default_rng(field.p % 997 + 34)
+    diamond = build_poset(["a", "b", "c", "d"],
+                          [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    yield interval_module(diamond, diamond.elements, field)
+    for poset in [random_poset(rng, 2, 6) for _ in range(8)] + [diamond, grid_poset((3, 3))]:
+        yield random_module(poset, 2, field, seed=int(rng.integers(2**32)),
+                            generator=("solve", "intervals")[int(rng.integers(0, 2))])
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_a_warm_counit_memo_gives_the_cold_bytes(p):
+    """Every subset S of one module in increasing mask order, so that later
+    S hit the windows that earlier S presented: each counit component, the
+    induced module's dims and maps, and each colimit's mask in the
+    subposet are what a module with an empty memo gives."""
+    field = linalg.FieldSpec(p)
+    hits = 0
+    for m in _counit_memo_cases(field):
+        poset = m.poset
+        for mask in range(poset.full_mask + 1):
+            s = poset.subset_from_mask(mask)
+            before, cold = len(m._counit), _cold(m)
+            mu, cold_mu = canonical_mu(m, s), canonical_mu(cold, s)
+            hits += len(m._counit) - before < len(cold._counit)
+            for c in poset.elements:
+                got, want = mu.components[c], cold_mu.components[c]
+                assert got.dtype == want.dtype and np.array_equal(got, want), (s.ids(), c)
+            res = restrict(m, s)
+            ind, data = induce_with_data(res, poset)
+            cold_ind = induce(restrict(_cold(m), s), poset)
+            assert ind.dims == cold_ind.dims, s.ids()
+            for pair in poset.covers:
+                got, want = ind.cover_maps[pair], cold_ind.cover_maps[pair]
+                assert got.dtype == want.dtype and np.array_equal(got, want), (s.ids(), pair)
+            for c in poset.elements:
+                assert data[c].mask == _sub_window(res.poset, poset, c), (s.ids(), c)
+    assert hits > 500, hits
+
+
+def test_the_counit_memo_is_shared_by_restrictions_only(field):
+    """A module and its restrictions, restrictions of those included, share
+    one memo; two modules on one poset keep their own, and interleaved
+    counits give each its cold result; kernels, cokernels, sums and induced
+    modules start with an empty one."""
+    poset = grid_poset((2, 3))
+    m1, m2 = (random_module(poset, 2, field, seed=seed) for seed in (5, 6))
+    s, t = poset.subset_from_mask(0b111011), ["(0,1)", "(1,2)"]
+    assert restrict(restrict(m1, s), t)._counit is m1._counit
+    assert m2._counit is not m1._counit
+    for mask in range(poset.full_mask + 1):
+        sub = poset.subset_from_mask(mask)
+        for m in (m1, m2):
+            cold = canonical_mu(_cold(m), sub)
+            mu = canonical_mu(m, sub)
+            assert all(np.array_equal(mu.components[c], cold.components[c])
+                       for c in poset.elements), (m.name, sub.ids())
+    f = random_morphism(m1, m2, np.random.default_rng(7))
+    built = [kernel_module(f)[0], cokernel_module(f)[0], direct_sum(m1, m2),
+             induce(restrict(m1, s), poset)]
+    assert all(n._counit == {} and n._counit is not m1._counit for n in built)
+
+
+def test_each_window_presentation_is_presented_once_per_module(field, monkeypatch):
+    """Over every S of one module, ``colim_over_mask`` runs once per
+    distinct window presentation, not once per (S, c)."""
+    calls = []
+
+    def counted(n, mask):
+        calls.append(n.poset.local_spans(mask))
+        return colim_over_mask(n, mask)
+
+    monkeypatch.setattr(gpmod.kan, "colim_over_mask", counted)
+    poset = grid_poset((2, 3))
+    m = random_module(poset, 2, field, seed=9)
+    for mask in range(poset.full_mask + 1):
+        canonical_mu(m, poset.subset_from_mask(mask))
+    assert len(calls) == len(set(calls))
+    assert len(calls) < (poset.full_mask + 1) * len(poset) // 4, len(calls)
+
+
+def test_the_counits_naturality_check_still_fires(chain3, field, monkeypatch):
+    """``canonical_mu`` stores its components as given and runs the
+    naturality check itself, once: a component broken on a cover is refused
+    by that check, and a valid counit holds what ``validate=True`` stores."""
+    checks = []
+    check = ModuleMorphism._check_naturality
+    monkeypatch.setattr(ModuleMorphism, "_check_naturality",
+                        lambda f: checks.append(f) or check(f))
+    m = interval_module(chain3, chain3.elements, field)
+    mu = canonical_mu(m, chain3.whole())
+    assert len(checks) == 1 and checks[0] is mu
+    assert all(linalg.is_built(mu.components[c], (1, 1)) for c in chain3.elements)
+    checked = ModuleMorphism(mu.source, mu.target, mu.components)
+    for c in chain3.elements:
+        got, want = mu.components[c], checked.components[c]
+        assert got.dtype == want.dtype and np.array_equal(got, want), c
+    comps = dict(mu.components, **{"1": (mu.components["1"] + 1) % field.p})
+    broken = ModuleMorphism(mu.source, mu.target, comps, validate=False)
+    with pytest.raises(ValidationError, match=r"^naturality fails on cover \('0', '1'\)$"):
+        broken._check_naturality()
