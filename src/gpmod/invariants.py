@@ -26,7 +26,7 @@ from .errors import (
     TooLargeError,
     ValidationError,
 )
-from .kan import _window_table, lambda_with_window, window_ranks
+from .kan import _window_table, lambda_with_window, window_mask, window_ranks
 from .modules import (
     ModuleMorphism,
     PersModule,
@@ -229,11 +229,23 @@ def projective_cover(m: PersModule, s) -> tuple[PersModule, ModuleMorphism]:
     the birth elements, one summand per splitting dimension.  Births are
     exactly where the splitting dimension is non-zero, since rank(lambda)
     is the rank of the stacked structure maps.  ``_cover_from`` builds it
-    and checks that it is onto.
+    and checks that it is onto; the returned pair carries the cover's
+    layout as ``held`` (``_Cover``).
     """
     s = m.poset.subset(s)
     return _cover_from(m, s, {e: splitting(m, s, e)
                               for e in minimal_generating_degrees(m, s)})
+
+
+class _Cover(tuple):
+    """``projective_cover``'s (cover, map) pair, with ``held``: the cover's
+    summand bitmask at each element, in canonical order
+    (``free_sum_layout``)."""
+
+    def __new__(cls, cover: PersModule, h: ModuleMorphism, held: list[int]):
+        pair = super().__new__(cls, (cover, h))
+        pair.held = held
+        return pair
 
 
 def _cover_from(m: PersModule, s: ElementSet,
@@ -297,7 +309,7 @@ def _cover_from(m: PersModule, s: ElementSet,
     if not is_epi(h):
         c = next(c for c in m.support() if linalg.rank(h.components[c], p) != m.dims[c])
         raise InternalError(f"projective cover is not onto at {c!r}, built for S = {s.ids()}")
-    return cover, h
+    return _Cover(cover, h, held)
 
 
 def _check_exact(h: ModuleMorphism, rel: dict, s: ElementSet) -> None:
@@ -316,6 +328,76 @@ def _check_exact(h: ModuleMorphism, rel: dict, s: ElementSet) -> None:
                 f"presentation is not exact at {c!r}, built for S = {s.ids()}")
 
 
+def _kernel_split(kernel, held: list[int], s: ElementSet, e: str) -> SplittingResult:
+    """``splitting(K, s, e)`` for the kernel K of a cover F0 -> m, read off
+    K's bases in F0's coordinates: ``kernel`` is ``kernel_module``'s pair
+    with its free rows, ``held`` F0's layout (``free_sum_layout``).
+
+    The image of lambda_K at e is spanned by the maps K(t <= e), t a top
+    of e's strict s-window, since every element of the window lies below a
+    top and the colimit's projection is onto.  K(t <= e) is the x with
+    bases[e] @ x = F0(t <= e) @ bases[t] =: moved, and moved is bases[t]
+    scattered into the rows of e's summands that t holds.  The free rows
+    of bases[e] @ x are x itself, so x is moved's rows at e's free
+    indices, and it is K(t <= e) exactly when bases[e] @ x == moved, which
+    is checked: a failure raises InternalError naming (t, e) and s.  The
+    cokernel is read off the unique rref of the maps side by side
+    (``linalg.cokernel``), so it depends only on their column space,
+    lambda_K's image, and has the bytes of ``splitting(K, s, e)``.
+    """
+    ker, incl = kernel
+    poset, p = ker.poset, ker.field.p
+    index, bases = poset._index, incl.components
+    base, at = bases[e], held[index[e]]
+    rows = list(kernel.free[e])
+    maps = []
+    for t in poset.local_spans(window_mask(s, e))[0]:
+        if not ker.dims[t]:
+            continue
+        moved = linalg.zeros(base.shape[0], ker.dims[t])
+        moved[summand_columns(at, held[index[t]])] = bases[t]
+        x = moved[rows]
+        if not np.array_equal(linalg.matmul(base, x, p), moved):
+            raise InternalError(f"kernel map at {(t, e)!r}, built for S = {s.ids()}")
+        maps.append(x)
+    return SplittingResult(*linalg.cokernel(linalg.hstack(maps, ker.dims[e]), p))
+
+
+def _relation_map(kernel, held: list[int], splits: dict) -> ModuleMorphism:
+    """The map F1 -> F0 onto the kernel K of a cover F0 -> m, built in F0's
+    coordinates: F1 has one summand at e for each dimension of
+    ``splits[e]``, K's splitting at e (nonzero, in canonical order), and
+    ``kernel`` and ``held`` are as in ``_kernel_split``.
+
+    The summands born at e map to v_e = bases[e] @ section, with the
+    section of the splitting projection taken as in ``_cover_from``.  One
+    matrix R over (F0 summands) x (F1 summands) holds v_e at e's F0
+    summands and F1 summands, and the component at c is R at the summands
+    of F0 and of F1 held at c: each F1 summand goes to the same vector of
+    F0 at every c above its birth, so the map is natural by construction.
+    It is the composite of the kernel's inclusion with the cover of K that
+    ``_cover_from`` would build, entry for entry.
+    """
+    ker, incl = kernel
+    f0 = incl.target
+    poset, p = f0.poset, f0.field.p
+    names, index = poset.elements, poset._index
+    f1, held1 = free_sum_layout(poset, [(e, res.dim) for e, res in splits.items()],
+                                f0.field, name=f"cover({ker.name})")
+    # every summand, so summand_columns gives a summand's own index
+    all0, all1 = ((1 << max(h, default=0).bit_length()) - 1 for h in (held, held1))
+    r = linalg.zeros(all0.bit_length(), all1.bit_length())
+    col = 0
+    for e, res in splits.items():
+        section = linalg.solve(res.projection, linalg.identity(res.dim), p)
+        r[summand_columns(all0, held[index[e]]), col:col + res.dim] = linalg.matmul(
+            incl.components[e], section, p)
+        col += res.dim
+    comps = {names[i]: r[summand_columns(all0, held[i])][:, summand_columns(all1, held1[i])]
+             for i in _bits(f0.support_mask & f1.support_mask)}
+    return ModuleMorphism(f1, f0, comps, validate=False)
+
+
 @dataclass(frozen=True)
 class _RelationHalf:
     kernel: PersModule
@@ -329,18 +411,21 @@ class Presentation:
     """gens/rels multisets with the witnessing two-step exact sequence.
 
     Eager, from ``minimal_presentation``: ``gens``, ``rels``, the cover
-    map h: F0 -> m (certified onto by ``projective_cover``) and the death
-    set.  Both multisets are read from the module's window table.
+    map h: F0 -> m (certified onto by ``projective_cover``), F0's layout
+    ``held`` (``free_sum_layout``) and the death set.  Both multisets are
+    read from the module's window table.
 
     Built on first read, once: the relation half.  Reading ``kernel``,
     ``relation_map``, ``verho_equal`` or ``exact`` builds the kernel K of
-    h, splits it at the deaths, covers it by F1 -> K (``_cover_from``,
-    whose onto check proves K is born nowhere else and raises
-    InternalError otherwise), composes F1 -> F0, and checks the result.
-    ``verho_equal`` certifies that K's splitting dimension at every death
-    equals ``rels`` there.  ``exact`` is certified by ``_check_exact`` on
-    the returned maps, which raises InternalError on a failure, so a
-    presentation that reads ``exact`` is exact.
+    h (bases, dims and inclusion; its maps wait for their first read),
+    splits K at the deaths in F0's coordinates (``_kernel_split``) and
+    builds F1 -> F0 there (``_relation_map``), with no map of K and no
+    cover of K.  ``verho_equal`` certifies that K's splitting dimension at
+    every death equals ``rels`` there.  ``exact`` is certified by
+    ``_check_exact`` on the returned maps, which raises InternalError on a
+    failure, so a presentation that reads ``exact`` is exact; given that h
+    is onto, its rank condition also proves F1 -> K onto, so K is born
+    nowhere but at the deaths.
     """
 
     gens: Counter
@@ -348,17 +433,18 @@ class Presentation:
     cover_map: ModuleMorphism
     s: ElementSet
     death_set: ElementSet
+    held: list[int]
 
     @cached_property
     def _relation_half(self) -> _RelationHalf:
-        h, s = self.cover_map, self.s
-        ker, incl = kernel_module(h)
-        ker_splits = {e: splitting(ker, s, e) for e in self.death_set}
-        verho_equal = all(res.dim == self.rels[e] for e, res in ker_splits.items())
-        _, rel_h = _cover_from(ker, s, {e: res for e, res in ker_splits.items() if res.dim})
-        relation_map = incl.compose(rel_h)
+        h, s, held = self.cover_map, self.s, self.held
+        kernel = kernel_module(h)
+        splits = {e: _kernel_split(kernel, held, s, e) for e in self.death_set}
+        verho_equal = all(res.dim == self.rels[e] for e, res in splits.items())
+        relation_map = _relation_map(kernel, held, {e: res for e, res in splits.items()
+                                                    if res.dim})
         _check_exact(h, relation_map.components, s)
-        return _RelationHalf(ker, relation_map, verho_equal, exact=True)
+        return _RelationHalf(kernel[0], relation_map, verho_equal, exact=True)
 
     @property
     def kernel(self) -> PersModule:
@@ -391,17 +477,19 @@ def minimal_presentation(m: PersModule, s) -> Presentation:
     gives coker lambda_K(c) = ker lambda_m(c): K is born exactly at the
     deaths of m, with multiplicity colim_dim - rank there.  So no kernel
     is built here.  The relation half of the returned ``Presentation``
-    (K, F1 -> F0, ``verho_equal`` and ``exact``) is built and certified
-    the first time one of them is read; the route through K's own window
-    table stays in the ``verho`` suite as an independent check.
+    (K, F1 -> F0, ``verho_equal`` and ``exact``) is built in F0's
+    coordinates and certified the first time one of them is read; the
+    route through K's own maps and window table stays in the ``verho``
+    suite as an independent check.
     """
     s = m.poset.subset(s)
     minimal_presentation_support(m, s)
     born, death_set = births(m, s), deaths(m, s)
-    _, h = projective_cover(m, s)
+    cover = projective_cover(m, s)
     gens = Counter({e: _split_dim(m, s, e) for e in born})
     rels = Counter({e: _death_dim(m, s, e) for e in death_set})
-    return Presentation(gens=gens, rels=rels, cover_map=h, s=s, death_set=death_set)
+    return Presentation(gens=gens, rels=rels, cover_map=cover[1], s=s,
+                        death_set=death_set, held=cover.held)
 
 
 def degree_counts(poset, counts: Counter) -> dict[str, int]:
@@ -453,7 +541,7 @@ def birth_death_report(m: PersModule, s=None, *, module_id=None) -> dict:
     is certified by the generator cover's onto check, which reads the
     cover's dims and components and not its maps.  The report reads no
     other part of the presentation and no frames of ``fsp_from_determined``,
-    so it builds no kernel, no relation cover, no generator-cover maps and
+    so it builds no kernel, no relation map, no generator-cover maps and
     no frames.  For |S| <= 20, ``determined`` is the test that
     ``fsp_from_determined`` makes first (``NotDetermined`` reads false), so
     determinedness is tested once; for a larger S, where the report skips

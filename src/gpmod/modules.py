@@ -455,29 +455,33 @@ def zero_module(poset: Poset, field: FieldSpec) -> PersModule:
     return PersModule(poset, field, {}, {}, name="0", validate=False)
 
 
+class _Kernel(tuple):
+    """``kernel_module``'s (kernel, inclusion) pair, with ``free``: for each
+    element of the source's support, the free rows of its kernel basis
+    (``linalg.kernel_basis_with_free``).  A vector y of the kernel there is
+    the basis times y's rows at them, so a caller reads coordinates in the
+    kernel without a solve."""
+
+    def __new__(cls, ker: PersModule, incl: ModuleMorphism, free: dict):
+        pair = super().__new__(cls, (ker, incl))
+        pair.free = free
+        return pair
+
+
 def kernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
     """Pointwise kernel with induced structure maps and its inclusion.
 
     The kernel basis at each element (``linalg.kernel_basis_with_free``)
-    is the identity on its free rows.  Where the source is 0 the kernel is
-    0, and where the target is 0 it is the whole source: the identity
-    basis, every column free, with no elimination.  On a cover (a, b), with
-    S the source, the map x solves bases[b] @ x = S(a <= b) @ bases[a] =:
-    moved.  The free rows of bases[b] @ x are x itself, so the one candidate is
-    moved's rows at b's free indices, read off without a solve.  It is
-    the solution exactly when bases[b] @ x == moved, which holds when f
-    is natural.  Where the target is 0 at both a and b, both bases are
-    identities, so x is S(a <= b) itself and the check is an identity:
-    the kernel shares the source's map there.  Every other cover is
-    checked in stacked products (``linalg.matmul_stack``): covers with
-    equal (dims_S(b), dims_S(a), dims_ker(a), dims_ker(b)) form one stack.
-    A cover with dims_S(b) = 0 or dims_ker(a) = 0 has an empty map, which
-    PersModule fills in.  A failing check raises InternalError at the
-    first failing cover in canonical order.
+    is the identity on its free rows, which the returned pair carries as
+    ``free`` (``_Kernel``).  Where the source is 0 the kernel is 0, and
+    where the target is 0 it is the whole source: the identity basis,
+    every column free, with no elimination.  The bases, dims and the
+    inclusion are built here; the structure maps (``_kernel_maps``) are
+    built, and checked, the first time the kernel's ``cover_maps`` are
+    read.
     """
     p = f.source.field.p
     src, tdims = f.source, f.target.dims
-    covers = src.poset.covers
     bases, free = {}, {}
     for e in src.support():
         if tdims[e]:
@@ -485,11 +489,36 @@ def kernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
             bases[e] = kernel.basis
         else:
             bases[e], free[e] = linalg.identity(src.dims[e]), tuple(range(src.dims[e]))
-    dims = {e: basis.shape[1] for e, basis in bases.items()}
+    dims = dict.fromkeys(src.poset.elements, 0)
+    dims.update((e, basis.shape[1]) for e, basis in bases.items())
+    build = functools.partial(_kernel_maps, f, bases, free, dims)
+    ker = PersModule._deferred(src.poset, src.field, dims, build, name=f"ker({src.name})")
+    return _Kernel(ker, ModuleMorphism(ker, src, bases, validate=False), free)
+
+
+def _kernel_maps(f: ModuleMorphism, bases: dict, free: dict, dims: dict) -> dict:
+    """The structure maps of ``kernel_module(f)``'s kernel, from its
+    ``bases``, their ``free`` rows and its ``dims``.
+
+    On a cover (a, b), with S the source, the map x solves bases[b] @ x =
+    S(a <= b) @ bases[a] =: moved.  The free rows of bases[b] @ x are x
+    itself, so the one candidate is moved's rows at b's free indices, read
+    off without a solve.  It is the solution exactly when bases[b] @ x ==
+    moved, which holds when f is natural.  Where the target is 0 at both a
+    and b, both bases are identities, so x is S(a <= b) itself and the
+    check is an identity: the kernel shares the source's map there.  Every
+    other cover is checked in stacked products (``linalg.matmul_stack``):
+    covers with equal (dims_S(b), dims_S(a), dims_ker(a), dims_ker(b)) form
+    one stack.  A cover with dims_S(b) = 0 or dims_ker(a) = 0 has an empty
+    map, which PersModule fills in.  A failing check raises InternalError
+    at the first failing cover in canonical order.
+    """
+    src, tdims, p = f.source, f.target.dims, f.source.field.p
+    covers = src.poset.covers
     maps = {}
     groups = {}  # shape key -> indices into covers
     for k, (a, b) in enumerate(covers):
-        key = (src.dims[b], src.dims[a], dims.get(a, 0), dims.get(b, 0))
+        key = (src.dims[b], src.dims[a], dims[a], dims[b])
         if not (key[0] and key[2]):
             continue  # the map is empty
         if tdims[a] or tdims[b]:
@@ -497,10 +526,11 @@ def kernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
         else:
             maps[(a, b)] = src.cover_maps[(a, b)]
     failed = []
-    # stacked products, chosen when grid-sparse built kernels; only `gpm
-    # present` builds one now.  On grid-fp a loop over the covers read
-    # ops/s 2% higher (260.3 against 255.0, median of 6 paired 10 s runs,
-    # 5 higher; the four kernels 3.2 against 3.7 ms in-process, 2-vCPU VM)
+    # stacked products, chosen when grid-sparse built kernels.  When `gpm
+    # present` built every kernel's maps, a loop over the covers read
+    # grid-fp ops/s 2% higher (260.3 against 255.0, median of 6 paired 10 s
+    # runs, 5 higher; the four kernels 3.2 against 3.7 ms in-process,
+    # 2-vCPU VM)
     for ks in groups.values():
         pairs = [covers[k] for k in ks]
         moved = linalg.matmul_stack(np.stack([src.cover_maps[c] for c in pairs]),
@@ -514,10 +544,7 @@ def kernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
         maps.update(zip(pairs, x))
     if failed:
         raise InternalError(f"kernel map at cover {covers[min(failed)]!r}")
-    ker = PersModule(src.poset, src.field, dims, maps,
-                     name=f"ker({f.source.name})", validate=False)
-    incl = ModuleMorphism(ker, src, bases, validate=False)
-    return ker, incl
+    return maps
 
 
 def cokernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:

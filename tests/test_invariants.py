@@ -388,8 +388,9 @@ def test_presentation_asks_no_order_query_per_pair(monkeypatch, field):
 
 
 def test_presentation_solves_no_kernel_map_and_checks_each_cover_once(monkeypatch, field):
-    # kernel maps are read off the kernel basis, and the only epi checks
-    # are the one in each projective_cover call
+    # kernel maps, when read, are read off the kernel basis; the only epi
+    # check is the generator cover's, since the relation half builds no
+    # cover of the kernel
     calls = []
 
     def refuse(*args):
@@ -405,10 +406,11 @@ def test_presentation_solves_no_kernel_map_and_checks_each_cover_once(monkeypatc
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "solve", refuse)
         ker, _ = kernel_module(h)
+        assert len(ker.cover_maps) == len(grid.covers)
     assert ker.total_dim > 0
     monkeypatch.setattr(invariants, "is_epi", counting)
     pres = minimal_presentation(m, grid.whole())
-    assert pres.exact and len(calls) == 2
+    assert pres.exact and len(calls) == 1
 
 
 def test_xi_multiplicities_against_grid_oracle(field):
@@ -471,30 +473,37 @@ def test_relations_read_at_the_deaths_match_the_kernel_table(p):
 
 
 def test_verho_certificate_fails_on_a_kernel_split_off_by_one(monkeypatch, koszul, grid33):
-    # one extra free summand at the death (1,1) raises the kernel's
-    # splitting dimension there to 2, against colim_dim - rank = 1 in the
-    # module's table, which rels read; the relation cover is still onto
+    # one extra free summand at the death (1,1), included as zero, raises
+    # the kernel's splitting dimension there to 2, against colim_dim - rank
+    # = 1 in the module's table, which rels read; the relation map is
+    # still exact (its extra column is zero).  No top of (1,1)'s window
+    # has a kernel, so no map is read off the free rows, which the extra
+    # summand leaves as they were
     field = koszul.field
     original = invariants.kernel_module
 
     def one_more_at_the_death(h):
-        ker, incl = original(h)
+        kernel = original(h)
+        ker, incl = kernel
         extra = free_module(grid33, "(1,1)", 1, field)
         wider = direct_sum(ker, extra)
         comps = {c: linalg.hstack([incl.components[c],
                                    linalg.zeros(incl.target.dims[c], extra.dims[c])],
                                   incl.target.dims[c])
                  for c in grid33.elements}
-        return wider, ModuleMorphism(wider, incl.target, comps)
+        return modules._Kernel(wider, ModuleMorphism(wider, incl.target, comps), kernel.free)
 
     assert minimal_presentation(koszul, grid33.whole()).verho_equal
     monkeypatch.setattr(invariants, "kernel_module", one_more_at_the_death)
     pres = minimal_presentation(koszul, grid33.whole())
     assert dict(pres.rels) == {"(1,1)": 1}
-    assert not pres.verho_equal
+    assert not pres.verho_equal and pres.exact
+    assert pres.relation_map.source.dims["(1,1)"] == 2
 
 
 def test_relation_cover_missing_a_death_is_not_onto(monkeypatch, koszul, grid33):
+    # no relation at (1,1): F1 -> K is not onto there, which the rank
+    # condition of the exactness certificate reads
     original = invariants.deaths
 
     def first_dropped(m, s):
@@ -504,7 +513,7 @@ def test_relation_cover_missing_a_death_is_not_onto(monkeypatch, koszul, grid33)
     assert deaths(koszul, grid33.whole()).ids() == ["(1,1)"]
     monkeypatch.setattr(invariants, "deaths", first_dropped)
     pres = minimal_presentation(koszul, grid33.whole())
-    with pytest.raises(InternalError, match="not onto at '\\(1,1\\)'"):
+    with pytest.raises(InternalError, match=r"^presentation is not exact at '\(1,1\)'"):
         pres.relation_map
 
 
@@ -578,6 +587,127 @@ def test_report_builds_no_cover_maps(monkeypatch):
         with pytest.raises(AssertionError, match="_inclusions called"):
             cover.cover_maps
     assert with_gens >= 40
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _former_relation_half(pres):
+    """The relation half by the former route: the kernel's own maps, its
+    splitting at each death from its own window colimit, a cover of the
+    kernel (``_cover_from``, with its onto check) and the composite with
+    the kernel's inclusion.  Returns (splittings, relation map,
+    verho_equal)."""
+    s = pres.s
+    ker, incl = kernel_module(pres.cover_map)
+    splits = {e: splitting(ker, s, e) for e in pres.death_set}
+    verho_equal = all(res.dim == pres.rels[e] for e, res in splits.items())
+    _, rel_h = invariants._cover_from(ker, s, {e: res for e, res in splits.items() if res.dim})
+    return splits, incl.compose(rel_h), verho_equal
+
+
+def _fp_grid_draws(p, seed):
+    """(module, whole grid) pairs: finitely presented modules on the 5x5
+    grid, each the cokernel of a random map between sums of free modules
+    with 6 generators anywhere and 6 relations with both coordinates >= 2,
+    so relations often sit above relations."""
+    field = FieldSpec(p)
+    grid = grid_poset((5, 5))
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        gens = [grid_id(tuple(xy)) for xy in rng.integers(0, 5, size=(6, 2))]
+        rels = [grid_id(tuple(xy)) for xy in rng.integers(2, 5, size=(6, 2))]
+        coeff = np.array([[int(rng.integers(p)) if grid.leq(a, b) else 0 for b in rels]
+                          for a in gens], dtype=np.int64)
+        comps = {c: coeff[np.ix_([i for i, a in enumerate(gens) if grid.leq(a, c)],
+                                 [j for j, b in enumerate(rels) if grid.leq(b, c)])]
+                 for c in grid.elements}
+        f = ModuleMorphism(free_sum(grid, [(b, 1) for b in rels], field),
+                           free_sum(grid, [(a, 1) for a in gens], field), comps)
+        yield cokernel_module(f)[0], grid.whole()
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_relation_half_in_f0_coordinates_matches_the_former_route(p):
+    # the kernel's splitting at every death, the relation map's bytes and
+    # verho_equal, against the kernel maps, their window colimits and a
+    # second cover; the new relation map is natural by the full check
+    relative = with_rels = 0
+    for m, s in itertools.chain(_presented_draws(p, 58), _fp_grid_draws(p, 58)):
+        pres = minimal_presentation(m, s)
+        splits, former, verho_equal = _former_relation_half(pres)
+        kernel = kernel_module(pres.cover_map)
+        for e, want in splits.items():
+            got = invariants._kernel_split(kernel, pres.held, s, e)
+            assert got.dim == want.dim and got.free == want.free
+            _assert_same_bytes(got.projection, want.projection)
+        rel = pres.relation_map
+        assert rel.source.dims == former.source.dims and rel.source.name == former.source.name
+        for c in m.poset.elements:
+            _assert_same_bytes(rel.components[c], former.components[c])
+        assert pres.verho_equal == verho_equal and pres.exact
+        ModuleMorphism(rel.source, rel.target, rel.components, validate=True)
+        relative += s.mask != m.poset.whole().mask
+        with_rels += bool(pres.rels)
+    assert relative >= 10 and with_rels >= 20
+
+
+def test_relation_half_builds_no_kernel_map_and_no_cover_map(monkeypatch):
+    # drawn first: an interval-sum draw reads its free summands' maps
+    draws = list(_presented_draws(101, 59))
+    monkeypatch.setattr(modules, "_inclusions", _refuse("_inclusions"))
+    monkeypatch.setattr(modules, "_kernel_maps", _refuse("_kernel_maps"))
+    with_rels = 0
+    for m, s in draws:
+        pres = minimal_presentation(m, s)
+        assert pres.exact and pres.verho_equal
+        with_rels += bool(pres.rels)
+        # K's maps are built on their first read, and F1's are never read
+        with pytest.raises(AssertionError, match="_kernel_maps called"):
+            pres.kernel.cover_maps
+        with pytest.raises(AssertionError, match="_inclusions called"):
+            pres.relation_map.source.cover_maps
+    assert with_rels >= 20
+
+
+def _perturbed_at_a_death(kernel, pres):
+    """``kernel`` with one entry of its basis at a death e raised by 1, at a
+    row that is not free and in a column k that the map K(t <= e) from a
+    top t of e's window reaches (read from K's own maps), so the map read
+    off the free rows no longer solves the basis equation there; None when
+    no death has such a column."""
+    ker, incl = kernel
+    poset, p = ker.poset, ker.field.p
+    for e in pres.death_set:
+        rows = [r for r in range(incl.target.dims[e]) if r not in kernel.free[e]]
+        tops = poset.local_spans(kan.window_mask(pres.s, e))[0]
+        reached = [k for t in tops if ker.dims[t]
+                   for k in np.flatnonzero(ker.eval_map(t, e).any(axis=1))]
+        if rows and reached:
+            comps = dict(incl.components)
+            basis = comps[e] = comps[e].copy()
+            basis[rows[0], reached[0]] = (basis[rows[0], reached[0]] + 1) % p
+            return modules._Kernel(ker, ModuleMorphism(ker, incl.target, comps,
+                                                       validate=False), kernel.free)
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_kernel_split_fails_on_a_basis_column_perturbed_at_a_death(monkeypatch, p):
+    checked = 0
+    for m, s in itertools.chain(_presented_draws(p, 61), _fp_grid_draws(p, 61)):
+        pres = minimal_presentation(m, s)
+        perturbed = _perturbed_at_a_death(kernel_module(pres.cover_map), pres)
+        if perturbed is None:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "kernel_module", lambda h: perturbed)
+            with pytest.raises(InternalError, match=r"^kernel map at \("):
+                pres.verho_equal
+        checked += 1
+    assert checked >= 10
 
 
 def test_report_builds_no_frames(monkeypatch):
@@ -672,11 +802,13 @@ def test_exact_is_read_through_the_certificate(monkeypatch, koszul, grid33):
     original = invariants.kernel_module
 
     def one_column_zeroed(h):
-        ker, incl = original(h)
+        kernel = original(h)
+        ker, incl = kernel
         comps = {c: incl.components[c].copy() for c in grid33.elements}
         for comp in comps.values():
             comp[:, :1] = 0
-        return ker, ModuleMorphism(ker, incl.target, comps, validate=False)
+        return modules._Kernel(ker, ModuleMorphism(ker, incl.target, comps, validate=False),
+                               kernel.free)
 
     monkeypatch.setattr(invariants, "kernel_module", one_column_zeroed)
     pres = minimal_presentation(koszul, grid33.whole())
