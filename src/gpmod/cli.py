@@ -195,6 +195,8 @@ def cmd_graded(args) -> int:
             raise GpmodError(f"unknown smash basis element {token!r}")
         vecs.append(sm.basis_vector(alg.syms.index(sym), act.points.index(point)))
     w = gr.local_unit(sm, vecs)
+    # "idempotent" and "absorbs" are certificates, not measurements:
+    # local_unit raises InternalError (exit 2) on a w that fails either
     payload = {
         "elements": args.elements.split(","),
         "w": [int(x) for x in w],

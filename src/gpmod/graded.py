@@ -824,7 +824,7 @@ def lambda_functor(q: SmashModule):
     Returns (FunctorModule, inclusion matrices per point).  Point spaces
     are the images of the point idempotents p_a, taken as the kernels of
     I - p_a: each basis is the identity at its free rows, where every arrow
-    is read off and then checked in one product.
+    is read off and then checked in one product (``linalg.lift``).
     """
     if not is_unital(q):
         raise NotUnital("smash module is not unital")
@@ -841,8 +841,8 @@ def lambda_functor(q: SmashModule):
         for a in range(len(sm.act)):
             b = sm.act.act(g, a)
             moved = linalg.matmul(q.action[sm.index[(i, a)]], bases[a], p)
-            arrows[(i, a)] = linalg.factor(bases[b].T, kernels[b][1], moved.T, p,
-                                           "graded piece escapes its block").T
+            arrows[(i, a)] = linalg.lift(bases[b], kernels[b][1], moved, p,
+                                         "graded piece escapes its block")
     fm = FunctorModule(sm.algebra, sm.act, spaces, arrows, validate=False)
     return fm, bases
 

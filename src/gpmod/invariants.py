@@ -337,29 +337,25 @@ def _kernel_split(kernel, held: list[int], s: ElementSet, e: str) -> SplittingRe
     of e's strict s-window, since every element of the window lies below a
     top and the colimit's projection is onto.  K(t <= e) is the x with
     bases[e] @ x = F0(t <= e) @ bases[t] =: moved, and moved is bases[t]
-    scattered into the rows of e's summands that t holds.  The free rows
-    of bases[e] @ x are x itself, so x is moved's rows at e's free
-    indices, and it is K(t <= e) exactly when bases[e] @ x == moved, which
-    is checked: a failure raises InternalError naming (t, e) and s.  The
-    cokernel is read off the unique rref of the maps side by side
-    (``linalg.cokernel``), so it depends only on their column space,
-    lambda_K's image, and has the bytes of ``splitting(K, s, e)``.
+    scattered into the rows of e's summands that t holds.  x is read off
+    e's free rows and checked (``linalg.lift``): a failure raises
+    InternalError naming (t, e) and s.  The cokernel is read off the
+    unique rref of the maps side by side (``linalg.cokernel``), so it
+    depends only on their column space, lambda_K's image, and has the
+    bytes of ``splitting(K, s, e)``.
     """
     ker, incl = kernel
     poset, p = ker.poset, ker.field.p
     index, bases = poset._index, incl.components
-    base, at = bases[e], held[index[e]]
-    rows = list(kernel.free[e])
+    base, free, at = bases[e], kernel.free[e], held[index[e]]
     maps = []
     for t in poset.local_spans(window_mask(s, e))[0]:
         if not ker.dims[t]:
             continue
         moved = linalg.zeros(base.shape[0], ker.dims[t])
         moved[summand_columns(at, held[index[t]])] = bases[t]
-        x = moved[rows]
-        if not np.array_equal(linalg.matmul(base, x, p), moved):
-            raise InternalError(f"kernel map at {(t, e)!r}, built for S = {s.ids()}")
-        maps.append(x)
+        maps.append(linalg.lift(base, free, moved, p,
+                                f"kernel map at {(t, e)!r}, built for S = {s.ids()}"))
     return SplittingResult(*linalg.cokernel(linalg.hstack(maps, ker.dims[e]), p))
 
 

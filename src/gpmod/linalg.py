@@ -198,18 +198,6 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _chunked_product(a, b, p)
 
 
-def matmul_stack(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a[i] @ b[i]) mod p for every i of two stacks of matrices.
-
-    Shapes (n, r, k) and (n, k, c) give (n, r, c).  Each product is chunked
-    over k by the same rule as ``matmul``, so every slice of the result has
-    the bytes ``matmul(a[i], b[i], p)`` has, for any prime below 2**31.
-    """
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"matmul_stack shape mismatch: {a.shape} @ {b.shape}")
-    return _chunked_product(a, b, p)
-
-
 def _chunked_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p over the last two axes, with the inner dimension cut
     into chunks of at most 2**62 // (p - 1)**2 terms: a chunk's sum plus
@@ -373,8 +361,8 @@ def kernel_basis_with_free(a: np.ndarray,
     Column k of the basis is the solution with free variable free[k] set to
     1 and the other free variables to 0, so the basis restricted to the
     free rows is the identity.  A vector v of the kernel is therefore the
-    basis times v's entries at the free rows, and a matrix x with basis @ x
-    = y, if there is one, is y's rows at the free indices.
+    basis times v's entries at the free rows, and ``lift`` reads every map
+    into the kernel off them.
     """
     reduced, pivots, _ = rref(a, p)
     cols = a.shape[1]
@@ -386,6 +374,22 @@ def kernel_basis_with_free(a: np.ndarray,
         for i, pc in enumerate(pivots):
             basis[pc, k] = (-int(reduced[i, j])) % p
     return SubspaceBasis(cols, basis), free
+
+
+def lift(basis: np.ndarray, free: tuple[int, ...], y: np.ndarray, p: int,
+         message: str) -> np.ndarray:
+    """The x with basis @ x = y, for a basis and free rows from
+    ``kernel_basis_with_free``; raises InternalError(message) if there is
+    none.  The twin of ``factor``: a map into a kernel, read off its free
+    rows.
+
+    basis[free] is the identity, so y[free] is the only candidate, and
+    independent columns make the solution unique when it exists.
+    """
+    x = y[list(free)]
+    if not np.array_equal(matmul(basis, x, p), y):
+        raise InternalError(message)
+    return x
 
 
 def image_basis(a: np.ndarray, p: int) -> SubspaceBasis:

@@ -56,7 +56,8 @@ class PersModule:
     Instances are immutable after construction, apart from the ``name``
     label: nothing writes to ``dims`` or ``cover_maps`` outside
     ``__init__``, except that a free sum (``free_sum_layout``) builds its
-    0/1 maps, and completes them with the zero maps, the first time
+    0/1 maps, and a kernel (``kernel_module``) lifts its maps cover by
+    cover, completing them with the zero maps, the first time
     ``cover_maps`` is read; what that read returns, then and after, is
     what ``__init__`` with ``validate=False`` would have stored.
     ``support_mask`` is the bitmask of the elements of
@@ -477,8 +478,8 @@ def kernel_module(f: ModuleMorphism) -> tuple[PersModule, ModuleMorphism]:
     where the target is 0 it is the whole source: the identity basis,
     every column free, with no elimination.  The bases, dims and the
     inclusion are built here; the structure maps (``_kernel_maps``) are
-    built, and checked, the first time the kernel's ``cover_maps`` are
-    read.
+    read off the free rows and checked cover by cover (``linalg.lift``)
+    the first time the kernel's ``cover_maps`` are read.
     """
     p = f.source.field.p
     src, tdims = f.source, f.target.dims
@@ -500,50 +501,21 @@ def _kernel_maps(f: ModuleMorphism, bases: dict, free: dict, dims: dict) -> dict
     """The structure maps of ``kernel_module(f)``'s kernel, from its
     ``bases``, their ``free`` rows and its ``dims``.
 
-    On a cover (a, b), with S the source, the map x solves bases[b] @ x =
-    S(a <= b) @ bases[a] =: moved.  The free rows of bases[b] @ x are x
-    itself, so the one candidate is moved's rows at b's free indices, read
-    off without a solve.  It is the solution exactly when bases[b] @ x ==
-    moved, which holds when f is natural.  Where the target is 0 at both a
-    and b, both bases are identities, so x is S(a <= b) itself and the
-    check is an identity: the kernel shares the source's map there.  Every
-    other cover is checked in stacked products (``linalg.matmul_stack``):
-    covers with equal (dims_S(b), dims_S(a), dims_ker(a), dims_ker(b)) form
-    one stack.  A cover with dims_S(b) = 0 or dims_ker(a) = 0 has an empty
-    map, which PersModule fills in.  A failing check raises InternalError
-    at the first failing cover in canonical order.
+    On a cover (a, b), with S the source, the map is the x with bases[b] @
+    x = S(a <= b) @ bases[a], read off b's free rows and checked
+    (``linalg.lift``), one cover at a time in canonical order; where the
+    target is 0 at both ends both bases are identities, so x has the bytes
+    of S(a <= b).  The check holds when f is natural; the first cover where
+    it fails raises InternalError naming it.  A cover with dims_S(b) = 0 or
+    dims_ker(a) = 0 has an empty map, which PersModule fills in.
     """
-    src, tdims, p = f.source, f.target.dims, f.source.field.p
-    covers = src.poset.covers
+    src, p = f.source, f.source.field.p
     maps = {}
-    groups = {}  # shape key -> indices into covers
-    for k, (a, b) in enumerate(covers):
-        key = (src.dims[b], src.dims[a], dims[a], dims[b])
-        if not (key[0] and key[2]):
-            continue  # the map is empty
-        if tdims[a] or tdims[b]:
-            groups.setdefault(key, []).append(k)
-        else:
-            maps[(a, b)] = src.cover_maps[(a, b)]
-    failed = []
-    # stacked products, chosen when grid-sparse built kernels.  When `gpm
-    # present` built every kernel's maps, a loop over the covers read
-    # grid-fp ops/s 2% higher (260.3 against 255.0, median of 6 paired 10 s
-    # runs, 5 higher; the four kernels 3.2 against 3.7 ms in-process,
-    # 2-vCPU VM)
-    for ks in groups.values():
-        pairs = [covers[k] for k in ks]
-        moved = linalg.matmul_stack(np.stack([src.cover_maps[c] for c in pairs]),
-                                    np.stack([bases[a] for a, _ in pairs]), p)
-        rows = np.array([free[b] for _, b in pairs], dtype=np.intp)
-        x = moved[np.arange(len(pairs))[:, None], rows]
-        back = linalg.matmul_stack(np.stack([bases[b] for _, b in pairs]), x, p)
-        bad = (back != moved).any(axis=(1, 2))
-        if bad.any():
-            failed.append(ks[int(bad.argmax())])
-        maps.update(zip(pairs, x))
-    if failed:
-        raise InternalError(f"kernel map at cover {covers[min(failed)]!r}")
+    for a, b in src.poset.covers:
+        if src.dims[b] and dims[a]:
+            moved = linalg.matmul(src.cover_maps[(a, b)], bases[a], p)
+            maps[(a, b)] = linalg.lift(bases[b], free[b], moved, p,
+                                       f"kernel map at cover {(a, b)!r}")
     return maps
 
 

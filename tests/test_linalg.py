@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmod import linalg
-from gpmod.errors import InternalError, NoSolution, ShapeError
+from gpmod.errors import InternalError, NoSolution
 from gpmod.linalg import FieldSpec
 
 P = 101
@@ -154,6 +154,52 @@ def test_factor_matches_the_general_left_solve(p):
     assert solved >= 150 and refused >= 40 and empty >= 40
 
 
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_lift_matches_the_general_solve(p):
+    """``lift`` through a kernel basis and its free rows against the
+    general solve: for y = basis @ x it returns x byte for byte, and
+    wherever y is changed at one entry or drawn uniformly it has the bytes
+    of ``solve``'s one solution, or raises InternalError(message) exactly
+    where the solve raises NoSolution.  Matrices have 0 to 5 rows and
+    columns and a drawn rank, so bases with no columns occur, and so do
+    right-hand sides with no columns."""
+    rng = np.random.default_rng(p % 983 + 7)
+    lifted = refused = no_columns = empty = 0
+    for _ in range(400):
+        rows, cols = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        inner = int(rng.integers(0, min(rows, cols) + 1))
+        left = rng.integers(0, p, size=(rows, inner)).astype(object)
+        right = rng.integers(0, p, size=(inner, cols)).astype(object)
+        a = (left.dot(right) % p).astype(np.int64).reshape(rows, cols)
+        kernel, free = linalg.kernel_basis_with_free(a, p)
+        basis = kernel.basis
+        assert np.array_equal(basis[list(free)], linalg.identity(kernel.dim))
+        no_columns += kernel.dim == 0
+        k = int(rng.integers(0, 4))
+        empty += k == 0
+        x = _random_matrix(rng, kernel.dim, k, p)
+        y = linalg.matmul(basis, x, p)
+        got = linalg.lift(basis, free, y, p, "no lift")
+        assert got.dtype == np.int64 and got.shape == x.shape
+        assert got.tobytes() == x.tobytes() == linalg.solve(basis, y, p).tobytes()
+        lifted += 1
+        if rng.integers(2) and y.size:
+            y[int(rng.integers(cols)), int(rng.integers(k))] += 1
+            y %= p
+        else:
+            y = _random_matrix(rng, cols, k, p)
+        try:
+            want = linalg.solve(basis, y, p)
+        except NoSolution:
+            with pytest.raises(InternalError, match="^no lift$"):
+                linalg.lift(basis, free, y, p, "no lift")
+            refused += 1
+            continue
+        assert linalg.lift(basis, free, y, p, "no lift").tobytes() == want.tobytes()
+        lifted += 1
+    assert lifted >= 500 and refused >= 40 and no_columns >= 60 and empty >= 60
+
+
 def test_matmul_chunked_agrees_with_python_ints():
     # a prime large enough that a single dot product would overflow int64
     p = 2147483629
@@ -231,11 +277,12 @@ def test_rref_routes_agree_byte_for_byte(p):
 
 
 @pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
-def test_matmul_stack_matches_matmul_slice_by_slice(p):
-    """Each slice of a stacked product has the bytes of matmul on that
-    slice and the value of the product in Python integers, with empty
-    stacks, empty factors, and an inner dimension above the chunk step at
-    the largest prime."""
+def test_chunked_product_matches_matmul_slice_by_slice(p):
+    """Each slice of a stacked ``_chunked_product``, the product the
+    stacked test oracles of ``kernel_module`` use, has the bytes of matmul
+    on that slice and the value of the product in Python integers, with
+    empty stacks, empty factors, and an inner dimension above the chunk
+    step at the largest prime."""
     rng = np.random.default_rng(p % 991)
     step = max(1, 2**62 // (p - 1) ** 2)
     shapes = [(0, 2, 3, 2), (3, 0, 2, 2), (3, 2, 0, 4), (3, 2, 4, 0), (7, 1, 1, 1),
@@ -250,7 +297,7 @@ def test_matmul_stack_matches_matmul_slice_by_slice(p):
                 b = rng.integers(0, p, size=(n, k, c)).astype(np.int64)
             else:
                 a, b = rng.choice(edges, size=(n, r, k)), rng.choice(edges, size=(n, k, c))
-            got = linalg.matmul_stack(a, b, p)
+            got = linalg._chunked_product(a, b, p)
             assert got.dtype == np.int64 and got.shape == (n, r, c)
             for i in range(n):
                 want = linalg.matmul(a[i], b[i], p)
@@ -258,7 +305,3 @@ def test_matmul_stack_matches_matmul_slice_by_slice(p):
                 assert got[i].tolist() == [
                     [sum(int(a[i, x, t]) * int(b[i, t, y]) for t in range(k)) % p
                      for y in range(c)] for x in range(r)]
-    with pytest.raises(ShapeError):
-        linalg.matmul_stack(np.zeros((2, 1, 3), np.int64), np.zeros((2, 2, 1), np.int64), p)
-    with pytest.raises(ShapeError):
-        linalg.matmul_stack(np.zeros((2, 1, 3), np.int64), np.zeros((1, 3, 1), np.int64), p)

@@ -964,7 +964,8 @@ def test_library_builders_hand_over_reduced_int64_maps(p):
 
 
 def _stacked_kernel_module(f):
-    """``kernel_module`` with every cover in the stacked products, the
+    """``kernel_module`` as it was before its maps were lifted cover by
+    cover: covers of one shape checked together in stacked products, the
     covers where the target is zero at both ends included."""
     p = f.source.field.p
     src = f.source
@@ -985,11 +986,11 @@ def _stacked_kernel_module(f):
     maps, failed = {}, []
     for ks in groups.values():
         pairs = [covers[k] for k in ks]
-        moved = linalg.matmul_stack(np.stack([src.cover_maps[c] for c in pairs]),
-                                    np.stack([bases[a] for a, _ in pairs]), p)
+        moved = linalg._chunked_product(np.stack([src.cover_maps[c] for c in pairs]),
+                                        np.stack([bases[a] for a, _ in pairs]), p)
         rows = np.array([free[b] for _, b in pairs], dtype=np.intp)
         x = moved[np.arange(len(pairs))[:, None], rows]
-        back = linalg.matmul_stack(np.stack([bases[b] for _, b in pairs]), x, p)
+        back = linalg._chunked_product(np.stack([bases[b] for _, b in pairs]), x, p)
         bad = (back != moved).any(axis=(1, 2))
         if bad.any():
             failed.append(ks[int(bad.argmax())])
@@ -1029,12 +1030,13 @@ def _sparse_grid_sums(p):
 
 
 @pytest.mark.parametrize("p", [101, 2**31 - 1])
-def test_kernel_maps_shared_where_the_target_is_zero_match_the_stacked_route(p):
-    """On a cover where the target is zero at both ends the kernel keeps
-    the source's own map; every map and inclusion component has the bytes
-    of the all-stacked route, and both routes are exercised."""
+def test_kernel_maps_where_the_target_is_zero_match_the_stacked_route(p):
+    """Every kernel map and inclusion component has the bytes of the
+    stacked route, on sums where the target is zero at both ends of many
+    covers (both bases identities there) and on covers where it is not;
+    both kinds of cover occur."""
     seen = {"interval sum": 0, "with a free sum": 0, "free sum into boxes": 0,
-            "shared": 0, "stacked": 0}
+            "target zero": 0, "target non-zero": 0}
     for f, kind in _sparse_grid_sums(p):
         got = kernel_module(f)
         _assert_same_pair(got, _stacked_kernel_module(f))
@@ -1043,9 +1045,45 @@ def test_kernel_maps_shared_where_the_target_is_zero_match_the_stacked_route(p):
         for a, b in ker.poset.covers:
             if not (src.dims[b] and ker.dims[a]):
                 continue
-            if tgt.dims[a] or tgt.dims[b]:
-                seen["stacked"] += 1
-            else:
-                assert ker.cover_maps[(a, b)] is src.cover_maps[(a, b)]
-                seen["shared"] += 1
+            seen["target non-zero" if tgt.dims[a] or tgt.dims[b] else "target zero"] += 1
     assert min(seen.values()) >= 12, seen
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_kernel_maps_name_the_first_of_two_failing_covers(p):
+    """Kernel bases perturbed at a row that is not free, at two elements,
+    before the kernel's maps are first read: where at least two covers
+    then fail (the general solve per cover finds none), the first read
+    raises InternalError naming the earliest of them in canonical order."""
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p % 977 + 31)
+    named = 0
+    for shape in ((3, 3), (4, 4), (5, 5)) * 6:
+        grid = grid_poset(shape)
+        m = random_module(grid, 3, field, seed=int(rng.integers(2**32)))
+        pair = kernel_module(projective_cover(m, grid.whole())[1])
+        (ker, incl), src = pair, pair[1].target
+        bases = incl.components
+        spots = [e for e in grid.elements
+                 if ker.dims[e] and len(pair.free[e]) < src.dims[e]]
+        if len(spots) < 2:
+            continue
+        for k in rng.choice(len(spots), size=2, replace=False):
+            e = spots[int(k)]
+            row = min(set(range(src.dims[e])) - set(pair.free[e]))
+            bases[e][row, 0] = (bases[e][row, 0] + 1) % p
+        failing = []
+        for a, b in grid.covers:
+            if src.dims[b] and ker.dims[a]:
+                moved = linalg.matmul(src.cover_maps[(a, b)], bases[a], p)
+                try:
+                    linalg.solve(bases[b], moved, p)
+                except linalg.NoSolution:
+                    failing.append((a, b))
+        if len(failing) < 2:
+            continue
+        with pytest.raises(InternalError) as exc:
+            ker.cover_maps
+        assert str(exc.value) == f"kernel map at cover {failing[0]!r}"
+        named += 1
+    assert named >= 10, named

@@ -89,11 +89,11 @@ def _kernel_module_every_element(f):
     maps, failed = {}, []
     for ks in groups.values():
         pairs = [covers[k] for k in ks]
-        moved = linalg.matmul_stack(np.stack([src.cover_maps[c] for c in pairs]),
-                                    np.stack([bases[a] for a, _ in pairs]), p)
+        moved = linalg._chunked_product(np.stack([src.cover_maps[c] for c in pairs]),
+                                        np.stack([bases[a] for a, _ in pairs]), p)
         rows = np.array([free[b] for _, b in pairs], dtype=np.intp)
         x = moved[np.arange(len(pairs))[:, None], rows]
-        back = linalg.matmul_stack(np.stack([bases[b] for _, b in pairs]), x, p)
+        back = linalg._chunked_product(np.stack([bases[b] for _, b in pairs]), x, p)
         bad = (back != moved).any(axis=(1, 2))
         if bad.any():
             failed.append(ks[int(bad.argmax())])

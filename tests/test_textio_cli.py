@@ -639,6 +639,20 @@ def test_cli_graded_sums_point_idempotents_mod_the_algebra_prime(tmp_path):
     assert rc == 0 and '"w":[1073741824,0]' in out
 
 
+def test_cli_local_unit_certifies_idempotent_or_exits_2(graded_file, monkeypatch,
+                                                        capsys):
+    """The "idempotent" and "absorbs" keys are certificates: with the point
+    idempotents' sum patched to twice itself, which is not idempotent mod
+    101, `gpm graded local-unit` exits 2 naming the failure and prints
+    nothing to stdout."""
+    real = gr.SmashAlgebra.idempotent_sum
+    monkeypatch.setattr(gr.SmashAlgebra, "idempotent_sum",
+                        lambda sm, points: 2 * real(sm, points) % sm.algebra.field.p)
+    rc, out = _main_in_process(["graded", "local-unit", graded_file, "--elements", "v@x"])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == "error: local unit is not idempotent\n"
+
+
 def test_cli_verify(ws_file):
     proc = run_cli(["verify", "--suite", "verho", "--cases", "5", "--seed", "7"])
     assert proc.returncode == 0
